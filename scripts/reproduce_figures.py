@@ -7,8 +7,13 @@ the CSVs hinge on. Pass --quick for a fast low-sample pass.
 """
 
 import argparse
+import os
 import sys
 from pathlib import Path
+
+# one BLAS thread per process, as the tlrsim CLI sets it, before numpy loads
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 from tlrsim.config import load_config
 from tlrsim.sweeps import run_cphase_sweep, run_detector_sweep, run_transfer_sweep, write_csv

@@ -8,6 +8,15 @@ CSV, and ``validate`` runs the invariant suites. Exit codes: 0 success,
 
 from __future__ import annotations
 
+import os
+
+# One BLAS thread per process, set before anything imports numpy. The
+# engine's matrices are at most 81x81, where extra BLAS threads cost more
+# than they save and contend with the --jobs workers, which inherit this
+# setting. A value the user exported is kept.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import argparse
 import sys
 from pathlib import Path

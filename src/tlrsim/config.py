@@ -11,6 +11,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 from pathlib import Path
 
 from .detector import DetectorParams
@@ -134,6 +135,17 @@ _ENUMS = {
 _NULLABLE = {"device.fjs.mutual_inductance_d_h", "integrator.initial_steps"}
 
 
+def _finite(path: str, value: int | float) -> float:
+    """``value`` as a float; NaN, infinities and ints past float range fail."""
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ConfigError(path, "number out of float range") from None
+    if not math.isfinite(number):
+        raise ConfigError(path, f"expected a finite number, got {number}")
+    return number
+
+
 def _check_leaf(path: str, default, value):
     if path in _ENUMS:
         if value not in _ENUMS[path]:
@@ -156,16 +168,17 @@ def _check_leaf(path: str, default, value):
         for i, item in enumerate(value):
             if isinstance(item, bool) or not isinstance(item, (int, float)):
                 raise ConfigError(f"{path}[{i}]", "expected a number")
-            out.append(float(item))
+            out.append(_finite(f"{path}[{i}]", item))
         return out
     if default is None or isinstance(default, (int, float)):
         if not isinstance(value, (int, float)):
             raise ConfigError(path, f"expected a number, got {type(value).__name__}")
+        number = _finite(path, value)
         if isinstance(default, int) and not isinstance(default, bool):
-            if float(value) != int(value):
+            if number != int(value):
                 raise ConfigError(path, "expected an integer")
             return int(value)
-        return float(value)
+        return number
     raise ConfigError(path, "unsupported schema leaf")
 
 

@@ -32,6 +32,7 @@ __all__ = [
     "vec",
     "unvec",
     "propagator",
+    "apply_propagator",
     "propagate_expm",
     "propagate_rk4",
     "Evolve",
@@ -161,22 +162,27 @@ def propagator(liouvillian: Liouvillian, duration: float) -> np.ndarray:
     return expm(liouvillian.matrix() * duration)
 
 
-def propagate_expm(
-    liouvillian: Liouvillian, rho0: DensityMatrix, duration: float
-) -> DensityMatrix:
-    """Evolve by the matrix exponential of the superoperator.
+def apply_propagator(superop: np.ndarray, rho0: DensityMatrix) -> DensityMatrix:
+    """Map a state through a superoperator built by :func:`propagator`.
 
     The result is re-Hermitized as (rho + rho+)/2 before state validation;
     the pre-Hermitization asymmetry is pure vectorization roundoff and is
     bounded separately by the validation suite.
     """
+    final = unvec(superop @ vec(rho0.matrix))
+    final = 0.5 * (final + final.conj().T)
+    return DensityMatrix(rho0.space, final)
+
+
+def propagate_expm(
+    liouvillian: Liouvillian, rho0: DensityMatrix, duration: float
+) -> DensityMatrix:
+    """Evolve by the matrix exponential of the superoperator."""
     if rho0.space != liouvillian.space:
         raise ValueError("state lives on a different space")
     if duration == 0:
         return rho0
-    final = unvec(propagator(liouvillian, duration) @ vec(rho0.matrix))
-    final = 0.5 * (final + final.conj().T)
-    return DensityMatrix(liouvillian.space, final)
+    return apply_propagator(propagator(liouvillian, duration), rho0)
 
 
 def propagate_rk4(
@@ -282,9 +288,15 @@ def propagate_schedule(
     method: str = "expm",
     **rk4_options,
 ) -> DensityMatrix:
-    """Run a pulse schedule segment by segment."""
+    """Run a pulse schedule segment by segment.
+
+    With ``expm``, a segment object that occurs more than once in the
+    schedule has its propagator built once and reused; every segment's
+    output is still validated as a state.
+    """
     if method not in ("expm", "rk4"):
         raise ValueError(f"unknown method {method!r}")
+    built: dict[int, np.ndarray] = {}  # id(segment) -> its propagator
     state = rho0
     for segment in segments:
         if isinstance(segment, Apply):
@@ -293,10 +305,14 @@ def propagate_schedule(
                 raise ValueError("unitary lives on a different space")
             state = DensityMatrix(state.space, u.matrix @ state.matrix @ u.dag().matrix)
         elif isinstance(segment, Evolve):
-            if method == "expm":
-                state = propagate_expm(segment.generator, state, segment.duration)
-            else:
+            if method == "rk4":
                 state = propagate_rk4(segment.generator, state, segment.duration, **rk4_options)
+            elif segment.generator.space != state.space:
+                raise ValueError("state lives on a different space")
+            elif segment.duration > 0:  # a zero-length segment leaves the state as it is
+                if id(segment) not in built:
+                    built[id(segment)] = propagator(segment.generator, segment.duration)
+                state = apply_propagator(built[id(segment)], state)
         else:
             raise TypeError(f"unknown schedule segment {segment!r}")
     return state

@@ -29,9 +29,11 @@ from .lindblad import (
     LindbladTerm,
     Liouvillian,
     QuasiStaticNoise,
+    apply_propagator,
     monte_carlo_quasistatic,
     monte_carlo_scalar,
     propagate_expm,
+    propagator,
 )
 from .qcore import (
     DensityMatrix,
@@ -205,11 +207,12 @@ def transfer_gate_error(spec: TransferSpec) -> GateErrorReport:
     liou = build_transfer_liouvillian(spec)
     t = spec.gate_time
     ideal_u = expm(-1j * exchange.matrix * spec.exchange_rate * t)
+    superop = propagator(liou, t)
 
     per_input = []
     primary_error = None
     for label, psi in _transfer_inputs(space):
-        final = propagate_expm(liou, psi.to_density_matrix(), t)
+        final = apply_propagator(superop, psi.to_density_matrix())
         target = StateVector(space, ideal_u @ psi.amplitudes)
         per_input.append((label, _clip01(fidelity(final, target))))
         if label == "photon_left":

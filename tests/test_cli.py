@@ -1,8 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
+import pytest
+
 CMD = [sys.executable, "-m", "tlrsim"]
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def run_cli(*args, **kwargs):
@@ -57,6 +61,25 @@ class TestConfigErrors:
         proc = run_cli("params", "--frobnicate")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize(
+        "command, text, key",
+        [
+            ("cphase-error", '{"noise": {"samples": 1e400}}', "noise.samples"),
+            (
+                "transfer-error",
+                '{"experiments": {"transfer": {"detuning_hz": NaN}}}',
+                "experiments.transfer.detuning_hz",
+            ),
+        ],
+    )
+    def test_non_finite_number_exits_two_with_path(self, tmp_path, command, text, key):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        proc = run_cli(command, "--config", str(path), "--no-timestamp")
+        assert proc.returncode == 2
+        assert f"config error: {key}: expected a finite number" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_low_sample_count_needs_quick(self):
         proc = run_cli("cphase-error", "--samples", "50")
         assert proc.returncode == 2
@@ -100,6 +123,35 @@ class TestCsvCommands:
         assert proc.returncode == 0
         assert "# seed: 7" in proc.stdout
         assert proc.stdout.splitlines()[-1].endswith(",7")
+
+
+class TestThreadPolicy:
+    def test_lossy_bytes_independent_of_jobs_and_blas_threads(self, tmp_path):
+        path = tmp_path / "lossy.json"
+        path.write_text(json.dumps({"experiments": {"cphase": {"kappa_hz": 1e3}}}))
+        args = ("cphase-error", "--config", str(path), "--samples", "2", "--quick",
+                "--no-timestamp")
+        serial = run_cli(*args, "--jobs", "1")
+        pooled = run_cli(*args, "--jobs", "2")
+        threaded = run_cli(*args, "--jobs", "1",
+                           env={**os.environ, "OPENBLAS_NUM_THREADS": "2"})
+        for proc in (serial, pooled, threaded):
+            assert proc.returncode == 0, proc.stderr
+        assert serial.stdout == pooled.stdout == threaded.stdout
+
+    @pytest.mark.parametrize(
+        "preset, expected",
+        [({}, ["1", "1", "1"]), ({"OPENBLAS_NUM_THREADS": "3"}, ["3", "1", "1"])],
+    )
+    def test_cli_import_defaults_blas_threads_keeping_user_values(self, preset, expected):
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+        env.update(preset)
+        code = ("import os, tlrsim.cli; "
+                f"print(*(os.environ.get(v) for v in {BLAS_THREAD_VARS!r}))")
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == expected
 
 
 class TestValidateCommand:

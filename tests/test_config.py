@@ -2,8 +2,10 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tlrsim.config import (
+    DEFAULT_CONFIG,
     ConfigError,
     canonical_json,
     cbjj_params,
@@ -92,6 +94,28 @@ class TestMerge:
         with pytest.raises(ConfigError, match="device"):
             load_config({"device": 3.0})
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_number_rejected_with_path(self, value):
+        with pytest.raises(ConfigError, match="finite") as err:
+            load_config({"experiments": {"transfer": {"detuning_hz": value}}})
+        assert err.value.path == "experiments.transfer.detuning_hz"
+        with pytest.raises(ConfigError, match="finite") as err:
+            load_config({"noise": {"samples": value}})
+        assert err.value.path == "noise.samples"
+
+    def test_non_finite_list_item_rejected_with_path(self):
+        with pytest.raises(ConfigError, match="finite") as err:
+            load_config({"experiments": {"cphase": {"speed_ratios": [5.0, math.nan]}}})
+        assert err.value.path == "experiments.cphase.speed_ratios[1]"
+
+    def test_integer_past_float_range_rejected(self):
+        with pytest.raises(ConfigError, match="range") as err:
+            load_config({"noise": {"seed": 10**400}})
+        assert err.value.path == "noise.seed"
+        with pytest.raises(ConfigError, match="range") as err:
+            load_config({"experiments": {"detector": {"gamma_over_kappa": [10**400]}}})
+        assert err.value.path == "experiments.detector.gamma_over_kappa[0]"
+
 
 class TestSources:
     def test_file_source(self, tmp_path):
@@ -163,3 +187,68 @@ class TestParamBridges:
         params = detector_params(load_config())
         assert params.escape_rate == pytest.approx(TWO_PI * 2.0e7, rel=1e-12)
         assert params.coupling == pytest.approx(TWO_PI * 1.0e8, rel=1e-12)
+
+
+# ------------------------------------------------------ ingestion property
+
+_NUMBERS = st.one_of(
+    st.integers(),
+    st.integers(min_value=10**300, max_value=10**400),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+_VALUES = st.one_of(
+    _NUMBERS,
+    st.none(),
+    st.booleans(),
+    st.text(max_size=6),
+    st.sampled_from(["expm", "rk4", "ideal", "simulated"]),
+    st.lists(st.one_of(_NUMBERS, st.none(), st.booleans(), st.text(max_size=3)), max_size=3),
+    st.dictionaries(st.text(max_size=3), _NUMBERS, max_size=1),
+)
+
+
+def _paths(schema: dict, prefix: tuple = ()):
+    """Key path of every section and leaf of ``schema``."""
+    for key, default in schema.items():
+        yield prefix + (key,)
+        if isinstance(default, dict):
+            yield from _paths(default, prefix + (key,))
+
+
+def _lookup(tree: dict, path: tuple):
+    for key in path:
+        tree = tree[key]
+    return tree
+
+
+_KNOWN_PATHS = sorted(_paths(DEFAULT_CONFIG))
+_SECTIONS = [()] + [p for p in _KNOWN_PATHS if isinstance(_lookup(DEFAULT_CONFIG, p), dict)]
+_UNKNOWN_PATHS = st.tuples(st.sampled_from(_SECTIONS), st.text(max_size=4)).map(
+    lambda pair: pair[0] + (pair[1],)
+)
+
+
+@st.composite
+def _overrides(draw):
+    """A few known or unknown key paths of the schema, each set to any value."""
+    out: dict = {}
+    paths = st.one_of(st.sampled_from(_KNOWN_PATHS), _UNKNOWN_PATHS)
+    for path in draw(st.lists(paths, max_size=3)):
+        node = out
+        for key in path[:-1]:
+            if not isinstance(node.get(key), dict):
+                node[key] = {}
+            node = node[key]
+        node[path[-1]] = draw(_VALUES)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(_overrides())
+def test_load_config_raises_only_config_error(overrides):
+    try:
+        config = load_config(overrides)
+    except ConfigError:
+        return
+    # whatever is accepted serializes canonically (no NaN or infinity)
+    canonical_json(config)

@@ -8,13 +8,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
+from tlrsim import lindblad
 from tlrsim.device import FjsParams, TlrParams, fjs_derive
 from tlrsim.lindblad import (
+    Apply,
     Liouvillian,
     QuasiStaticNoise,
     monte_carlo_quasistatic,
     propagate_expm,
+    propagate_schedule,
     quasistatic_sigma,
+    trace_distance,
 )
 from tlrsim.protocols import (
     IDEAL_CZ_PHASES,
@@ -35,6 +39,7 @@ from tlrsim.protocols import (
     transfer_gate_error,
     transfer_space,
 )
+from tlrsim.protocols import _cphase_schedule
 from tlrsim.qcore import DensityMatrix, StateVector
 
 TWO_PI = 2.0 * math.pi
@@ -417,6 +422,41 @@ class TestCphaseError:
         assert sim.metadata["wait_time"] != ideal.metadata["wait_time"]
         assert abs(wrapped(sim.metadata["conditional_phase"] - math.pi)) < 1e-9
         assert max(abs(r) for r in sim.metadata["calibration_residual"]) < 1e-12
+
+
+class TestLossySchedule:
+    @pytest.mark.parametrize("ideal_flips, distinct", [(True, 2), (False, 3)])
+    def test_each_distinct_propagator_built_once(self, monkeypatch, ideal_flips, distinct):
+        spec = cz_spec(20.0, n=1, photon_loss_rate=TWO_PI * 1e4, use_ideal_flips=ideal_flips)
+        space = cphase_space()
+        shift = spec.shift_deviation(spec.phi_noise.mean + spec.phi_noise.std)
+        segments = _cphase_schedule(spec, shift, space)
+        psi = np.zeros(9, dtype=complex)
+        psi[list(LOGICAL_FLAT)] = 0.5
+        rho0 = DensityMatrix(space, np.outer(psi, psi.conj()))
+
+        built = []
+        original = lindblad.propagator
+
+        def counting(liouvillian, duration):
+            built.append(duration)
+            return original(liouvillian, duration)
+
+        monkeypatch.setattr(lindblad, "propagator", counting)
+        final = propagate_schedule(segments, rho0)
+        assert len(segments) == 8
+        assert len(built) == distinct
+
+        # segment by segment, each propagator rebuilt from scratch
+        state = rho0
+        for segment in segments:
+            if isinstance(segment, Apply):
+                u = segment.unitary.matrix
+                state = DensityMatrix(space, u @ state.matrix @ u.conj().T)
+            else:
+                state = propagate_expm(segment.generator, state, segment.duration)
+        assert len(built) == distinct + (6 if ideal_flips else 8)
+        assert trace_distance(final, state) < 1e-12
 
 
 class TestEchoCancellation:
