@@ -20,6 +20,7 @@ from .device import CbjjParams, CouplerParams, FjsParams, TlrParams, to_angular
 __all__ = [
     "ConfigError",
     "DEFAULT_CONFIG",
+    "MAX_SAMPLES",
     "load_config",
     "canonical_json",
     "config_hash",
@@ -90,12 +91,6 @@ DEFAULT_CONFIG = {
         "samples": 1000,
         "seed": 42,
     },
-    "integrator": {
-        "method": "expm",
-        "initial_steps": None,
-        "trace_tol": 1.0e-9,
-        "max_halvings": 20,
-    },
     "experiments": {
         "transfer": {
             "detuning_hz": 2.0e9,
@@ -127,12 +122,27 @@ DEFAULT_CONFIG = {
 }
 
 _ENUMS = {
-    "integrator.method": ("expm", "rk4"),
     "experiments.cphase.flips": ("ideal", "simulated"),
 }
 
-# leaves where None is a meaningful value (auto-derived / engine default)
-_NULLABLE = {"device.fjs.mutual_inductance_d_h", "integrator.initial_steps"}
+# leaves where None is a meaningful value (auto-derived)
+_NULLABLE = {"device.fjs.mutual_inductance_d_h"}
+
+# Monte Carlo draws samples one at a time, about 0.1 ms each without loss
+# and far longer with it, so this cap already allows runs of hours per
+# point; larger counts are typos or cannot even be allocated
+MAX_SAMPLES = 10_000_000
+
+# closed ranges [low, high] outside which the engine cannot run a leaf;
+# detunings are signed and have none
+_RANGES = {
+    "noise.seed": (0, 2**64 - 1),  # the range the --seed flag accepts
+    "noise.samples": (1, MAX_SAMPLES),
+    "noise.kappa_hz": (0, math.inf),
+    "noise.gamma2_hz": (0, math.inf),
+    "experiments.cphase.kappa_hz": (0, math.inf),
+    "validation.mc_samples": (1, MAX_SAMPLES),
+}
 
 
 def _finite(path: str, value: int | float) -> float:
@@ -175,9 +185,13 @@ def _check_leaf(path: str, default, value):
             raise ConfigError(path, f"expected a number, got {type(value).__name__}")
         number = _finite(path, value)
         if isinstance(default, int) and not isinstance(default, bool):
-            if number != int(value):
+            if value != int(value):  # not number: it rounds ints past 2**53
                 raise ConfigError(path, "expected an integer")
-            return int(value)
+            number = int(value)
+        low, high = _RANGES.get(path, (-math.inf, math.inf))
+        if not low <= number <= high:
+            bound = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+            raise ConfigError(path, f"must be {bound}, got {value!r}")
         return number
     raise ConfigError(path, "unsupported schema leaf")
 

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 import numpy as np
-from scipy.linalg import expm
 
 from .qcore import DensityMatrix, HilbertSpace, Operator
 
@@ -31,6 +30,7 @@ __all__ = [
     "build_liouvillian",
     "vec",
     "unvec",
+    "expm",
     "propagator",
     "apply_propagator",
     "propagate_expm",
@@ -153,6 +153,68 @@ def unvec(v: np.ndarray) -> np.ndarray:
     if d * d != v.size:
         raise ValueError(f"length {v.size} is not a perfect square")
     return np.asarray(v).reshape((d, d), order="F")
+
+
+# Scaling and squaring with diagonal Pade approximants (Higham, SIAM J.
+# Matrix Anal. Appl. 26 (2005) 1179): coefficients b_k of the degree-m
+# numerator p(A) = sum b_k A^k (denominator p(-A)), and the largest 1-norm
+# at which degree m keeps the backward error below double roundoff.
+_PADE = {
+    3: (120.0, 60.0, 12.0, 1.0),
+    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
+    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
+    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+         1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+         33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0),
+}
+_PADE_THETA = ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1),
+               (7, 9.504178996162932e-1), (9, 2.097847961257068e0))
+_THETA_13 = 5.371920351148152e0
+
+
+def _pade(a: np.ndarray, m: int) -> np.ndarray:
+    """Degree-m Pade approximant of exp(a), solved as q(a) r = p(a)."""
+    b = _PADE[m]
+    ident = np.eye(a.shape[0], dtype=a.dtype)
+    a2 = a @ a
+    if m == 13:
+        a4 = a2 @ a2
+        a6 = a4 @ a2
+        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+        v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+             + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    else:
+        evens = [ident, a2]  # a^0, a^2, ..., a^(m-1)
+        while len(evens) <= m // 2:
+            evens.append(evens[-1] @ a2)
+        u = a @ sum(b[2 * k + 1] * p for k, p in enumerate(evens))
+        v = sum(b[2 * k] * p for k, p in enumerate(evens))
+    return np.linalg.solve(v - u, v + u)
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential of a square array by Pade scaling and squaring.
+
+    The lowest Pade degree whose 1-norm threshold covers ``a`` is used
+    directly; beyond the degree-9 threshold, ``a`` is scaled by 2^-s into
+    the degree-13 range and the result squared s times.
+    """
+    a = np.asarray(a)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expm needs a square matrix, got shape {a.shape}")
+    norm = np.linalg.norm(a, 1)
+    for m, theta in _PADE_THETA:
+        if norm <= theta:
+            return _pade(a, m)
+    frac, s = math.frexp(norm / _THETA_13)
+    s = max(0, s - (frac == 0.5))  # ceil(log2(norm / theta_13))
+    r = _pade(a * 2.0**-s, 13)
+    for _ in range(s):
+        r = r @ r
+    return r
 
 
 def propagator(liouvillian: Liouvillian, duration: float) -> np.ndarray:

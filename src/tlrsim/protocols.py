@@ -21,7 +21,6 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .lindblad import (
     Apply,
@@ -30,6 +29,7 @@ from .lindblad import (
     Liouvillian,
     QuasiStaticNoise,
     apply_propagator,
+    expm,
     monte_carlo_quasistatic,
     monte_carlo_scalar,
     propagate_expm,

@@ -15,13 +15,20 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .config import ConfigError, canonical_json, config_hash, detector_params, fjs_params, tlr_params
+from .config import (
+    MAX_SAMPLES,
+    ConfigError,
+    canonical_json,
+    config_hash,
+    detector_params,
+    fjs_params,
+    tlr_params,
+)
 from .detector import DetectorParams, detection_efficiency
 from .device import coupling_strength, fjs_derive, mode_frequency, to_angular
 from .protocols import CphaseSpec, TransferSpec, cphase_spin_echo_error, transfer_gate_error
@@ -60,6 +67,8 @@ class SweepResult:
 def _map_points(fn, args_list, jobs: int):
     if jobs <= 1 or len(args_list) <= 1:
         return [fn(args) for args in args_list]
+    from concurrent.futures import ProcessPoolExecutor  # ~15 ms of import: serial runs skip it
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, args_list))
 
@@ -136,8 +145,8 @@ def run_cphase_sweep(
     """
     n = config["noise"]["samples"] if samples is None else samples
     run_seed = config["noise"]["seed"] if seed is None else seed
-    if n < 1:
-        raise ConfigError("noise.samples", "must be at least 1")
+    if not 1 <= n <= MAX_SAMPLES:
+        raise ConfigError("noise.samples", f"must be in [1, {MAX_SAMPLES}], got {n}")
     if n < 100 and not quick:
         raise ConfigError(
             "noise.samples", f"{n} samples below the authoritative minimum of 100; pass --quick"

@@ -80,6 +80,27 @@ class TestConfigErrors:
         assert f"config error: {key}: expected a finite number" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"noise": {"seed": -3}}', "noise.seed"),
+            ('{"noise": {"samples": 1e300}}', "noise.samples"),
+            ('{"experiments": {"cphase": {"kappa_hz": -1}}}', "experiments.cphase.kappa_hz"),
+        ],
+    )
+    def test_out_of_range_exits_two_with_path(self, tmp_path, text, key):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        proc = run_cli("cphase-error", "--config", str(path), "--no-timestamp")
+        assert proc.returncode == 2
+        assert f"config error: {key}: must be" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_samples_flag_past_cap_exits_two(self):
+        proc = run_cli("cphase-error", "--samples", "100000000000", "--no-timestamp")
+        assert proc.returncode == 2
+        assert "config error: noise.samples: must be in [1, 10000000]" in proc.stderr
+
     def test_low_sample_count_needs_quick(self):
         proc = run_cli("cphase-error", "--samples", "50")
         assert proc.returncode == 2

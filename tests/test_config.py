@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from tlrsim.config import (
     DEFAULT_CONFIG,
+    MAX_SAMPLES,
     ConfigError,
     canonical_json,
     cbjj_params,
@@ -21,7 +22,7 @@ TWO_PI = 2.0 * math.pi
 
 # canonical bytes of the shipped defaults; any change to a default value
 # or to key ordering must be deliberate and show up here
-DEFAULT_HASH = "da4ad6659fc460f95a7578800b094c7bf01d2f681bf1e1d631765b951117ad78"
+DEFAULT_HASH = "69ed9aff3ae0b591f91d7e3301140a356008965acad410528646784b91e59c57"
 
 
 class TestDefaults:
@@ -76,15 +77,49 @@ class TestMerge:
     def test_null_only_where_allowed(self):
         config = load_config({"device": {"fjs": {"mutual_inductance_d_h": None}}})
         assert config["device"]["fjs"]["mutual_inductance_d_h"] is None
-        config = load_config({"integrator": {"initial_steps": None}})
-        assert config["integrator"]["initial_steps"] is None
         with pytest.raises(ConfigError, match="temperature_k"):
             load_config({"device": {"temperature_k": None}})
 
     def test_enum_leaf_rejects_unknown_value(self):
-        with pytest.raises(ConfigError, match="integrator.method"):
-            load_config({"integrator": {"method": "rk5"}})
-        assert load_config({"integrator": {"method": "rk4"}})["integrator"]["method"] == "rk4"
+        with pytest.raises(ConfigError, match="experiments.cphase.flips"):
+            load_config({"experiments": {"cphase": {"flips": "sometimes"}}})
+        config = load_config({"experiments": {"cphase": {"flips": "simulated"}}})
+        assert config["experiments"]["cphase"]["flips"] == "simulated"
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            ("noise.seed", -3),
+            ("noise.seed", 2**64),
+            ("noise.samples", 0),
+            ("noise.samples", MAX_SAMPLES + 1),
+            ("noise.kappa_hz", -1.0),
+            ("noise.gamma2_hz", -1.0),
+            ("experiments.cphase.kappa_hz", -1.0),
+            ("validation.mc_samples", 1e300),
+        ],
+    )
+    def test_out_of_range_rejected_with_path(self, path, value):
+        section, *rest = path.split(".")
+        override = value
+        for key in reversed(rest):
+            override = {key: override}
+        with pytest.raises(ConfigError, match="must be") as err:
+            load_config({section: override})
+        assert err.value.path == path
+
+    def test_range_limits_and_signed_detunings_accepted(self):
+        config = load_config(
+            {
+                "noise": {"samples": MAX_SAMPLES, "kappa_hz": 0, "gamma2_hz": 0},
+                "experiments": {"transfer": {"detuning_hz": -2e9}, "cphase": {"kappa_hz": 0}},
+                "device": {"detector": {"detuning_hz": -1e6}},
+            }
+        )
+        assert config["noise"]["samples"] == MAX_SAMPLES
+        assert config["experiments"]["transfer"]["detuning_hz"] == -2e9
+        for seed in (0, 2**64 - 1):
+            assert load_config({"noise": {"seed": seed}})["noise"]["seed"] == seed
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError, match="kappa_grid_hz"):

@@ -1,7 +1,10 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from tlrsim.lindblad import (
@@ -13,6 +16,7 @@ from tlrsim.lindblad import (
     MonteCarloError,
     QuasiStaticNoise,
     build_liouvillian,
+    expm,
     monte_carlo_quasistatic,
     monte_carlo_scalar,
     propagate_expm,
@@ -55,6 +59,44 @@ class TestVectorization:
     def test_unvec_rejects_non_square(self):
         with pytest.raises(ValueError):
             unvec(np.arange(5.0))
+
+
+class TestExpm:
+    # Pade degree thresholds on the 1-norm (Higham 2005): 3 up to 0.015,
+    # 5 up to 0.25, 7 up to 0.95, 9 up to 2.1, 13 up to 5.37, then scaling
+    @pytest.mark.parametrize("dim", [9, 16, 81])
+    @pytest.mark.parametrize("norm", [1e-3, 0.1, 0.5, 1.5, 4.0, 100.0])
+    def test_matches_scipy(self, dim, norm):
+        rng = np.random.default_rng(dim)
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        a *= norm / np.linalg.norm(a, 1)
+        ref = scipy.linalg.expm(a)
+        assert np.linalg.norm(expm(a) - ref, 1) <= 1e-13 * np.linalg.norm(ref, 1)
+
+    def test_zero_gives_identity(self):
+        assert np.array_equal(expm(np.zeros((9, 9), dtype=complex)), np.eye(9))
+
+    def test_diagonal(self):
+        d = np.random.default_rng(3).normal(size=16) * 5 + 1j * np.linspace(-20, 20, 16)
+        assert np.allclose(expm(np.diag(d)), np.diag(np.exp(d)), rtol=1e-13, atol=0)
+
+    def test_inverse(self):
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        a *= 3.0 / np.linalg.norm(a, 1)
+        assert np.allclose(expm(a) @ expm(-a), np.eye(16), rtol=0, atol=1e-12)
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="square"):
+            expm(np.ones((2, 3)))
+
+    def test_cli_import_loads_no_scipy(self):
+        code = ("import sys, tlrsim.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestAmplitudeDamping:
