@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .config import ConfigError, load_config
+from .config import ConfigError, fjs_params, load_config, tlr_params
 from .device import (
     coupling_strength,
     effective_dephasing_rate,
@@ -34,7 +34,6 @@ from .device import (
     to_linear,
     transfer_rate,
 )
-from .config import fjs_params, tlr_params
 from .sweeps import render_csv, run_cphase_sweep, run_detector_sweep, run_transfer_sweep
 from .validate import has_failure, render_report, run_validation
 

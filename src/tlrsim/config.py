@@ -15,7 +15,7 @@ import math
 from pathlib import Path
 
 from .detector import DetectorParams
-from .device import CbjjParams, CouplerParams, FjsParams, TlrParams, to_angular
+from .device import FjsParams, TlrParams, to_angular
 
 __all__ = [
     "ConfigError",
@@ -25,8 +25,6 @@ __all__ = [
     "canonical_json",
     "config_hash",
     "tlr_params",
-    "cbjj_params",
-    "coupler_params",
     "fjs_params",
     "detector_params",
 ]
@@ -52,11 +50,9 @@ DEFAULT_CONFIG = {
             "capacitance_f": 5.0e-12,
             "length_m": 4.0e-3,
             "mode_index": 2,
-            "photon_loss_rate_hz": 1.0e4,
         },
         "cbjj": {
             "junction_capacitance_f": 0.5e-12,
-            "level_splitting_hz": 2.2e10,
             "decay_rate_hz": 1.0e5,
             "dephasing_rate_hz": 1.0e6,
         },
@@ -133,15 +129,33 @@ _NULLABLE = {"device.fjs.mutual_inductance_d_h"}
 # point; larger counts are typos or cannot even be allocated
 MAX_SAMPLES = 10_000_000
 
-# closed ranges [low, high] outside which the engine cannot run a leaf;
-# detunings are signed and have none
+# (low, high, open) ranges outside which the engine cannot run a leaf:
+# low < x <= high if open, else low <= x <= high; a list leaf applies its
+# range to each item.  Detunings are signed and have none.
+_NONNEGATIVE = (0, math.inf, False)
+_POSITIVE = (0, math.inf, True)
+_UNBOUNDED = (-math.inf, math.inf, False)
 _RANGES = {
-    "noise.seed": (0, 2**64 - 1),  # the range the --seed flag accepts
-    "noise.samples": (1, MAX_SAMPLES),
-    "noise.kappa_hz": (0, math.inf),
-    "noise.gamma2_hz": (0, math.inf),
-    "experiments.cphase.kappa_hz": (0, math.inf),
-    "validation.mc_samples": (1, MAX_SAMPLES),
+    "device.tlr.inductance_h": _POSITIVE,
+    "device.tlr.capacitance_f": _POSITIVE,
+    "device.tlr.length_m": _POSITIVE,
+    "device.tlr.mode_index": (1, math.inf, False),
+    "device.cbjj.junction_capacitance_f": _POSITIVE,
+    "device.cbjj.decay_rate_hz": _NONNEGATIVE,
+    "device.cbjj.dephasing_rate_hz": _NONNEGATIVE,
+    "device.coupler.coupling_capacitance_f": _POSITIVE,
+    "device.coupler.right_coupling_capacitance_f": _POSITIVE,
+    "device.temperature_k": _NONNEGATIVE,
+    "noise.seed": (0, 2**64 - 1, False),  # the range the --seed flag accepts
+    "noise.samples": (1, MAX_SAMPLES, False),
+    "noise.kappa_hz": _NONNEGATIVE,
+    "noise.gamma2_hz": _NONNEGATIVE,
+    "experiments.transfer.kappa_grid_hz": _NONNEGATIVE,
+    "experiments.transfer.gamma2_grid_hz": _NONNEGATIVE,
+    "experiments.cphase.speed_ratios": _POSITIVE,
+    "experiments.cphase.kappa_hz": _NONNEGATIVE,
+    "experiments.detector.gamma_over_kappa": _POSITIVE,
+    "validation.mc_samples": (1, MAX_SAMPLES, False),
 }
 
 
@@ -154,6 +168,16 @@ def _finite(path: str, value: int | float) -> float:
     if not math.isfinite(number):
         raise ConfigError(path, f"expected a finite number, got {number}")
     return number
+
+
+def _check_range(path: str, value: int | float, bounds: tuple) -> None:
+    low, high, open_low = bounds
+    if value < low or value > high or (open_low and value == low):
+        if high < math.inf:
+            bound = f"in [{low}, {high}]"
+        else:
+            bound = f"{'>' if open_low else '>='} {low}"
+        raise ConfigError(path, f"must be {bound}, got {value!r}")
 
 
 def _check_leaf(path: str, default, value):
@@ -176,9 +200,11 @@ def _check_leaf(path: str, default, value):
             raise ConfigError(path, "expected a nonempty list of numbers")
         out = []
         for i, item in enumerate(value):
+            item_path = f"{path}[{i}]"
             if isinstance(item, bool) or not isinstance(item, (int, float)):
-                raise ConfigError(f"{path}[{i}]", "expected a number")
-            out.append(_finite(f"{path}[{i}]", item))
+                raise ConfigError(item_path, "expected a number")
+            out.append(_finite(item_path, item))
+            _check_range(item_path, item, _RANGES.get(path, _UNBOUNDED))
         return out
     if default is None or isinstance(default, (int, float)):
         if not isinstance(value, (int, float)):
@@ -188,10 +214,7 @@ def _check_leaf(path: str, default, value):
             if value != int(value):  # not number: it rounds ints past 2**53
                 raise ConfigError(path, "expected an integer")
             number = int(value)
-        low, high = _RANGES.get(path, (-math.inf, math.inf))
-        if not low <= number <= high:
-            bound = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
-            raise ConfigError(path, f"must be {bound}, got {value!r}")
+        _check_range(path, value, _RANGES.get(path, _UNBOUNDED))
         return number
     raise ConfigError(path, "unsupported schema leaf")
 
@@ -253,33 +276,13 @@ def config_hash(config: dict) -> str:
 # ------------------------------------------------ engine parameter bridges
 
 
-def tlr_params(config: dict, kappa_hz: float | None = None) -> TlrParams:
+def tlr_params(config: dict) -> TlrParams:
     sec = config["device"]["tlr"]
-    loss = sec["photon_loss_rate_hz"] if kappa_hz is None else kappa_hz
     return TlrParams(
         inductance=sec["inductance_h"],
         capacitance=sec["capacitance_f"],
         length=sec["length_m"],
         mode_index=sec["mode_index"],
-        photon_loss_rate=to_angular(loss),
-    )
-
-
-def cbjj_params(config: dict) -> CbjjParams:
-    sec = config["device"]["cbjj"]
-    return CbjjParams(
-        junction_capacitance=sec["junction_capacitance_f"],
-        level_splitting=to_angular(sec["level_splitting_hz"]),
-        decay_rate=to_angular(sec["decay_rate_hz"]),
-        dephasing_rate=to_angular(sec["dephasing_rate_hz"]),
-    )
-
-
-def coupler_params(config: dict) -> CouplerParams:
-    sec = config["device"]["coupler"]
-    return CouplerParams(
-        coupling_capacitance=sec["coupling_capacitance_f"],
-        right_coupling_capacitance=sec["right_coupling_capacitance_f"],
     )
 
 

@@ -13,7 +13,6 @@ Junction level order: 0 = ground, 1 = excited, 2 = latched.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -27,7 +26,6 @@ __all__ = [
     "detector_space",
     "build_detector_liouvillian",
     "detection_efficiency",
-    "efficiency_sweep",
 ]
 
 # convergence knobs: efficiency step and residual excitation per checkpoint
@@ -201,31 +199,3 @@ def detection_efficiency(p: DetectorParams) -> DetectionResult:
         converged=converged,
         t_final=t,
     )
-
-
-def efficiency_sweep(
-    p: DetectorParams, ratios: Sequence[float]
-) -> list[tuple[float, DetectionResult]]:
-    """Detection runs over a grid of escape-to-loss rate ratios.
-
-    The photon loss rate is held at the configured value and the escape
-    rate is set to ratio * kappa for each grid point, in the given order.
-    """
-    if len(ratios) == 0:
-        raise ValueError("ratio grid must be nonempty")
-    if any(r <= 0 for r in ratios):
-        raise ValueError("ratios must be positive")
-    if p.photon_loss_rate <= 0:
-        raise ValueError("ratio sweep needs a positive photon loss rate")
-    out = []
-    for ratio in ratios:
-        point = DetectorParams(
-            coupling=p.coupling,
-            detuning=p.detuning,
-            photon_loss_rate=p.photon_loss_rate,
-            escape_rate=ratio * p.photon_loss_rate,
-            intra_well_decay=p.intra_well_decay,
-            dephasing_rate=p.dephasing_rate,
-        )
-        out.append((float(ratio), detection_efficiency(point)))
-    return out

@@ -19,14 +19,10 @@ __all__ = [
     "to_angular",
     "to_linear",
     "TlrParams",
-    "CbjjParams",
-    "CouplerParams",
     "FjsParams",
     "FjsDerived",
     "mode_frequency",
     "zero_point_current",
-    "zero_point_voltage",
-    "mode_profile",
     "coupling_strength",
     "transfer_rate",
     "effective_dephasing_rate",
@@ -75,59 +71,18 @@ def to_linear(omega: float) -> float:
 
 @dataclass(frozen=True)
 class TlrParams:
-    """Transmission line resonator: lumped totals plus the operating mode.
-
-    ``photon_loss_rate`` is the angular energy decay rate kappa of the
-    mode (rad/s).
-    """
+    """Transmission line resonator: lumped totals plus the operating mode."""
 
     inductance: float = 0.5e-9
     capacitance: float = 5.0e-12
     length: float = 4.0e-3
     mode_index: int = 2
-    photon_loss_rate: float = TWO_PI * 1.0e4
 
     def __post_init__(self):
         if self.inductance <= 0 or self.capacitance <= 0 or self.length <= 0:
             raise ValueError("TLR inductance, capacitance and length must be positive")
         if self.mode_index < 1:
             raise ValueError("mode index must be a positive integer")
-        if self.photon_loss_rate < 0:
-            raise ValueError("photon loss rate must be nonnegative")
-
-
-@dataclass(frozen=True)
-class CbjjParams:
-    """Current-biased Josephson junction used as a tunable coupler or detector.
-
-    ``level_splitting`` is the angular qubit transition frequency, and the
-    two rates are angular energy decay and pure dephasing.
-    """
-
-    junction_capacitance: float = 0.5e-12
-    level_splitting: float = TWO_PI * 2.2e10
-    decay_rate: float = TWO_PI * 1.0e5
-    dephasing_rate: float = TWO_PI * 1.0e6
-
-    def __post_init__(self):
-        if self.junction_capacitance <= 0:
-            raise ValueError("junction capacitance must be positive")
-        if self.level_splitting <= 0:
-            raise ValueError("level splitting must be positive")
-        if self.decay_rate < 0 or self.dephasing_rate < 0:
-            raise ValueError("rates must be nonnegative")
-
-
-@dataclass(frozen=True)
-class CouplerParams:
-    """Capacitances coupling the resonators to the left and right junctions."""
-
-    coupling_capacitance: float = 2.3e-14
-    right_coupling_capacitance: float = 2.3e-14
-
-    def __post_init__(self):
-        if self.coupling_capacitance <= 0 or self.right_coupling_capacitance <= 0:
-            raise ValueError("coupling capacitances must be positive")
 
 
 @dataclass(frozen=True)
@@ -202,27 +157,9 @@ def mode_frequency(tlr: TlrParams) -> float:
     return tlr.mode_index * math.pi / math.sqrt(tlr.inductance * tlr.capacitance)
 
 
-def zero_point_current(tlr: TlrParams, constants: PhysicalConstants = CONSTANTS) -> float:
+def zero_point_current(tlr: TlrParams) -> float:
     """Zero-point current amplitude sqrt(hbar * omega / L) of the mode."""
-    return math.sqrt(constants.hbar * mode_frequency(tlr) / tlr.inductance)
-
-
-def zero_point_voltage(tlr: TlrParams, constants: PhysicalConstants = CONSTANTS) -> float:
-    """Zero-point voltage amplitude sqrt(hbar * omega / C) of the mode."""
-    return math.sqrt(constants.hbar * mode_frequency(tlr) / tlr.capacitance)
-
-
-def mode_profile(x: float, tlr: TlrParams) -> tuple[float, float]:
-    """Standing-wave profile of the second-harmonic mode at position x.
-
-    Returns ``(voltage_factor, current_factor)`` with the voltage antinode
-    at the center: ``cos(2 pi x / l)`` and ``sin(2 pi x / l)``.  ``x`` is
-    measured from the center and must satisfy ``|x| <= l / 2``.
-    """
-    if abs(x) > tlr.length / 2:
-        raise ValueError(f"position {x} outside the resonator (length {tlr.length})")
-    arg = TWO_PI * x / tlr.length
-    return math.cos(arg), math.sin(arg)
+    return math.sqrt(CONSTANTS.hbar * mode_frequency(tlr) / tlr.inductance)
 
 
 def coupling_strength(
@@ -281,9 +218,7 @@ def induced_loss_rate(g: float, delta: float, gamma1: float) -> float:
     return ratio * ratio * gamma1
 
 
-def thermal_occupancy(
-    temperature: float, omega: float, constants: PhysicalConstants = CONSTANTS
-) -> float:
+def thermal_occupancy(temperature: float, omega: float) -> float:
     """Bose occupation 1 / (exp(hbar omega / k_B T) - 1).
 
     Returns 0 for zero temperature.  Uses expm1 so the classical limit
@@ -295,7 +230,7 @@ def thermal_occupancy(
         raise ValueError("mode frequency must be positive")
     if temperature == 0:
         return 0.0
-    x = constants.hbar * omega / (constants.k_b * temperature)
+    x = CONSTANTS.hbar * omega / (CONSTANTS.k_b * temperature)
     # exp(-x) / (1 - exp(-x)) == 1 / (exp(x) - 1) without overflow at large x
     return math.exp(-x) / -math.expm1(-x)
 
@@ -312,12 +247,7 @@ def _cos_fluctuation(phi0: float, var: float) -> tuple[float, float]:
     return mean, math.sqrt(max(variance, 0.0))
 
 
-def fjs_derive(
-    fjs: FjsParams,
-    tlr_c: TlrParams,
-    tlr_d: TlrParams | None = None,
-    constants: PhysicalConstants = CONSTANTS,
-) -> FjsDerived:
+def fjs_derive(fjs: FjsParams, tlr: TlrParams) -> FjsDerived:
     """Operating point of the four-junction SQUID coupling two resonators.
 
     The SQUID phase sits in a harmonic well of width sigma_phi around the
@@ -327,13 +257,11 @@ def fjs_derive(
     interaction strength and the quasi-static spread of the single-photon
     frequency shift follow from the quartic and quadratic well terms.
     """
-    if tlr_d is None:
-        tlr_d = tlr_c
-    e_j = constants.hbar * fjs.junction_critical_current / (2.0 * constants.e)
+    e_j = CONSTANTS.hbar * fjs.junction_critical_current / (2.0 * CONSTANTS.e)
     total_cap = fjs.junction_capacitance + fjs.shunt_capacitance
-    e_c = (2.0 * constants.e) ** 2 / (4.0 * total_cap)
+    e_c = (2.0 * CONSTANTS.e) ** 2 / (4.0 * total_cap)
 
-    sin_phi0 = constants.hbar * fjs.bias_current / (8.0 * constants.e * e_j)
+    sin_phi0 = CONSTANTS.hbar * fjs.bias_current / (8.0 * CONSTANTS.e * e_j)
     if abs(sin_phi0) >= 1.0:
         raise ValueError("bias current exceeds the critical tilt of the SQUID well")
     phi0 = math.asin(sin_phi0)
@@ -341,22 +269,21 @@ def fjs_derive(
     alpha = (4.0 * e_j * math.cos(phi0) / e_c) ** 0.25
     sigma_phi = 1.0 / (alpha * math.sqrt(2.0))
 
-    flux_quantum = constants.flux_quantum
-    i_c0 = zero_point_current(tlr_c, constants)
-    i_d0 = zero_point_current(tlr_d, constants)
+    flux_quantum = CONSTANTS.flux_quantum
+    i_0 = zero_point_current(tlr)  # both resonators are built alike
     i_crit = fjs.junction_critical_current
 
     denom_c = math.pi * fjs.squid_self_inductance * i_crit + flux_quantum
-    chi_c = math.pi * fjs.mutual_inductance_c * i_c0 / denom_c
+    chi_c = math.pi * fjs.mutual_inductance_c * i_0 / denom_c
 
     denom_d = (
         math.pi * (fjs.squid_self_inductance + fjs.loop_inductance) * i_crit + flux_quantum
     )
     if fjs.mutual_inductance_d is None:
-        m_d = chi_c * denom_d / (math.pi * i_d0)
+        m_d = chi_c * denom_d / (math.pi * i_0)
     else:
         m_d = fjs.mutual_inductance_d
-    chi_d = math.pi * m_d * i_d0 / denom_d
+    chi_d = math.pi * m_d * i_0 / denom_d
 
     var = sigma_phi * sigma_phi
     phi_sq_mean = phi0 * phi0 + var
@@ -366,9 +293,9 @@ def fjs_derive(
 
     chi_sq_c = chi_c * chi_c
     chi_sq_d = chi_d * chi_d
-    omega_s = -2.0 * e_j * (phi_sq_mean * chi_sq_c + chi_sq_c * chi_sq_d) / constants.hbar
-    delta_omega_s = -2.0 * e_j * chi_sq_c * phi_sq_spread / constants.hbar
-    omega_int = -4.0 * e_j * chi_sq_c * chi_sq_d * math.cos(phi0) / constants.hbar
+    omega_s = -2.0 * e_j * (phi_sq_mean * chi_sq_c + chi_sq_c * chi_sq_d) / CONSTANTS.hbar
+    delta_omega_s = -2.0 * e_j * chi_sq_c * phi_sq_spread / CONSTANTS.hbar
+    omega_int = -4.0 * e_j * chi_sq_c * chi_sq_d * math.cos(phi0) / CONSTANTS.hbar
 
     cos_mean, cos_std = _cos_fluctuation(phi0, var)
     if cos_mean == 0.0:

@@ -27,7 +27,6 @@ __all__ = [
     "MonteCarloError",
     "LindbladTerm",
     "Liouvillian",
-    "build_liouvillian",
     "vec",
     "unvec",
     "expm",
@@ -134,13 +133,6 @@ class Liouvillian:
         for term in self.terms:
             scale += term.rate * float(np.linalg.norm(term.operator.matrix, 2)) ** 2
         return scale
-
-
-def build_liouvillian(
-    hamiltonian: Operator, terms: Sequence[LindbladTerm] = ()
-) -> Liouvillian:
-    """Generator from a Hermitian Hamiltonian plus jump terms on its space."""
-    return Liouvillian(hamiltonian.space, hamiltonian=hamiltonian, terms=tuple(terms))
 
 
 def vec(matrix: np.ndarray) -> np.ndarray:
@@ -344,20 +336,13 @@ class Apply:
 Segment = Union[Evolve, Apply]
 
 
-def propagate_schedule(
-    segments: Sequence[Segment],
-    rho0: DensityMatrix,
-    method: str = "expm",
-    **rk4_options,
-) -> DensityMatrix:
+def propagate_schedule(segments: Sequence[Segment], rho0: DensityMatrix) -> DensityMatrix:
     """Run a pulse schedule segment by segment.
 
-    With ``expm``, a segment object that occurs more than once in the
-    schedule has its propagator built once and reused; every segment's
-    output is still validated as a state.
+    A segment object that occurs more than once in the schedule has its
+    propagator built once and reused; every segment's output is still
+    validated as a state.
     """
-    if method not in ("expm", "rk4"):
-        raise ValueError(f"unknown method {method!r}")
     built: dict[int, np.ndarray] = {}  # id(segment) -> its propagator
     state = rho0
     for segment in segments:
@@ -367,11 +352,9 @@ def propagate_schedule(
                 raise ValueError("unitary lives on a different space")
             state = DensityMatrix(state.space, u.matrix @ state.matrix @ u.dag().matrix)
         elif isinstance(segment, Evolve):
-            if method == "rk4":
-                state = propagate_rk4(segment.generator, state, segment.duration, **rk4_options)
-            elif segment.generator.space != state.space:
+            if segment.generator.space != state.space:
                 raise ValueError("state lives on a different space")
-            elif segment.duration > 0:  # a zero-length segment leaves the state as it is
+            if segment.duration > 0:  # a zero-length segment leaves the state as it is
                 if id(segment) not in built:
                     built[id(segment)] = propagator(segment.generator, segment.duration)
                 state = apply_propagator(built[id(segment)], state)
@@ -459,21 +442,19 @@ class MonteCarloResult:
 
 
 def monte_carlo_quasistatic(
-    model: Callable[[float], "Liouvillian | Sequence[Segment]"],
+    model: Callable[[float], Sequence[Segment]],
     noise: QuasiStaticNoise,
     rho0: DensityMatrix,
-    duration: float | None = None,
     observables: dict[str, Callable[[DensityMatrix], float]] | None = None,
     *,
     point_index: int = 0,
-    method: str = "expm",
 ) -> MonteCarloResult:
     """Average evolved states over quasi-static Gaussian parameter draws.
 
-    ``model`` maps the drawn parameter value to either a Liouvillian
-    (evolved for ``duration``) or a full schedule.  The mean state is a
-    fixed-order sample average; each observable in ``observables`` is
-    evaluated per trajectory and reported with its standard error.
+    ``model`` maps the drawn parameter value to a schedule.  The mean
+    state is a fixed-order sample average; each observable in
+    ``observables`` is evaluated per trajectory and reported with its
+    standard error.
     """
     observables = observables or {}
     accumulator = np.zeros((rho0.space.dim, rho0.space.dim), dtype=complex)
@@ -481,16 +462,7 @@ def monte_carlo_quasistatic(
     for i in range(noise.sample_count):
         value = noise.draw(point_index, i)
         try:
-            built = model(value)
-            if isinstance(built, Liouvillian):
-                if duration is None:
-                    raise ValueError("duration required when the model yields a Liouvillian")
-                if method == "rk4":
-                    state = propagate_rk4(built, rho0, duration)
-                else:
-                    state = propagate_expm(built, rho0, duration)
-            else:
-                state = propagate_schedule(built, rho0, method=method)
+            state = propagate_schedule(model(value), rho0)
         except Exception as exc:
             raise MonteCarloError(
                 f"sample {i} ({noise.label}={value!r}) failed: {exc}"

@@ -54,15 +54,19 @@ __all__ = [
     "PhaseSpec",
     "CphaseSpec",
     "transfer_space",
+    "transfer_operators",
+    "transfer_inputs",
     "build_transfer_liouvillian",
     "transfer_gate_error",
     "transfer_full_model_error",
     "phase_gate_time",
     "phase_gate_report",
     "cphase_space",
+    "cphase_schedule",
     "cphase_spin_echo_error",
     "cphase_ideal_leg_unitary",
     "logical_phase_extract",
+    "equal_superposition",
     "LOGICAL_FLAT",
     "IDEAL_CZ_PHASES",
 ]
@@ -163,7 +167,8 @@ def transfer_space() -> HilbertSpace:
     return HilbertSpace([("left", 2), ("right", 2)])
 
 
-def _transfer_operators():
+def transfer_operators():
+    """Transfer space, both rails' annihilators and the exchange operator."""
     space = transfer_space()
     a = embed(annihilation(2, "left"), space, "left")
     b = embed(annihilation(2, "right"), space, "right")
@@ -173,7 +178,7 @@ def _transfer_operators():
 
 def build_transfer_liouvillian(spec: TransferSpec) -> Liouvillian:
     """Exchange Hamiltonian with loss on both rails and collective dephasing."""
-    space, a, b, exchange = _transfer_operators()
+    space, a, b, exchange = transfer_operators()
     h = exchange * spec.exchange_rate
     terms = []
     if spec.photon_loss_rate > 0:
@@ -184,7 +189,8 @@ def build_transfer_liouvillian(spec: TransferSpec) -> Liouvillian:
     return Liouvillian(space, hamiltonian=h, terms=tuple(terms))
 
 
-def _transfer_inputs(space: HilbertSpace) -> list[tuple[str, StateVector]]:
+def transfer_inputs(space: HilbertSpace) -> list[tuple[str, StateVector]]:
+    """The four labelled inputs that :func:`transfer_gate_error` reports."""
     root2 = math.sqrt(0.5)
     amps = {
         "photon_left": [0, 0, 1, 0],
@@ -203,7 +209,7 @@ def transfer_gate_error(spec: TransferSpec) -> GateErrorReport:
     ideal evolution (full swap maps left to -i right) are reported for
     four inputs alongside.
     """
-    space, a, b, exchange = _transfer_operators()
+    space, a, b, exchange = transfer_operators()
     liou = build_transfer_liouvillian(spec)
     t = spec.gate_time
     ideal_u = expm(-1j * exchange.matrix * spec.exchange_rate * t)
@@ -211,7 +217,7 @@ def transfer_gate_error(spec: TransferSpec) -> GateErrorReport:
 
     per_input = []
     primary_error = None
-    for label, psi in _transfer_inputs(space):
+    for label, psi in transfer_inputs(space):
         final = apply_propagator(superop, psi.to_density_matrix())
         target = StateVector(space, ideal_u @ psi.amplitudes)
         per_input.append((label, _clip01(fidelity(final, target))))
@@ -235,9 +241,10 @@ def transfer_gate_error(spec: TransferSpec) -> GateErrorReport:
     )
 
 
-def transfer_full_model_error(
-    spec: TransferSpec, time_resolution: int = 16
-) -> GateErrorReport:
+_TIME_RESOLUTION = 16  # grid steps per fast dispersive period (even)
+
+
+def transfer_full_model_error(spec: TransferSpec) -> GateErrorReport:
     """Validate the effective transfer against the three-body model.
 
     Simulates both resonators plus the two-level junction coherently in
@@ -265,7 +272,7 @@ def transfer_full_model_error(
 
     t_eff = spec.gate_time
     fast_period = 2.0 * math.pi / math.sqrt(delta**2 + 8.0 * g**2)
-    dt = fast_period / time_resolution
+    dt = fast_period / _TIME_RESOLUTION
     n_t = int(math.ceil(1.45 * t_eff / dt))
     times = np.arange(n_t + 1) * dt
 
@@ -274,7 +281,7 @@ def transfer_full_model_error(
     p_junction = np.sum(np.abs(amps[1::2, :]) ** 2, axis=0)
 
     # envelope: average away the fast dispersive ripple, then locate the peak
-    window = time_resolution + 1 - (time_resolution % 2)
+    window = _TIME_RESOLUTION + 1
     kernel = np.ones(window) / window
     smooth = np.convolve(p_target, kernel, mode="same")
     half = window // 2
@@ -310,7 +317,7 @@ def transfer_full_model_error(
         "peak_junction_excitation": float(np.max(p_junction)),
         "model_discrepancy": discrepancy,
         "dispersive_ratio": g / abs(delta),
-        "time_resolution": time_resolution,
+        "time_resolution": _TIME_RESOLUTION,
     }
     return GateErrorReport(
         per_input=(("photon_left", fidelity_full),),
@@ -344,7 +351,7 @@ def phase_gate_time(spec: PhaseSpec) -> float:
 
 def phase_gate_report(spec: PhaseSpec) -> GateErrorReport:
     """Apply the dispersive shift on the right rail and verify the phase."""
-    space, a, b, _ = _transfer_operators()
+    space, a, b, _ = transfer_operators()
     n_right = embed(number(2, "right"), space, "right")
     shift = spec.coupling**2 / spec.detuning
     liou = Liouvillian(space, hamiltonian=n_right * shift)
@@ -505,25 +512,57 @@ def _always_on_diag(spec: CphaseSpec, shift_dev: float) -> np.ndarray:
     return shift_dev * _SHIFT_DIAG - spec.interaction_strength * _CROSS_DIAG
 
 
-def _segment_unitary(h: np.ndarray, duration: float) -> np.ndarray:
-    evals, evecs = np.linalg.eigh(h)
-    return (evecs * np.exp(-1j * evals * duration)) @ evecs.conj().T
+def _echo_half(
+    spec: CphaseSpec, shift_dev: float, wait: float, instant_legs: bool = False
+) -> list[tuple[np.ndarray, float | None]]:
+    """One echo half as (generator, duration) pairs in time order.
 
-
-def _leg_unitaries(spec: CphaseSpec, diag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Transfer-leg and flip unitaries under the always-on ``diag``."""
-    h_transfer = spec.transfer_coupling * _HOP_PAIR + np.diag(diag)
-    u_tr = _segment_unitary(h_transfer, spec.transfer_time)
+    The order is leg, wait, leg, flip; the echo runs the half twice.  A
+    generator is a Hamiltonian matrix, except that the wait, whose
+    Hamiltonian is diagonal, gives its diagonal, and a kick (duration
+    None) gives its unitary: the ideal flip, or with ``instant_legs`` the
+    exact swap that replaces both legs.  Both legs are one object, so a
+    backend can build each distinct segment once.
+    """
+    diag = _always_on_diag(spec, shift_dev)
+    if instant_legs:
+        return [(_SWAP_PAIR, None), (diag, wait), (_SWAP_PAIR, None), (_FLIP_PAIR, None)]
+    leg = (spec.transfer_coupling * _HOP_PAIR + np.diag(diag), spec.transfer_time)
     if spec.use_ideal_flips:
-        return u_tr, _FLIP_PAIR
-    h_flip = spec.transfer_coupling * _HOP_LOGICAL_PAIR + np.diag(diag)
-    return u_tr, _segment_unitary(h_flip, spec.transfer_time)
+        flip = (_FLIP_PAIR, None)
+    else:
+        flip = (spec.transfer_coupling * _HOP_LOGICAL_PAIR + np.diag(diag), spec.transfer_time)
+    return [leg, (diag, wait), leg, flip]
 
 
-def _echo_unitary(u_tr: np.ndarray, u_flip: np.ndarray, d_wait: np.ndarray) -> np.ndarray:
-    """Two echo halves (leg, diagonal wait, leg, flip) from their parts."""
-    u_phase = u_tr @ (d_wait[:, None] * u_tr)
-    return u_flip @ u_phase @ u_flip @ u_phase
+def _segment_unitaries(half) -> list[np.ndarray]:
+    """Unitary of each segment, the wait as its phase vector; each built once.
+
+    The generators are Hermitian, so a segment unitary comes from ``eigh``;
+    the diagonal wait needs only an elementwise exponential.
+    """
+    built = {}
+    for gen, t in half:
+        if id(gen) not in built:
+            if t is None:
+                built[id(gen)] = gen
+            elif gen.ndim == 1:
+                built[id(gen)] = np.exp(-1j * gen * t)
+            else:
+                evals, evecs = np.linalg.eigh(gen)
+                built[id(gen)] = (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
+    return [built[id(gen)] for gen, _ in half]
+
+
+def _echo_unitary(steps: list[np.ndarray]) -> np.ndarray:
+    """Both echo halves from one half's segment unitaries in time order."""
+    u = None
+    for step in steps:
+        if step.ndim == 1:
+            u = step[:, None] * u
+        else:
+            u = step if u is None else step @ u
+    return u @ u
 
 
 def _instant_leg_wait(spec: CphaseSpec) -> float:
@@ -546,12 +585,14 @@ def _solve_wait(spec: CphaseSpec) -> float:
     down to roundoff, so the wait joins that root smoothly as the legs
     get faster.
     """
-    diag = _always_on_diag(spec, 0.0)
-    u_tr, u_flip = _leg_unitaries(spec, diag)
-    psi = _equal_superposition()
+    half = _echo_half(spec, 0.0, 0.0)
+    steps = _segment_unitaries(half)
+    diag = half[1][0]
+    psi = equal_superposition()
 
     def miss(wait: float) -> float:
-        out = _echo_unitary(u_tr, u_flip, np.exp(-1j * diag * wait)) @ psi
+        steps[1] = np.exp(-1j * diag * wait)  # the legs and flip stay as built
+        out = _echo_unitary(steps) @ psi
         return float(_wrap_phase(_conditional_phase(out) - math.pi))
 
     w_instant = _instant_leg_wait(spec)
@@ -588,9 +629,7 @@ def _solve_wait(spec: CphaseSpec) -> float:
 
 def _protocol_unitary(spec: CphaseSpec, shift_dev: float) -> np.ndarray:
     """Full two-phase echo protocol for one frozen shift deviation."""
-    diag = _always_on_diag(spec, shift_dev)
-    u_tr, u_flip = _leg_unitaries(spec, diag)
-    return _echo_unitary(u_tr, u_flip, np.exp(-1j * diag * spec.wait_time))
+    return _echo_unitary(_segment_unitaries(_echo_half(spec, shift_dev, spec.wait_time)))
 
 
 def cphase_ideal_leg_unitary(spec: CphaseSpec, shift_dev: float) -> np.ndarray:
@@ -601,12 +640,12 @@ def cphase_ideal_leg_unitary(spec: CphaseSpec, shift_dev: float) -> np.ndarray:
     conditional-phase-pi condition; used to check that the echo cancels
     a static shift deviation exactly.
     """
-    diag = _always_on_diag(spec, shift_dev)
-    d_wait = np.exp(-1j * diag * _instant_leg_wait(spec))
-    return _echo_unitary(_SWAP_PAIR, _FLIP_PAIR, d_wait)
+    half = _echo_half(spec, shift_dev, _instant_leg_wait(spec), instant_legs=True)
+    return _echo_unitary(_segment_unitaries(half))
 
 
-def _equal_superposition() -> np.ndarray:
+def equal_superposition() -> np.ndarray:
+    """Equal superposition of the four logical states of the 9-dim pair."""
     psi = np.zeros(9, dtype=complex)
     psi[list(LOGICAL_FLAT)] = 0.5
     return psi
@@ -631,7 +670,7 @@ def _calibrated_target(spec: CphaseSpec) -> tuple[np.ndarray, dict]:
     vanish, and ``conditional_phase`` reports the phase it fixes.
     """
     u_cal = _protocol_unitary(spec, 0.0)
-    out = u_cal @ _equal_superposition()
+    out = u_cal @ equal_superposition()
     amps = out[list(LOGICAL_FLAT)]
     theta = np.angle(amps)
     q = _wrap_phase(theta - np.array(IDEAL_CZ_PHASES))
@@ -665,26 +704,23 @@ def _cphase_jump_terms(space: HilbertSpace, rate: float) -> tuple[LindbladTerm, 
     return tuple(terms)
 
 
-def _cphase_schedule(spec: CphaseSpec, shift_dev: float, space: HilbertSpace):
-    diag = _always_on_diag(spec, shift_dev)
+def cphase_schedule(spec: CphaseSpec, shift_dev: float, space: HilbertSpace) -> list:
+    """Lossy echo for one frozen shift deviation as a Lindblad schedule.
+
+    Each distinct segment of the echo half is one schedule object, so
+    :func:`propagate_schedule` builds its propagator once.
+    """
     terms = _cphase_jump_terms(space, spec.photon_loss_rate)
-    h_transfer = Operator(
-        space, spec.transfer_coupling * _HOP_PAIR + np.diag(diag).astype(complex)
-    )
-    h_wait = Operator(space, np.diag(diag).astype(complex))
-    evolve_tr = Evolve(Liouvillian(space, h_transfer, terms), spec.transfer_time)
-    evolve_wait = Evolve(Liouvillian(space, h_wait, terms), spec.wait_time)
-    if spec.use_ideal_flips:
-        flip = Apply(Operator(space, _FLIP_PAIR))
-        phase_block = [evolve_tr, evolve_wait, evolve_tr, flip]
-    else:
-        h_flip = Operator(
-            space,
-            spec.transfer_coupling * _HOP_LOGICAL_PAIR + np.diag(diag).astype(complex),
-        )
-        flip = Evolve(Liouvillian(space, h_flip, terms), spec.transfer_time)
-        phase_block = [evolve_tr, evolve_wait, evolve_tr, flip]
-    return phase_block * 2
+    half = _echo_half(spec, shift_dev, spec.wait_time)
+    built = {}
+    for gen, t in half:
+        if id(gen) not in built:
+            if t is None:
+                built[id(gen)] = Apply(Operator(space, gen))
+            else:
+                h = Operator(space, np.diag(gen) if gen.ndim == 1 else gen)
+                built[id(gen)] = Evolve(Liouvillian(space, h, terms), t)
+    return [built[id(gen)] for gen, _ in half] * 2
 
 
 def cphase_spin_echo_error(spec: CphaseSpec, point_index: int = 0) -> GateErrorReport:
@@ -697,7 +733,7 @@ def cphase_spin_echo_error(spec: CphaseSpec, point_index: int = 0) -> GateErrorR
     fidelity is population retention; phases cancel).
     """
     target, cal_info = _calibrated_target(spec)
-    psi_in = _equal_superposition()
+    psi_in = equal_superposition()
 
     if spec.photon_loss_rate == 0:
 
@@ -714,7 +750,7 @@ def cphase_spin_echo_error(spec: CphaseSpec, point_index: int = 0) -> GateErrorR
         target_sv = StateVector(space, target)
 
         def model(phi: float):
-            return _cphase_schedule(spec, spec.shift_deviation(phi), space)
+            return cphase_schedule(spec, spec.shift_deviation(phi), space)
 
         result = monte_carlo_quasistatic(
             model,

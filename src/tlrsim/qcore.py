@@ -15,7 +15,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -30,7 +30,6 @@ __all__ = [
     "projector",
     "embed",
     "fidelity",
-    "partial_trace",
 ]
 
 TRACE_TOL = 1e-9
@@ -94,9 +93,6 @@ class HilbertSpace:
                 return i
         raise KeyError(f"no subsystem labeled {label!r} in {self.labels}")
 
-    def dim_of(self, label: str) -> int:
-        return self.subsystems[self.index(label)][1]
-
     def basis_state(self, occupations: Sequence[int]) -> "StateVector":
         """Product basis state ``|n_0, n_1, ...>`` with one index per subsystem."""
         if len(occupations) != len(self.subsystems):
@@ -137,10 +133,6 @@ class Operator:
     def is_unitary(self, tol: float = 1e-10) -> bool:
         d = self.space.dim
         return float(np.abs(self.matrix @ self.matrix.conj().T - np.eye(d)).max()) <= tol
-
-    @classmethod
-    def identity(cls, space: HilbertSpace) -> "Operator":
-        return cls(space, np.eye(space.dim))
 
     def _require_same_space(self, other: "Operator") -> None:
         if self.space != other.space:
@@ -190,11 +182,6 @@ class StateVector:
     def to_density_matrix(self) -> "DensityMatrix":
         return DensityMatrix(self.space, np.outer(self.amplitudes, self.amplitudes.conj()))
 
-    def overlap(self, other: "StateVector") -> complex:
-        if self.space != other.space:
-            raise ValueError("states live on different spaces")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -223,19 +210,6 @@ class DensityMatrix:
         mat.setflags(write=False)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "matrix", mat)
-
-    @classmethod
-    def from_state(cls, psi: StateVector) -> "DensityMatrix":
-        return psi.to_density_matrix()
-
-    @classmethod
-    def maximally_mixed(cls, space: HilbertSpace) -> "DensityMatrix":
-        return cls(space, np.eye(space.dim) / space.dim)
-
-    def expectation(self, op: Operator) -> complex:
-        if op.space != self.space:
-            raise ValueError("operator space does not match state space")
-        return complex(np.trace(op.matrix @ self.matrix))
 
     def purity(self) -> float:
         return float(np.real(np.trace(self.matrix @ self.matrix)))
@@ -312,31 +286,3 @@ def fidelity(rho: DensityMatrix | StateVector, target: StateVector) -> float:
     if abs(val.imag) > 1e-10:
         raise ValueError(f"fidelity has imaginary part {val.imag}")
     return float(val.real)
-
-
-def partial_trace(rho: DensityMatrix, keep: Sequence[str]) -> DensityMatrix:
-    """Trace out every subsystem not listed in ``keep``.
-
-    The reduced state keeps the original subsystem ordering regardless of
-    the order given in ``keep``.
-    """
-    keep_set = set(keep)
-    labels = rho.space.labels
-    unknown = keep_set - set(labels)
-    if unknown:
-        raise ValueError(f"unknown labels {sorted(unknown)}; space has {labels}")
-    if not keep_set:
-        raise ValueError("must keep at least one subsystem")
-    dims = rho.space.dims
-    n = len(dims)
-    tensor = rho.matrix.reshape(dims + dims)
-    keep_pos = [i for i, lab in enumerate(labels) if lab in keep_set]
-    # Repeated einsum indices trace the unwanted subsystems in one pass.
-    row = list(range(n))
-    col = [i + n if i in keep_pos else i for i in range(n)]
-    out_idx = [i for i in keep_pos] + [i + n for i in keep_pos]
-    reduced = np.einsum(tensor, row + col, out_idx)
-    kept_dim = int(np.prod([dims[i] for i in keep_pos]))
-    reduced = reduced.reshape(kept_dim, kept_dim)
-    new_space = HilbertSpace([rho.space.subsystems[i] for i in keep_pos])
-    return DensityMatrix(new_space, reduced)

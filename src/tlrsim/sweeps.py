@@ -196,8 +196,6 @@ def run_detector_sweep(config: dict, jobs: int = 1) -> SweepResult:
     """Detector efficiency versus escape-to-loss ratio at fixed loss."""
     base = detector_params(config)
     ratios = config["experiments"]["detector"]["gamma_over_kappa"]
-    if any(r <= 0 for r in ratios):
-        raise ConfigError("experiments.detector.gamma_over_kappa", "ratios must be positive")
     rows = _map_points(_detector_point, [(base, r) for r in ratios], jobs)
     return SweepResult(
         experiment="detector",

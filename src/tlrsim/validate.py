@@ -22,6 +22,7 @@ from .config import detector_params, fjs_params, tlr_params
 from .detector import DetectorParams, build_detector_liouvillian, detection_efficiency, detector_space
 from .device import coupling_strength, fjs_derive, mode_frequency, thermal_occupancy, to_angular
 from .lindblad import (
+    Evolve,
     Liouvillian,
     QuasiStaticNoise,
     monte_carlo_quasistatic,
@@ -37,15 +38,15 @@ from .lindblad import (
 from .protocols import (
     CphaseSpec,
     TransferSpec,
-    _cphase_schedule,
-    _equal_superposition,
-    _transfer_inputs,
-    _transfer_operators,
     build_transfer_liouvillian,
     cphase_ideal_leg_unitary,
+    cphase_schedule,
     cphase_space,
+    equal_superposition,
     logical_phase_extract,
     transfer_full_model_error,
+    transfer_inputs,
+    transfer_operators,
     transfer_space,
 )
 from .qcore import StateVector
@@ -110,7 +111,7 @@ def _final_states(config: dict):
 
     spec = _operating_transfer(config)
     liou = build_transfer_liouvillian(spec)
-    rho0 = dict(_transfer_inputs(transfer_space()))["photon_left"].to_density_matrix()
+    rho0 = dict(transfer_inputs(transfer_space()))["photon_left"].to_density_matrix()
     raw = unvec(propagator(liou, spec.gate_time) @ vec(rho0.matrix))
     raw_asym = float(np.max(np.abs(raw - raw.conj().T)))
     drifts.append(abs(np.trace(raw) - 1.0))
@@ -129,9 +130,9 @@ def _final_states(config: dict):
         photon_loss_rate=to_angular(1.0e3),
     )
     space = cphase_space()
-    rho_cz = StateVector(space, _equal_superposition()).to_density_matrix()
+    rho_cz = StateVector(space, equal_superposition()).to_density_matrix()
     shift = cz.shift_deviation(cz.phi_noise.mean + cz.phi_noise.std)
-    schedule = _cphase_schedule(cz, shift, space)
+    schedule = cphase_schedule(cz, shift, space)
     fin_cz = propagate_schedule(schedule, rho_cz)
     finals.append(fin_cz)
     drifts.append(abs(np.trace(fin_cz.matrix) - 1.0))
@@ -151,9 +152,9 @@ def _final_states(config: dict):
 
 def _check_excitation(spec: TransferSpec, tol: float) -> CheckResult:
     # lossless exchange: total photon number is an exact constant
-    space, _, _, exchange = _transfer_operators()
+    space, _, _, exchange = transfer_operators()
     liou = Liouvillian(space, hamiltonian=exchange * spec.exchange_rate)
-    rho0 = dict(_transfer_inputs(space))["photon_left"].to_density_matrix()
+    rho0 = dict(transfer_inputs(space))["photon_left"].to_density_matrix()
     n_total = np.diag([0.0, 1.0, 1.0, 2.0])
     worst = 0.0
     for frac in (0.25, 0.5, 0.75, 1.0):
@@ -185,8 +186,7 @@ def _check_echo(config: dict, tol: float) -> CheckResult:
     spec = CphaseSpec.from_fjs(
         derived, speed_ratio=20.0, sample_count=10, seed=config["noise"]["seed"]
     )
-    psi = np.zeros(9, dtype=complex)
-    psi[[0, 1, 3, 4]] = 0.5
+    psi = equal_superposition()
     space = cphase_space()
     phase_sets = []
     for shift in (0.0, 3.2 * abs(derived.delta_omega_s)):
@@ -205,13 +205,12 @@ def _check_mc_agreement(config: dict, sigma_bound: float, samples: int) -> Check
     sigma = quasistatic_sigma(
         lossless.coupling, lossless.detuning, lossless.dephasing_rate, t
     )
-    space, _, _, exchange = _transfer_operators()
+    space, _, _, exchange = transfer_operators()
     weight = (lossless.coupling / lossless.detuning) ** 2
 
     def model(delta):
-        return Liouvillian(
-            space, hamiltonian=exchange * (lossless.exchange_rate - weight * delta)
-        )
+        h = exchange * (lossless.exchange_rate - weight * delta)
+        return [Evolve(Liouvillian(space, hamiltonian=h), t)]
 
     noise = QuasiStaticNoise(
         mean=0.0,
@@ -220,12 +219,11 @@ def _check_mc_agreement(config: dict, sigma_bound: float, samples: int) -> Check
         sample_count=samples,
         seed=config["noise"]["seed"],
     )
-    rho0 = dict(_transfer_inputs(space))["photon_left"].to_density_matrix()
+    rho0 = dict(transfer_inputs(space))["photon_left"].to_density_matrix()
     result = monte_carlo_quasistatic(
         model,
         noise,
         rho0,
-        duration=t,
         observables={"target_population": lambda s: s.population(1)},
     )
     stat = result.observables["target_population"]

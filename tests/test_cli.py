@@ -86,6 +86,20 @@ class TestConfigErrors:
             ('{"noise": {"seed": -3}}', "noise.seed"),
             ('{"noise": {"samples": 1e300}}', "noise.samples"),
             ('{"experiments": {"cphase": {"kappa_hz": -1}}}', "experiments.cphase.kappa_hz"),
+            ('{"device": {"tlr": {"mode_index": 0}}}', "device.tlr.mode_index"),
+            ('{"device": {"temperature_k": -1}}', "device.temperature_k"),
+            (
+                '{"experiments": {"transfer": {"kappa_grid_hz": [-1]}}}',
+                "experiments.transfer.kappa_grid_hz[0]",
+            ),
+            (
+                '{"experiments": {"cphase": {"speed_ratios": [-1]}}}',
+                "experiments.cphase.speed_ratios[0]",
+            ),
+            (
+                '{"experiments": {"detector": {"gamma_over_kappa": [10, -1]}}}',
+                "experiments.detector.gamma_over_kappa[1]",
+            ),
         ],
     )
     def test_out_of_range_exits_two_with_path(self, tmp_path, text, key):
@@ -95,6 +109,20 @@ class TestConfigErrors:
         assert proc.returncode == 2
         assert f"config error: {key}: must be" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"device": {"tlr": {"photon_loss_rate_hz": 1e4}}}', "device.tlr.photon_loss_rate_hz"),
+            ('{"device": {"cbjj": {"level_splitting_hz": 2.2e10}}}', "device.cbjj.level_splitting_hz"),
+        ],
+    )
+    def test_deleted_leaf_exits_two_with_path(self, tmp_path, text, key):
+        path = tmp_path / "old.json"
+        path.write_text(text)
+        proc = run_cli("params", "--config", str(path))
+        assert proc.returncode == 2
+        assert f"config error: {key}: unknown key" in proc.stderr
 
     def test_samples_flag_past_cap_exits_two(self):
         proc = run_cli("cphase-error", "--samples", "100000000000", "--no-timestamp")

@@ -9,9 +9,7 @@ from tlrsim.config import (
     MAX_SAMPLES,
     ConfigError,
     canonical_json,
-    cbjj_params,
     config_hash,
-    coupler_params,
     detector_params,
     fjs_params,
     load_config,
@@ -22,7 +20,7 @@ TWO_PI = 2.0 * math.pi
 
 # canonical bytes of the shipped defaults; any change to a default value
 # or to key ordering must be deliberate and show up here
-DEFAULT_HASH = "69ed9aff3ae0b591f91d7e3301140a356008965acad410528646784b91e59c57"
+DEFAULT_HASH = "dcd61251e1ebae1de5990177878212b4da42c8557b5fa7b262ff8bc8e27388be"
 
 
 class TestDefaults:
@@ -97,6 +95,16 @@ class TestMerge:
             ("noise.gamma2_hz", -1.0),
             ("experiments.cphase.kappa_hz", -1.0),
             ("validation.mc_samples", 1e300),
+            ("device.tlr.inductance_h", 0.0),
+            ("device.tlr.capacitance_f", -5e-12),
+            ("device.tlr.length_m", 0),
+            ("device.tlr.mode_index", 0),
+            ("device.cbjj.junction_capacitance_f", 0.0),
+            ("device.cbjj.decay_rate_hz", -1.0),
+            ("device.cbjj.dephasing_rate_hz", -1.0),
+            ("device.coupler.coupling_capacitance_f", -0.0),
+            ("device.coupler.right_coupling_capacitance_f", 0.0),
+            ("device.temperature_k", -1e-3),
         ],
     )
     def test_out_of_range_rejected_with_path(self, path, value):
@@ -112,14 +120,32 @@ class TestMerge:
         config = load_config(
             {
                 "noise": {"samples": MAX_SAMPLES, "kappa_hz": 0, "gamma2_hz": 0},
-                "experiments": {"transfer": {"detuning_hz": -2e9}, "cphase": {"kappa_hz": 0}},
-                "device": {"detector": {"detuning_hz": -1e6}},
+                "experiments": {
+                    "transfer": {"detuning_hz": -2e9, "kappa_grid_hz": [0.0]},
+                    "cphase": {"kappa_hz": 0},
+                },
+                "device": {"detector": {"detuning_hz": -1e6}, "temperature_k": 0},
             }
         )
         assert config["noise"]["samples"] == MAX_SAMPLES
         assert config["experiments"]["transfer"]["detuning_hz"] == -2e9
         for seed in (0, 2**64 - 1):
             assert load_config({"noise": {"seed": seed}})["noise"]["seed"] == seed
+
+    @pytest.mark.parametrize(
+        "path, grid, bad, bound",
+        [
+            ("experiments.transfer.kappa_grid_hz", [1e3, -1.0], 1, ">= 0"),
+            ("experiments.transfer.gamma2_grid_hz", [-1e5], 0, ">= 0"),
+            ("experiments.cphase.speed_ratios", [5.0, 10.0, 0.0], 2, "> 0"),
+            ("experiments.detector.gamma_over_kappa", [-10.0, 100.0], 0, "> 0"),
+        ],
+    )
+    def test_out_of_range_grid_item_named(self, path, grid, bad, bound):
+        _, section, key = path.split(".")
+        with pytest.raises(ConfigError, match=f"must be {bound}, got {grid[bad]}") as err:
+            load_config({"experiments": {section: {key: grid}}})
+        assert err.value.path == f"{path}[{bad}]"
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError, match="kappa_grid_hz"):
@@ -197,21 +223,7 @@ class TestParamBridges:
     def test_tlr_params_converts_rates(self):
         params = tlr_params(load_config())
         assert params.inductance == 5.0e-10
-        assert params.photon_loss_rate == pytest.approx(TWO_PI * 1.0e4, rel=1e-12)
-
-    def test_tlr_kappa_override(self):
-        params = tlr_params(load_config(), kappa_hz=3.0e3)
-        assert params.photon_loss_rate == pytest.approx(TWO_PI * 3.0e3, rel=1e-12)
-
-    def test_cbjj_params(self):
-        params = cbjj_params(load_config())
-        assert params.level_splitting == pytest.approx(TWO_PI * 2.2e10, rel=1e-12)
-        assert params.junction_capacitance == 5.0e-13
-
-    def test_coupler_params(self):
-        params = coupler_params(load_config())
-        assert params.coupling_capacitance == 2.3e-14
-        assert params.right_coupling_capacitance == 2.3e-14
+        assert params.mode_index == 2
 
     def test_fjs_params(self):
         params = fjs_params(load_config())

@@ -9,7 +9,6 @@ from tlrsim.detector import (
     build_detector_liouvillian,
     detection_efficiency,
     detector_space,
-    efficiency_sweep,
 )
 from tlrsim.device import TWO_PI
 from tlrsim.lindblad import propagate_expm, vec
@@ -175,29 +174,6 @@ class TestDetectionEfficiency:
             DetectorParams(detuning=TWO_PI * 1.0e9)
         ).efficiency
         assert 0.0 < detuned < resonant
-
-
-class TestEfficiencySweep:
-    def test_grid_shape_and_saturation(self):
-        points = efficiency_sweep(DetectorParams(), [10.0, 100.0, 1000.0, 2000.0, 10000.0])
-        assert [ratio for ratio, _ in points] == [10.0, 100.0, 1000.0, 2000.0, 10000.0]
-        effs = [res.efficiency for _, res in points]
-        peak = max(effs)
-        rising = effs[: effs.index(peak) + 1]
-        for earlier, later in zip(rising, rising[1:]):
-            assert later >= earlier - 1e-6
-        # paper operating ratio: 20 MHz escape over 10 kHz loss
-        assert dict(zip([r for r, _ in points], effs))[2000.0] > 0.99
-        # slow escape loses the branching race against the intra-well decay
-        assert effs[0] < 0.6
-
-    def test_rejects_bad_grid(self):
-        with pytest.raises(ValueError):
-            efficiency_sweep(DetectorParams(), [])
-        with pytest.raises(ValueError):
-            efficiency_sweep(DetectorParams(), [1.0, -2.0])
-        with pytest.raises(ValueError):
-            efficiency_sweep(bare_params(coupling=TWO_PI * 1.0e8), [10.0])
 
 
 class TestResultValidation:

@@ -6,8 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from tlrsim.device import (
     CONSTANTS,
-    CbjjParams,
-    CouplerParams,
     FjsParams,
     TWO_PI,
     TlrParams,
@@ -16,13 +14,11 @@ from tlrsim.device import (
     fjs_derive,
     induced_loss_rate,
     mode_frequency,
-    mode_profile,
     thermal_occupancy,
     to_angular,
     to_linear,
     transfer_rate,
     zero_point_current,
-    zero_point_voltage,
 )
 
 # Values every figure in this suite hangs off: the qubit resonator and the
@@ -55,10 +51,6 @@ class TestZeroPoint:
         assert i0 == pytest.approx(oracle, rel=1e-12)
         assert i0 == pytest.approx(1.628e-7, rel=1e-3)
 
-    def test_voltage_magnitude(self):
-        oracle = math.sqrt(CONSTANTS.hbar * OMEGA0 / 5.0e-12)
-        assert zero_point_voltage(TLR) == pytest.approx(oracle, rel=1e-12)
-
     def test_quarter_inductance_doubles_current(self):
         # omega doubles and L quarters, so sqrt(hbar omega / L) grows 2 sqrt(2)
         # ... with C also quartered; check pure scaling against the formula.
@@ -66,22 +58,6 @@ class TestZeroPoint:
         ratio = zero_point_current(quarter) / zero_point_current(TLR)
         # omega scales by 2, L by 1/4: sqrt(2 * 4) = 2 sqrt(2).
         assert ratio == pytest.approx(2 * math.sqrt(2), rel=1e-12)
-
-
-class TestModeProfile:
-    def test_voltage_antinode_at_center(self):
-        v, i = mode_profile(0.0, TLR)
-        assert v == pytest.approx(1.0)
-        assert i == pytest.approx(0.0)
-
-    def test_current_antinode_at_quarter_length(self):
-        v, i = mode_profile(TLR.length / 4, TLR)
-        assert v == pytest.approx(0.0, abs=1e-12)
-        assert i == pytest.approx(1.0)
-
-    def test_outside_resonator_rejected(self):
-        with pytest.raises(ValueError):
-            mode_profile(TLR.length, TLR)
 
 
 class TestCoupling:
@@ -284,12 +260,13 @@ class TestValidationErrors:
             TlrParams(mode_index=0)
 
     def test_bad_cbjj(self):
+        # the junction capacitance only enters through the coupling formula
         with pytest.raises(ValueError):
-            CbjjParams(junction_capacitance=0.0)
+            coupling_strength(OMEGA0, 5.0e-12, 2.3e-14, 0.0)
 
     def test_bad_coupler(self):
         with pytest.raises(ValueError):
-            CouplerParams(coupling_capacitance=0.0)
+            coupling_strength(OMEGA0, 5.0e-12, 0.0, 5.0e-13)
 
     def test_bad_fjs(self):
         with pytest.raises(ValueError):

@@ -12,6 +12,7 @@ from tlrsim import lindblad
 from tlrsim.device import FjsParams, TlrParams, fjs_derive
 from tlrsim.lindblad import (
     Apply,
+    Evolve,
     Liouvillian,
     QuasiStaticNoise,
     monte_carlo_quasistatic,
@@ -30,6 +31,7 @@ from tlrsim.protocols import (
     TransferSpec,
     build_transfer_liouvillian,
     cphase_ideal_leg_unitary,
+    cphase_schedule,
     cphase_space,
     cphase_spin_echo_error,
     logical_phase_extract,
@@ -37,9 +39,9 @@ from tlrsim.protocols import (
     phase_gate_time,
     transfer_full_model_error,
     transfer_gate_error,
+    transfer_operators,
     transfer_space,
 )
-from tlrsim.protocols import _cphase_schedule
 from tlrsim.qcore import DensityMatrix, StateVector
 
 TWO_PI = 2.0 * math.pi
@@ -430,7 +432,7 @@ class TestLossySchedule:
         spec = cz_spec(20.0, n=1, photon_loss_rate=TWO_PI * 1e4, use_ideal_flips=ideal_flips)
         space = cphase_space()
         shift = spec.shift_deviation(spec.phi_noise.mean + spec.phi_noise.std)
-        segments = _cphase_schedule(spec, shift, space)
+        segments = cphase_schedule(spec, shift, space)
         psi = np.zeros(9, dtype=complex)
         psi[list(LOGICAL_FLAT)] = 0.5
         rho0 = DensityMatrix(space, np.outer(psi, psi.conj()))
@@ -534,12 +536,12 @@ class TestQuasiStaticEquivalence:
         spec = operating_spec(photon_loss_rate=0.0)
         t = spec.gate_time
         sigma = quasistatic_sigma(spec.coupling, spec.detuning, spec.dephasing_rate, t)
-        space, _, _, exchange = _transfer_parts()
+        space, _, _, exchange = transfer_operators()
         weight = (spec.coupling / spec.detuning) ** 2
 
         def model(delta):
             h = exchange * (spec.exchange_rate - weight * delta)
-            return Liouvillian(space, hamiltonian=h)
+            return [Evolve(Liouvillian(space, hamiltonian=h), t)]
 
         noise = QuasiStaticNoise(
             mean=0.0, std=sigma, label="exchange_detuning", sample_count=1000, seed=11
@@ -549,7 +551,6 @@ class TestQuasiStaticEquivalence:
             model,
             noise,
             rho0,
-            duration=t,
             observables={"target_population": lambda s: s.population(1)},
         )
         stat = result.observables["target_population"]
@@ -557,12 +558,6 @@ class TestQuasiStaticEquivalence:
         lindblad_final = propagate_expm(build_transfer_liouvillian(spec), rho0, t)
         reference = lindblad_final.population(1)
         assert abs(stat.mean - reference) < 3 * stat.std_error
-
-
-def _transfer_parts():
-    from tlrsim.protocols import _transfer_operators
-
-    return _transfer_operators()
 
 
 def _left_photon_state(space):

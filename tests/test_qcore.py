@@ -11,7 +11,6 @@ from tlrsim.qcore import (
     embed,
     fidelity,
     number,
-    partial_trace,
     projector,
 )
 
@@ -27,7 +26,6 @@ class TestHilbertSpace:
         assert space.labels == ("A", "B")
         assert space.dims == (2, 3)
         assert space.index("B") == 1
-        assert space.dim_of("B") == 3
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError):
@@ -110,7 +108,7 @@ class TestProjector:
 class TestEmbedAlgebra:
     def test_identity_embeds_to_identity(self):
         space = two_by_three()
-        ident = Operator.identity(HilbertSpace([("B", 3)]))
+        ident = Operator(HilbertSpace([("B", 3)]), np.eye(3))
         assert np.allclose(embed(ident, space, "B").matrix, np.eye(6))
 
     def test_disjoint_embeddings_commute(self):
@@ -146,7 +144,7 @@ class TestStates:
             DensityMatrix(space, np.array([[1.5, 0.0], [0.0, -0.5]]))
 
     def test_maximally_mixed(self):
-        rho = DensityMatrix.maximally_mixed(two_by_three())
+        rho = DensityMatrix(two_by_three(), np.eye(6) / 6)
         assert rho.purity() == pytest.approx(1.0 / 6.0)
 
 
@@ -154,7 +152,7 @@ class TestFidelity:
     def test_pure_state_projection(self):
         space = HilbertSpace([("A", 2)])
         plus = StateVector(space, np.array([1, 1]) / np.sqrt(2))
-        mixed = DensityMatrix.maximally_mixed(space)
+        mixed = DensityMatrix(space, np.eye(2) / 2)
         assert fidelity(mixed, plus) == pytest.approx(0.5)
 
     def test_orthogonal_states(self):
@@ -164,36 +162,10 @@ class TestFidelity:
         assert fidelity(zero.to_density_matrix(), one) == pytest.approx(0.0, abs=1e-15)
 
     def test_space_mismatch_rejected(self):
-        rho = DensityMatrix.maximally_mixed(HilbertSpace([("A", 2)]))
+        rho = DensityMatrix(HilbertSpace([("A", 2)]), np.eye(2) / 2)
         target = HilbertSpace([("B", 2)]).basis_state([0])
         with pytest.raises(ValueError):
             fidelity(rho, target)
-
-
-class TestPartialTrace:
-    def test_product_state_factorizes(self):
-        space = two_by_three()
-        psi_a = np.array([1, 1j]) / np.sqrt(2)
-        psi_b = np.array([1, 1, 1]) / np.sqrt(3)
-        joint = StateVector(space, np.kron(psi_a, psi_b)).to_density_matrix()
-        reduced = partial_trace(joint, ["A"])
-        assert np.allclose(reduced.matrix, np.outer(psi_a, psi_a.conj()))
-
-    def test_bell_state_reduces_to_mixed(self):
-        space = HilbertSpace([("A", 2), ("B", 2)])
-        bell = StateVector(space, np.array([1, 0, 0, 1]) / np.sqrt(2)).to_density_matrix()
-        reduced = partial_trace(bell, ["B"])
-        assert np.allclose(reduced.matrix, np.eye(2) / 2)
-
-    def test_keep_all_is_identity_map(self):
-        rho = DensityMatrix.maximally_mixed(two_by_three())
-        same = partial_trace(rho, ["A", "B"])
-        assert np.allclose(same.matrix, rho.matrix)
-
-    def test_unknown_label_rejected(self):
-        rho = DensityMatrix.maximally_mixed(two_by_three())
-        with pytest.raises(ValueError):
-            partial_trace(rho, ["C"])
 
 
 def random_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -240,14 +212,3 @@ def test_fidelity_bounded(seed):
     target = StateVector(space, amps / np.linalg.norm(amps))
     f = fidelity(rho, target)
     assert -1e-12 <= f <= 1.0 + 1e-12
-
-
-@settings(deadline=None, max_examples=50)
-@given(st.integers(min_value=0, max_value=2**32 - 1))
-def test_partial_trace_preserves_trace_and_positivity(seed):
-    rng = np.random.default_rng(seed)
-    space = HilbertSpace([("A", 2), ("B", 3)])
-    rho = DensityMatrix(space, random_density(rng, 6))
-    reduced = partial_trace(rho, ["B"])
-    assert np.trace(reduced.matrix) == pytest.approx(1.0)
-    assert np.linalg.eigvalsh(reduced.matrix).min() > -1e-10

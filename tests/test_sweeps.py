@@ -120,6 +120,8 @@ class TestDetectorSweep:
         result = run_detector_sweep(CONFIG)
         effs = [row[1] for row in result.rows]
         assert effs == sorted(effs)
+        # slow escape loses the branching race against the intra-well decay
+        assert effs[0] < 0.6
 
     def test_nonpositive_ratio_rejected(self):
         with pytest.raises(ConfigError, match="gamma_over_kappa"):
