@@ -48,7 +48,6 @@ DEFAULT_CONFIG = {
         "tlr": {
             "inductance_h": 0.5e-9,
             "capacitance_f": 5.0e-12,
-            "length_m": 4.0e-3,
             "mode_index": 2,
         },
         "cbjj": {
@@ -131,20 +130,34 @@ MAX_SAMPLES = 10_000_000
 
 # (low, high, open) ranges outside which the engine cannot run a leaf:
 # low < x <= high if open, else low <= x <= high; a list leaf applies its
-# range to each item.  Detunings are signed and have none.
+# range to each item.  Detunings are signed: unbounded where listed.
 _NONNEGATIVE = (0, math.inf, False)
 _POSITIVE = (0, math.inf, True)
 _UNBOUNDED = (-math.inf, math.inf, False)
 _RANGES = {
     "device.tlr.inductance_h": _POSITIVE,
     "device.tlr.capacitance_f": _POSITIVE,
-    "device.tlr.length_m": _POSITIVE,
     "device.tlr.mode_index": (1, math.inf, False),
     "device.cbjj.junction_capacitance_f": _POSITIVE,
     "device.cbjj.decay_rate_hz": _NONNEGATIVE,
     "device.cbjj.dephasing_rate_hz": _NONNEGATIVE,
     "device.coupler.coupling_capacitance_f": _POSITIVE,
     "device.coupler.right_coupling_capacitance_f": _POSITIVE,
+    "device.fjs.junction_critical_current_a": _POSITIVE,
+    "device.fjs.junction_capacitance_f": _POSITIVE,
+    "device.fjs.shunt_capacitance_f": _NONNEGATIVE,
+    "device.fjs.squid_self_inductance_h": _POSITIVE,
+    "device.fjs.loop_inductance_h": _NONNEGATIVE,
+    "device.fjs.mutual_inductance_c_h": _POSITIVE,
+    "device.fjs.mutual_inductance_d_h": _POSITIVE,  # when set
+    "device.fjs.bias_current_a": _UNBOUNDED,  # signed; fjs_derive bounds its size
+    "device.fjs.phi_sq_spread_scale": _POSITIVE,
+    "device.detector.coupling_hz": _NONNEGATIVE,
+    "device.detector.detuning_hz": _UNBOUNDED,
+    "device.detector.photon_loss_rate_hz": _NONNEGATIVE,
+    "device.detector.escape_rate_hz": _NONNEGATIVE,
+    "device.detector.intra_well_decay_hz": _NONNEGATIVE,
+    "device.detector.dephasing_rate_hz": _NONNEGATIVE,
     "device.temperature_k": _NONNEGATIVE,
     "noise.seed": (0, 2**64 - 1, False),  # the range the --seed flag accepts
     "noise.samples": (1, MAX_SAMPLES, False),
@@ -281,7 +294,6 @@ def tlr_params(config: dict) -> TlrParams:
     return TlrParams(
         inductance=sec["inductance_h"],
         capacitance=sec["capacitance_f"],
-        length=sec["length_m"],
         mode_index=sec["mode_index"],
     )
 

@@ -75,12 +75,11 @@ class TlrParams:
 
     inductance: float = 0.5e-9
     capacitance: float = 5.0e-12
-    length: float = 4.0e-3
     mode_index: int = 2
 
     def __post_init__(self):
-        if self.inductance <= 0 or self.capacitance <= 0 or self.length <= 0:
-            raise ValueError("TLR inductance, capacitance and length must be positive")
+        if self.inductance <= 0 or self.capacitance <= 0:
+            raise ValueError("TLR inductance and capacitance must be positive")
         if self.mode_index < 1:
             raise ValueError("mode index must be a positive integer")
 

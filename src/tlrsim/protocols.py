@@ -485,8 +485,8 @@ class CphaseSpec:
             use_ideal_flips=use_ideal_flips,
         )
 
-    def shift_deviation(self, phi: float) -> float:
-        """Cell shift deviation for one sampled phase value.
+    def shift_deviation(self, phi):
+        """Cell shift deviation for a sampled phase value or array of them.
 
         The shift tracks phi^2 linearly; the coefficient is fixed by
         requiring the deviation std to equal ``shift_std`` under the
@@ -495,7 +495,7 @@ class CphaseSpec:
         mean, std = self.phi_noise.mean, self.phi_noise.std
         spread = math.sqrt(2.0 * std**4 + 4.0 * mean**2 * std**2)
         if spread == 0.0 or self.shift_std == 0.0:
-            return 0.0
+            return 0.0 * phi
         mean_sq = mean * mean + std * std
         return -(self.shift_std / spread) * (phi * phi - mean_sq)
 
@@ -704,14 +704,18 @@ def _cphase_jump_terms(space: HilbertSpace, rate: float) -> tuple[LindbladTerm, 
     return tuple(terms)
 
 
-def cphase_schedule(spec: CphaseSpec, shift_dev: float, space: HilbertSpace) -> list:
-    """Lossy echo for one frozen shift deviation as a Lindblad schedule.
+def cphase_schedule(spec: CphaseSpec) -> list:
+    """Lossy echo as a Lindblad schedule, sampled through the cell shift.
 
+    Every evolution segment carries the cell shift as its shift term, so
+    at coefficient x it runs the echo for a frozen shift deviation x.
     Each distinct segment of the echo half is one schedule object, so
-    :func:`propagate_schedule` builds its propagator once.
+    every backend builds it once.
     """
+    space = cphase_space()
     terms = _cphase_jump_terms(space, spec.photon_loss_rate)
-    half = _echo_half(spec, shift_dev, spec.wait_time)
+    shift = Operator(space, np.diag(_SHIFT_DIAG))
+    half = _echo_half(spec, 0.0, spec.wait_time)
     built = {}
     for gen, t in half:
         if id(gen) not in built:
@@ -719,8 +723,17 @@ def cphase_schedule(spec: CphaseSpec, shift_dev: float, space: HilbertSpace) -> 
                 built[id(gen)] = Apply(Operator(space, gen))
             else:
                 h = Operator(space, np.diag(gen) if gen.ndim == 1 else gen)
-                built[id(gen)] = Evolve(Liouvillian(space, h, terms), t)
+                built[id(gen)] = Evolve(Liouvillian(space, h, terms), t, shift)
     return [built[id(gen)] for gen, _ in half] * 2
+
+
+def _fidelities(states: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """<target| rho |target> of each state of a stack, clipped to [0, 1]."""
+    values = (states @ target) @ target.conj()
+    worst = float(np.max(np.abs(values.imag)))
+    if worst > 1e-10:
+        raise ValueError(f"fidelity has imaginary part {worst}")
+    return np.clip(values.real, 0.0, 1.0)
 
 
 def cphase_spin_echo_error(spec: CphaseSpec, point_index: int = 0) -> GateErrorReport:
@@ -745,18 +758,13 @@ def cphase_spin_echo_error(spec: CphaseSpec, point_index: int = 0) -> GateErrorR
             trajectory, spec.phi_noise, point_index=point_index, name="fidelity"
         )
     else:
-        space = cphase_space()
-        rho0 = DensityMatrix(space, np.outer(psi_in, psi_in.conj()))
-        target_sv = StateVector(space, target)
-
-        def model(phi: float):
-            return cphase_schedule(spec, spec.shift_deviation(phi), space)
-
+        rho0 = DensityMatrix(cphase_space(), np.outer(psi_in, psi_in.conj()))
         result = monte_carlo_quasistatic(
-            model,
+            cphase_schedule(spec),
             spec.phi_noise,
             rho0,
-            observables={"fidelity": lambda s: _clip01(fidelity(s, target_sv))},
+            observables={"fidelity": lambda states: _fidelities(states, target)},
+            coefficient=spec.shift_deviation,
             point_index=point_index,
         )
         stat = result.observables["fidelity"]

@@ -25,6 +25,7 @@ __all__ = [
     "Operator",
     "StateVector",
     "DensityMatrix",
+    "density_defect",
     "annihilation",
     "number",
     "projector",
@@ -198,15 +199,9 @@ class DensityMatrix:
         mat = np.array(matrix, dtype=complex)
         if mat.shape != (space.dim, space.dim):
             raise ValueError(f"density matrix shape {mat.shape} does not match dim {space.dim}")
-        tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"trace {tr} deviates from 1 by more than {TRACE_TOL}")
-        herm_dev = float(np.abs(mat - mat.conj().T).max())
-        if herm_dev > HERMITICITY_TOL:
-            raise ValueError(f"Hermiticity deviation {herm_dev} exceeds {HERMITICITY_TOL}")
-        eigs = np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)
-        if float(eigs.min()) < -POSITIVITY_TOL:
-            raise ValueError(f"negative eigenvalue {eigs.min()} below -{POSITIVITY_TOL}")
+        defect = density_defect(mat[None])
+        if defect is not None:
+            raise ValueError(defect[1])
         mat.setflags(write=False)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "matrix", mat)
@@ -216,6 +211,32 @@ class DensityMatrix:
 
     def population(self, flat_index: int) -> float:
         return float(np.real(self.matrix[flat_index, flat_index]))
+
+
+def density_defect(matrices: np.ndarray) -> tuple[int, str] | None:
+    """First matrix of an (n, d, d) stack that is not a valid state.
+
+    The checks are :class:`DensityMatrix`'s, in its order: trace within
+    ``TRACE_TOL`` of one, Hermiticity within ``HERMITICITY_TOL``, and no
+    eigenvalue of the Hermitian part below ``-POSITIVITY_TOL``; a NaN
+    fails.  Returns the index of the first failing matrix and the reason,
+    or None when every matrix is a state.
+    """
+    adjoint = matrices.conj().swapaxes(1, 2)
+    traces = np.trace(matrices, axis1=1, axis2=2)
+    herm_dev = np.abs(matrices - adjoint).max(axis=(1, 2))
+    sane = (np.abs(traces - 1.0) <= TRACE_TOL) & (herm_dev <= HERMITICITY_TOL)
+    lowest = np.full(len(matrices), np.nan)
+    lowest[sane] = np.linalg.eigvalsh((matrices[sane] + adjoint[sane]) / 2.0).min(axis=1)
+    failed = np.flatnonzero(~(lowest >= -POSITIVITY_TOL))
+    if not failed.size:
+        return None
+    i = int(failed[0])
+    if not abs(traces[i] - 1.0) <= TRACE_TOL:
+        return i, f"trace {complex(traces[i])} deviates from 1 by more than {TRACE_TOL}"
+    if not herm_dev[i] <= HERMITICITY_TOL:
+        return i, f"Hermiticity deviation {float(herm_dev[i])} exceeds {HERMITICITY_TOL}"
+    return i, f"negative eigenvalue {float(lowest[i])} below -{POSITIVITY_TOL}"
 
 
 def annihilation(dimension: int, label: str = "mode") -> Operator:

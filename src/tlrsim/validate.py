@@ -132,15 +132,15 @@ def _final_states(config: dict):
     space = cphase_space()
     rho_cz = StateVector(space, equal_superposition()).to_density_matrix()
     shift = cz.shift_deviation(cz.phi_noise.mean + cz.phi_noise.std)
-    schedule = cphase_schedule(cz, shift, space)
-    fin_cz = propagate_schedule(schedule, rho_cz)
+    schedule = cphase_schedule(cz)
+    fin_cz = propagate_schedule(schedule, rho_cz, shift)
     finals.append(fin_cz)
     drifts.append(abs(np.trace(fin_cz.matrix) - 1.0))
 
     # the 81-dim superoperator is where vectorization roundoff lives;
     # measure its bare output asymmetry alongside the small system's
     leg = schedule[0]
-    raw_cz = unvec(propagator(leg.generator, leg.duration) @ vec(rho_cz.matrix))
+    raw_cz = unvec(propagator(leg.at(shift), leg.duration) @ vec(rho_cz.matrix))
     raw_asym = max(raw_asym, float(np.max(np.abs(raw_cz - raw_cz.conj().T))))
     drifts.append(abs(np.trace(raw_cz) - 1.0))
 
@@ -207,11 +207,8 @@ def _check_mc_agreement(config: dict, sigma_bound: float, samples: int) -> Check
     )
     space, _, _, exchange = transfer_operators()
     weight = (lossless.coupling / lossless.detuning) ** 2
-
-    def model(delta):
-        h = exchange * (lossless.exchange_rate - weight * delta)
-        return [Evolve(Liouvillian(space, hamiltonian=h), t)]
-
+    # the exchange rate seen by a sample is g^2/Delta - weight * delta
+    exchange_only = Liouvillian(space, hamiltonian=exchange * lossless.exchange_rate)
     noise = QuasiStaticNoise(
         mean=0.0,
         std=sigma,
@@ -221,10 +218,11 @@ def _check_mc_agreement(config: dict, sigma_bound: float, samples: int) -> Check
     )
     rho0 = dict(transfer_inputs(space))["photon_left"].to_density_matrix()
     result = monte_carlo_quasistatic(
-        model,
+        [Evolve(exchange_only, t, exchange)],
         noise,
         rho0,
-        observables={"target_population": lambda s: s.population(1)},
+        observables={"target_population": lambda states: states[:, 1, 1].real},
+        coefficient=lambda delta: -weight * delta,
     )
     stat = result.observables["target_population"]
     reference = propagate_expm(build_transfer_liouvillian(lossless), rho0, t).population(1)

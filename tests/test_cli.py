@@ -111,10 +111,32 @@ class TestConfigErrors:
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize(
+        "command, text, key",
+        [
+            (
+                "params",
+                '{"device": {"fjs": {"junction_critical_current_a": 0}}}',
+                "device.fjs.junction_critical_current_a",
+            ),
+            ("params", '{"device": {"fjs": {"shunt_capacitance_f": -1}}}', "device.fjs.shunt_capacitance_f"),
+            ("params", '{"device": {"fjs": {"mutual_inductance_d_h": 0}}}', "device.fjs.mutual_inductance_d_h"),
+            ("detector", '{"device": {"detector": {"escape_rate_hz": -1}}}', "device.detector.escape_rate_hz"),
+        ],
+    )
+    def test_device_leaf_out_of_range_exits_two_with_path(self, tmp_path, command, text, key):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        proc = run_cli(command, "--config", str(path), "--no-timestamp")
+        assert proc.returncode == 2
+        assert f"config error: {key}: must be" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
         "text, key",
         [
             ('{"device": {"tlr": {"photon_loss_rate_hz": 1e4}}}', "device.tlr.photon_loss_rate_hz"),
             ('{"device": {"cbjj": {"level_splitting_hz": 2.2e10}}}', "device.cbjj.level_splitting_hz"),
+            ('{"device": {"tlr": {"length_m": 4e-3}}}', "device.tlr.length_m"),
         ],
     )
     def test_deleted_leaf_exits_two_with_path(self, tmp_path, text, key):

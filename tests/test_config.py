@@ -20,7 +20,7 @@ TWO_PI = 2.0 * math.pi
 
 # canonical bytes of the shipped defaults; any change to a default value
 # or to key ordering must be deliberate and show up here
-DEFAULT_HASH = "dcd61251e1ebae1de5990177878212b4da42c8557b5fa7b262ff8bc8e27388be"
+DEFAULT_HASH = "c3b86b0e29b3a22253ebcd75a5dcdf9e98e29f99bb89247f8f8fa94472e1abed"
 
 
 class TestDefaults:
@@ -97,7 +97,6 @@ class TestMerge:
             ("validation.mc_samples", 1e300),
             ("device.tlr.inductance_h", 0.0),
             ("device.tlr.capacitance_f", -5e-12),
-            ("device.tlr.length_m", 0),
             ("device.tlr.mode_index", 0),
             ("device.cbjj.junction_capacitance_f", 0.0),
             ("device.cbjj.decay_rate_hz", -1.0),
@@ -105,6 +104,19 @@ class TestMerge:
             ("device.coupler.coupling_capacitance_f", -0.0),
             ("device.coupler.right_coupling_capacitance_f", 0.0),
             ("device.temperature_k", -1e-3),
+            ("device.fjs.junction_critical_current_a", 0),
+            ("device.fjs.junction_capacitance_f", 0.0),
+            ("device.fjs.shunt_capacitance_f", -1),
+            ("device.fjs.squid_self_inductance_h", 0.0),
+            ("device.fjs.loop_inductance_h", -1e-10),
+            ("device.fjs.mutual_inductance_c_h", 0.0),
+            ("device.fjs.mutual_inductance_d_h", -8e-11),
+            ("device.fjs.phi_sq_spread_scale", 0.0),
+            ("device.detector.coupling_hz", -1.0),
+            ("device.detector.photon_loss_rate_hz", -1.0),
+            ("device.detector.escape_rate_hz", -1),
+            ("device.detector.intra_well_decay_hz", -1.0),
+            ("device.detector.dephasing_rate_hz", -1.0),
         ],
     )
     def test_out_of_range_rejected_with_path(self, path, value):
@@ -124,10 +136,21 @@ class TestMerge:
                     "transfer": {"detuning_hz": -2e9, "kappa_grid_hz": [0.0]},
                     "cphase": {"kappa_hz": 0},
                 },
-                "device": {"detector": {"detuning_hz": -1e6}, "temperature_k": 0},
+                "device": {
+                    "detector": {"detuning_hz": -1e6, "coupling_hz": 0},
+                    "fjs": {
+                        "shunt_capacitance_f": 0,
+                        "loop_inductance_h": 0,
+                        "bias_current_a": -1e-6,
+                        "mutual_inductance_d_h": None,
+                    },
+                    "temperature_k": 0,
+                },
             }
         )
         assert config["noise"]["samples"] == MAX_SAMPLES
+        assert config["device"]["fjs"]["mutual_inductance_d_h"] is None
+        assert config["device"]["fjs"]["bias_current_a"] == -1e-6
         assert config["experiments"]["transfer"]["detuning_hz"] == -2e9
         for seed in (0, 2**64 - 1):
             assert load_config({"noise": {"seed": seed}})["noise"]["seed"] == seed

@@ -1,11 +1,13 @@
 """Module boundaries: tlrsim modules talk to each other through public names."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import tlrsim
 
 PACKAGE = Path(tlrsim.__file__).parent
+LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 
 
 def private_imports(source: str) -> list[tuple[int, str, str]]:
@@ -38,3 +40,23 @@ def test_no_module_imports_private_names_of_another():
         if (hits := private_imports(path.read_text()))
     }
     assert offenders == {}
+
+
+def test_perfbench_targets_resolve():
+    # the benchmark tracer patches these names; read them without importing it
+    tree = ast.parse(LAYERS.read_text())
+    targets = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets)
+    )
+    assert targets
+    missing = []
+    for module_name, attr in targets:
+        owner = importlib.import_module(module_name)
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{module_name}.{attr}")
+    assert missing == []

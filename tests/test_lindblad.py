@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+from tlrsim import lindblad
 from tlrsim.lindblad import (
     Apply,
     Evolve,
@@ -88,6 +89,32 @@ class TestExpm:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
             expm(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("norm", [1e-3, 0.1, 0.5, 1.5, 4.0, 100.0])
+    def test_stack_matches_slices(self, norm):
+        # one norm per Pade degree (3, 5, 7, 9, 13) and the scaling branch
+        rng = np.random.default_rng(17)
+        a = rng.normal(size=(2, 3, 9, 9)) + 1j * rng.normal(size=(2, 3, 9, 9))
+        a *= norm * np.linspace(0.9, 1.0, 6).reshape(2, 3, 1, 1) / np.linalg.norm(
+            a, 1, axis=(-2, -1), keepdims=True
+        )
+        stacked = expm(a)
+        assert stacked.shape == a.shape
+        for i, j in np.ndindex(2, 3):
+            ref = expm(a[i, j])
+            assert np.linalg.norm(stacked[i, j] - ref, 1) <= 1e-13 * np.linalg.norm(ref, 1)
+
+    def test_mixed_degree_stack_is_bitwise_per_slice(self):
+        # each matrix picks its own degree and scaling, so a slice's result
+        # does not depend on the other matrices of the stack
+        rng = np.random.default_rng(4)
+        a = rng.normal(size=(6, 5, 5)) + 1j * rng.normal(size=(6, 5, 5))
+        norms = np.array([1e-3, 0.1, 0.5, 1.5, 4.0, 100.0])
+        a *= (norms / np.linalg.norm(a, 1, axis=(1, 2)))[:, None, None]
+        stacked = expm(a)
+        for i in range(6):
+            assert np.array_equal(stacked[i], expm(a[i]))
+        assert np.array_equal(expm(a[3]), expm(a[3][None])[0])
 
     def test_cli_import_loads_no_scipy(self):
         code = ("import sys, tlrsim.cli; "
@@ -339,14 +366,14 @@ class TestStateMonteCarlo:
     def setup_method(self):
         self.space, self.lower = qubit_tools()
         self.rho0 = plus_state(self.space)
+        # quasi-static frequency offset rotating the qubit coherence
+        self.offset = Operator(self.space, np.diag([0.0, 1.0]).astype(complex))
 
     def model(self, detuning):
-        # quasi-static frequency offset rotating the qubit coherence
-        h = Operator(self.space, np.diag([0.0, detuning]).astype(complex))
-        return Liouvillian(self.space, hamiltonian=h)
+        return Liouvillian(self.space, hamiltonian=self.offset * detuning)
 
     def evolve_for(self, duration):
-        return lambda detuning: [Evolve(self.model(detuning), duration)]
+        return [Evolve(Liouvillian(self.space), duration, self.offset)]
 
     def test_zero_std_matches_deterministic_run(self):
         noise = QuasiStaticNoise(mean=0.7, std=0.0, sample_count=5, seed=3)
@@ -371,7 +398,7 @@ class TestStateMonteCarlo:
             self.evolve_for(1.0),
             noise,
             self.rho0,
-            observables={"coherence": lambda s: abs(s.matrix[0, 1])},
+            observables={"coherence": lambda states: np.abs(states[:, 0, 1])},
         )
         stat = result.observables["coherence"]
         assert stat.values.shape == (32,)
@@ -380,19 +407,51 @@ class TestStateMonteCarlo:
 
     def test_schedule_model_supported(self):
         noise = QuasiStaticNoise(mean=0.4, std=0.0, sample_count=2, seed=1)
-
-        def schedule_model(value):
-            return [Evolve(self.model(value), 0.5), Evolve(self.model(value), 0.5)]
-
-        result = monte_carlo_quasistatic(schedule_model, noise, self.rho0)
+        half = Evolve(Liouvillian(self.space), 0.5, self.offset)
+        result = monte_carlo_quasistatic([half, half], noise, self.rho0)
         direct = propagate_expm(self.model(0.4), self.rho0, 1.0)
         assert trace_distance(result.mean_state, direct) <= 1e-12
 
+    def test_coefficient_map_scales_the_shift(self):
+        noise = QuasiStaticNoise(mean=0.4, std=0.0, sample_count=3, seed=1)
+        result = monte_carlo_quasistatic(
+            self.evolve_for(1.0), noise, self.rho0, coefficient=lambda x: -2.5 * x
+        )
+        direct = propagate_expm(self.model(-1.0), self.rho0, 1.0)
+        assert trace_distance(result.mean_state, direct) <= 1e-12
+
     def test_missing_duration_reported(self):
-        # a bare generator carries no duration; the sample fails by index
+        # a bare generator carries no duration: the schedule is rejected
         noise = QuasiStaticNoise(mean=0.0, std=0.0, label="tilt", sample_count=1, seed=1)
-        with pytest.raises(MonteCarloError, match=r"sample 0 \(tilt=0\.0\)"):
-            monte_carlo_quasistatic(self.model, noise, self.rho0)
+        with pytest.raises(TypeError, match="unknown schedule segment"):
+            monte_carlo_quasistatic([self.model(0.0)], noise, self.rho0)
+
+    def test_non_physical_sample_reported_by_index_and_value(self):
+        noise = QuasiStaticNoise(mean=0.3, std=1.0, label="tilt", sample_count=40, seed=5)
+        draws = [noise.draw(0, i) for i in range(40)]
+        first = next(i for i, x in enumerate(draws) if x < 0)
+        assert first > 0
+        with pytest.raises(MonteCarloError) as err:
+            monte_carlo_quasistatic(
+                self.evolve_for(1.0),
+                noise,
+                self.rho0,
+                coefficient=lambda x: np.where(x < 0, np.nan, x),
+            )
+        assert str(err.value).startswith(f"sample {first} (tilt={draws[first]!r}) failed: trace")
+
+    def test_block_split_leaves_samples_unchanged(self, monkeypatch):
+        decay = (LindbladTerm(self.lower, 0.3),)
+        schedule = [Evolve(Liouvillian(self.space, terms=decay), 2.0, self.offset)]
+        noise = QuasiStaticNoise(mean=0.0, std=3.0, sample_count=8, seed=12)
+        observables = {"coherence": lambda states: np.abs(states[:, 0, 1])}
+        whole = monte_carlo_quasistatic(schedule, noise, self.rho0, observables)
+        monkeypatch.setattr(lindblad, "SAMPLE_BLOCK", 3)
+        split = monte_carlo_quasistatic(schedule, noise, self.rho0, observables)
+        a, b = whole.observables["coherence"], split.observables["coherence"]
+        assert np.array_equal(a.values, b.values)
+        assert a.mean == b.mean
+        assert np.array_equal(whole.mean_state.matrix, split.mean_state.matrix)
 
 
 class TestQuasistaticSigma:

@@ -11,7 +11,6 @@ from scipy.linalg import expm
 from tlrsim import lindblad
 from tlrsim.device import FjsParams, TlrParams, fjs_derive
 from tlrsim.lindblad import (
-    Apply,
     Evolve,
     Liouvillian,
     QuasiStaticNoise,
@@ -426,16 +425,48 @@ class TestCphaseError:
         assert max(abs(r) for r in sim.metadata["calibration_residual"]) < 1e-12
 
 
+def _lossy_start():
+    psi = np.zeros(9, dtype=complex)
+    psi[list(LOGICAL_FLAT)] = 0.5
+    return DensityMatrix(cphase_space(), np.outer(psi, psi.conj()))
+
+
+def _distinct_evolutions(segments):
+    return list({id(s): s for s in segments if isinstance(s, Evolve)}.values())
+
+
 class TestLossySchedule:
     @pytest.mark.parametrize("ideal_flips, distinct", [(True, 2), (False, 3)])
     def test_each_distinct_propagator_built_once(self, monkeypatch, ideal_flips, distinct):
-        spec = cz_spec(20.0, n=1, photon_loss_rate=TWO_PI * 1e4, use_ideal_flips=ideal_flips)
-        space = cphase_space()
-        shift = spec.shift_deviation(spec.phi_noise.mean + spec.phi_noise.std)
-        segments = cphase_schedule(spec, shift, space)
-        psi = np.zeros(9, dtype=complex)
-        psi[list(LOGICAL_FLAT)] = 0.5
-        rho0 = DensityMatrix(space, np.outer(psi, psi.conj()))
+        spec = cz_spec(20.0, n=5, photon_loss_rate=TWO_PI * 1e4, use_ideal_flips=ideal_flips)
+        segments = cphase_schedule(spec)
+        rho0 = _lossy_start()
+        assert len(segments) == 8
+        assert len(_distinct_evolutions(segments)) == distinct
+
+        generators = []
+        original_matrix = Liouvillian.matrix
+
+        def counting_matrix(liouvillian):
+            generators.append(liouvillian)
+            return original_matrix(liouvillian)
+
+        monkeypatch.setattr(Liouvillian, "matrix", counting_matrix)
+        finals = []
+
+        def record(states):
+            finals.extend(states.copy())
+            return np.zeros(len(states))
+
+        result = monte_carlo_quasistatic(
+            segments,
+            spec.phi_noise,
+            rho0,
+            observables={"state": record},
+            coefficient=spec.shift_deviation,
+        )
+        # G0 and G1 of each distinct evolution, once for all five samples
+        assert len(generators) == 2 * distinct
 
         built = []
         original = lindblad.propagator
@@ -445,20 +476,55 @@ class TestLossySchedule:
             return original(liouvillian, duration)
 
         monkeypatch.setattr(lindblad, "propagator", counting)
-        final = propagate_schedule(segments, rho0)
-        assert len(segments) == 8
-        assert len(built) == distinct
+        folded = []
+        for i in range(5):
+            x = spec.shift_deviation(spec.phi_noise.draw(0, i))
+            folded.append(propagate_schedule(segments, rho0, x))
+            assert trace_distance(finals[i], folded[-1]) <= 1e-12
+        assert len(built) == 5 * distinct
+        mean = sum(f.matrix for f in folded) / 5
+        assert trace_distance(result.mean_state, mean) <= 1e-12
 
-        # segment by segment, each propagator rebuilt from scratch
-        state = rho0
-        for segment in segments:
-            if isinstance(segment, Apply):
-                u = segment.unitary.matrix
-                state = DensityMatrix(space, u @ state.matrix @ u.conj().T)
-            else:
-                state = propagate_expm(segment.generator, state, segment.duration)
-        assert len(built) == distinct + (6 if ideal_flips else 8)
-        assert trace_distance(final, state) < 1e-12
+    def test_block_split_leaves_samples_unchanged(self, monkeypatch):
+        spec = cz_spec(20.0, n=8, photon_loss_rate=TWO_PI * 1e4, use_ideal_flips=False)
+        observables = {"p00": lambda states: states[:, 0, 0].real}
+
+        def run():
+            return monte_carlo_quasistatic(
+                cphase_schedule(spec),
+                spec.phi_noise,
+                _lossy_start(),
+                observables,
+                coefficient=spec.shift_deviation,
+            ).observables["p00"]
+
+        whole = run()
+        monkeypatch.setattr(lindblad, "SAMPLE_BLOCK", 3)
+        split = run()
+        assert np.array_equal(whole.values, split.values)
+        assert whole.mean == split.mean
+
+
+class TestSectors:
+    # sectors: the leg 9 (largest 25), the wait 49 (largest 9), a
+    # simulated flip like the leg
+    @pytest.mark.parametrize("ideal_flips", [True, False])
+    def test_sector_blocks_reassemble_full_expm(self, ideal_flips):
+        spec = cz_spec(20.0, n=1, photon_loss_rate=TWO_PI * 1e4, use_ideal_flips=ideal_flips)
+        x = spec.shift_deviation(spec.phi_noise.draw(0, 0))
+        expected = [(9, 25), (49, 9)] + ([] if ideal_flips else [(9, 25)])
+        for segment, (count, largest) in zip(
+            _distinct_evolutions(cphase_schedule(spec)), expected
+        ):
+            stacks = lindblad._sector_stacks(segment)
+            sizes = [idx.shape[1] for idx, _, _ in stacks for _ in idx]
+            assert (len(sizes), max(sizes), sum(sizes)) == (count, largest, 81)
+            full = lindblad.expm(segment.at(x).matrix() * segment.duration)
+            blocks = np.zeros_like(full)
+            for idx, props in lindblad._sector_propagators(stacks, np.array([x])):
+                for k, sector in enumerate(idx):
+                    blocks[np.ix_(sector, sector)] = props[0, k]
+            assert np.max(np.abs(blocks - full)) <= 1e-12
 
 
 class TestEchoCancellation:
@@ -538,20 +604,20 @@ class TestQuasiStaticEquivalence:
         sigma = quasistatic_sigma(spec.coupling, spec.detuning, spec.dephasing_rate, t)
         space, _, _, exchange = transfer_operators()
         weight = (spec.coupling / spec.detuning) ** 2
-
-        def model(delta):
-            h = exchange * (spec.exchange_rate - weight * delta)
-            return [Evolve(Liouvillian(space, hamiltonian=h), t)]
-
+        # a sample's exchange rate is g^2/Delta - weight * delta
+        schedule = [
+            Evolve(Liouvillian(space, hamiltonian=exchange * spec.exchange_rate), t, exchange)
+        ]
         noise = QuasiStaticNoise(
             mean=0.0, std=sigma, label="exchange_detuning", sample_count=1000, seed=11
         )
         rho0 = _left_photon_state(space)
         result = monte_carlo_quasistatic(
-            model,
+            schedule,
             noise,
             rho0,
-            observables={"target_population": lambda s: s.population(1)},
+            observables={"target_population": lambda states: states[:, 1, 1].real},
+            coefficient=lambda delta: -weight * delta,
         )
         stat = result.observables["target_population"]
 

@@ -8,6 +8,7 @@ from tlrsim.qcore import (
     Operator,
     StateVector,
     annihilation,
+    density_defect,
     embed,
     fidelity,
     number,
@@ -142,6 +143,23 @@ class TestStates:
             DensityMatrix(space, np.array([[0.5, 0.5], [0.1, 0.5]]))
         with pytest.raises(ValueError):
             DensityMatrix(space, np.array([[1.5, 0.0], [0.0, -0.5]]))
+
+    def test_stacked_checks_name_the_first_bad_state(self):
+        space = HilbertSpace([("A", 2)])
+        good = np.diag([0.5, 0.5])
+        bad = [
+            np.diag([0.7, 0.7]),
+            np.array([[0.5, 0.5], [0.1, 0.5]]),
+            np.array([[1.5, 0.0], [0.0, -0.5]]),
+            np.array([[np.nan, 0.0], [0.0, 0.5]]),
+        ]
+        assert density_defect(np.array([good, good])) is None
+        for matrix in bad:
+            index, reason = density_defect(np.array([good, matrix, matrix]).astype(complex))
+            assert index == 1
+            with pytest.raises(ValueError) as err:
+                DensityMatrix(space, matrix)
+            assert str(err.value) == reason
 
     def test_maximally_mixed(self):
         rho = DensityMatrix(two_by_three(), np.eye(6) / 6)
