@@ -15,7 +15,7 @@ from pathlib import Path
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
-from tlrsim.config import load_config
+from tlrsim.config import ConfigError, load_config
 from tlrsim.sweeps import run_cphase_sweep, run_detector_sweep, run_transfer_sweep, write_csv
 
 
@@ -30,9 +30,16 @@ def main() -> int:
     )
     args = parser.parse_args()
 
-    config = load_config(args.config)
-    if args.seed is not None:
-        config["noise"]["seed"] = args.seed
+    try:
+        config = load_config(args.config)
+        if args.seed is not None:
+            config["noise"]["seed"] = args.seed
+        if args.quick:
+            config["noise"]["samples"] = 150
+        config = load_config(config)  # range-checks the overridden leaves
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -41,8 +48,7 @@ def main() -> int:
     op = next(r for r in transfer.rows if r[0] == 1.0e4 and r[1] == 1.0e6)
     print(f"transfer error at kappa/2pi=10 kHz, Gamma2/2pi=1 MHz: {op[2]:.4e}")
 
-    samples = 150 if args.quick else None
-    cphase = run_cphase_sweep(config, jobs=args.jobs, samples=samples, seed=args.seed)
+    cphase = run_cphase_sweep(config, jobs=args.jobs)
     write_csv(cphase, outdir / "cphase_error.csv")
     for row in cphase.rows:
         print(f"controlled-phase error at speed ratio {row[0]:>5.0f}: {row[1]:.4e} +- {row[2]:.1e}")

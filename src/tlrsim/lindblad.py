@@ -7,17 +7,20 @@ classic fixed-step RK4 that evaluates the dissipator directly with matrix
 products, never touching the superoperator.  Jump rates are canonical:
 a term (op, rate) contributes rate * (O rho O+ - {O+O, rho}/2).
 
-Quasi-static noise is handled by Monte Carlo over per-sample RNG
-substreams keyed by (seed, point_index, sample_index) so results do not
-depend on execution order or worker count.  A sample enters a schedule
-affinely: each segment's generator is G(x) = G0 + x G1, where G1 is the
-superoperator of one Hamiltonian term and x the sample's coefficient.
-The engine builds G0 t and G1 t once per distinct segment and splits them
-into the sectors they never couple, the connected components of their
-joint sparsity (a weak symmetry of the master equation: Buca and Prosen,
-New J. Phys. 14, 073007 (2012)).  Each block of samples then runs one
-stacked Pade exponential per sector size, and every sample's state is
-validated after every segment.
+Quasi-static noise is handled by one Monte Carlo loop,
+:func:`monte_carlo_scalar`, over per-sample RNG substreams keyed by
+(seed, point_index, sample_index) so results do not depend on execution
+order, worker count or block size.  It evaluates a vectorized model on
+blocks of draws, for pure-state backends and density matrices alike.
+For density matrices a sample enters a schedule affinely: each segment's
+generator is G(x) = G0 + x G1, where G1 is the superoperator of one
+Hamiltonian term and x the sample's coefficient.
+:func:`monte_carlo_quasistatic` builds G0 t and G1 t once per distinct
+segment and splits them into the sectors they never couple, the
+connected components of their joint sparsity (a weak symmetry of the
+master equation: Buca and Prosen, New J. Phys. 14, 073007 (2012)).  Each
+block then runs one stacked Pade exponential per sector size, and every
+sample's state is validated after every segment.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ __all__ = [
     "substream_rng",
     "QuasiStaticNoise",
     "ObservableStat",
-    "MonteCarloResult",
     "monte_carlo_quasistatic",
     "monte_carlo_scalar",
     "quasistatic_sigma",
@@ -396,17 +398,22 @@ def _check_schedule(segments: Sequence[Segment], space: HilbertSpace) -> None:
 
 
 def propagate_schedule(
-    segments: Sequence[Segment], rho0: DensityMatrix, coefficient: float = 0.0
+    segments: Sequence[Segment],
+    rho0: DensityMatrix,
+    coefficient: float = 0.0,
+    *,
+    built: dict[Evolve, np.ndarray] | None = None,
 ) -> DensityMatrix:
     """Run a pulse schedule segment by segment at one sample coefficient.
 
     Each :class:`Evolve` runs under its generator at ``coefficient``.  A
     segment object that occurs more than once in the schedule has its
     propagator built once and reused; every segment's output is still
-    validated as a state.
+    validated as a state.  A caller that passes ``built`` gets each
+    segment's propagator in it, keyed by segment.
     """
     _check_schedule(segments, rho0.space)
-    built: dict[Evolve, np.ndarray] = {}
+    built = {} if built is None else built
     state = rho0
     for segment in segments:
         if isinstance(segment, Apply):
@@ -466,15 +473,6 @@ class QuasiStaticNoise:
         return self.mean + self.std * rng.standard_normal()
 
 
-def _scalar_stats(values: np.ndarray) -> tuple[float, float]:
-    mean = float(values.mean())
-    if values.size > 1:
-        std_error = float(values.std(ddof=1) / math.sqrt(values.size))
-    else:
-        std_error = float("nan")
-    return mean, std_error
-
-
 @dataclass(frozen=True)
 class ObservableStat:
     """Sample statistics of one scalar observable over the trajectories."""
@@ -490,15 +488,8 @@ class ObservableStat:
         object.__setattr__(self, "values", frozen)
 
 
-@dataclass(frozen=True)
-class MonteCarloResult:
-    mean_state: DensityMatrix
-    observables: dict[str, ObservableStat]
-    sample_count: int
-
-
-# samples per stacked block: bounds the memory at any sample count (larger
-# blocks ran no faster on the 81-dim controlled-phase generators)
+# samples per Monte Carlo block: bounds the memory at any sample count
+# (larger blocks ran no faster on the 81-dim controlled-phase generators)
 SAMPLE_BLOCK = 32
 
 
@@ -561,40 +552,68 @@ def _apply_sectors(propagators: list[tuple], states: np.ndarray) -> np.ndarray:
     return out.reshape(n, d, d).swapaxes(1, 2)
 
 
+def monte_carlo_scalar(
+    model: Callable[[np.ndarray], np.ndarray],
+    noise: QuasiStaticNoise,
+    *,
+    point_index: int = 0,
+    name: str = "observable",
+) -> ObservableStat:
+    """Average a vectorized model over quasi-static Gaussian draws.
+
+    ``model`` maps an (n,) array of drawn values to n observable values.
+    Samples run in blocks of ``SAMPLE_BLOCK``, each drawn from its
+    (seed, point_index, sample_index) substream.  A block that raises is
+    re-run one sample at a time, and the first failing sample raises
+    :class:`MonteCarloError` with its index and drawn value.  No value
+    depends on where the blocks split.
+    """
+    count = noise.sample_count
+    values = np.empty(count)
+    for start in range(0, count, SAMPLE_BLOCK):
+        stop = min(start + SAMPLE_BLOCK, count)
+        draws = np.array([noise.draw(point_index, i) for i in range(start, stop)])
+        try:
+            values[start:stop] = model(draws)
+        except Exception:
+            for k, draw in enumerate(draws):
+                try:
+                    model(draws[k : k + 1])
+                except Exception as exc:
+                    raise MonteCarloError(
+                        f"sample {start + k} ({noise.label}={float(draw)!r}) failed: {exc}"
+                    ) from exc
+            raise
+    std_error = float(values.std(ddof=1) / math.sqrt(count)) if count > 1 else math.nan
+    return ObservableStat(name=name, mean=float(values.mean()), std_error=std_error, values=values)
+
+
 def monte_carlo_quasistatic(
     schedule: Sequence[Segment],
     noise: QuasiStaticNoise,
     rho0: DensityMatrix,
-    observables: dict[str, Callable[[np.ndarray], np.ndarray]] | None = None,
+    observable: Callable[[np.ndarray], np.ndarray],
     *,
     coefficient: Callable[[np.ndarray], np.ndarray] | None = None,
     point_index: int = 0,
-) -> MonteCarloResult:
-    """Average a schedule's final states over quasi-static Gaussian draws.
+) -> ObservableStat:
+    """Average an observable of a schedule's final states over quasi-static draws.
 
     ``coefficient`` maps an array of drawn values to the coefficients of
     each :class:`Evolve` segment's shift term (default: the values
-    themselves).  Samples run in stacked blocks of ``SAMPLE_BLOCK``; after
-    every segment each state is Hermitized and checked against the
-    :class:`DensityMatrix` tolerances, and the first failing sample raises
-    :class:`MonteCarloError` with its index and drawn value.  Each
-    observable maps the (n, d, d) stack of final states to n values and
-    is reported with its standard error; the mean state is a fixed-order
-    sample average.  Neither depends on where the blocks split.
+    themselves).  Each block of :func:`monte_carlo_scalar` runs the
+    schedule on a stack of states; after every segment each state is
+    Hermitized and checked against the :class:`DensityMatrix` tolerances.
+    ``observable`` maps the (n, d, d) stack of final states to n values.
     """
-    observables = observables or {}
     _check_schedule(schedule, rho0.space)
     stacks = {}  # distinct Evolve segment -> its sector stacks
     for segment in schedule:
         if isinstance(segment, Evolve) and segment.duration > 0 and segment not in stacks:
             stacks[segment] = _sector_stacks(segment)
+    d = rho0.space.dim
 
-    count, d = noise.sample_count, rho0.space.dim
-    accumulator = np.zeros((d, d), dtype=complex)
-    series = {name: np.empty(count) for name in observables}
-    for start in range(0, count, SAMPLE_BLOCK):
-        indices = range(start, min(start + SAMPLE_BLOCK, count))
-        draws = np.array([noise.draw(point_index, i) for i in indices])
+    def block(draws: np.ndarray) -> np.ndarray:
         coefficients = draws if coefficient is None else np.asarray(coefficient(draws), float)
         propagators = {seg: _sector_propagators(s, coefficients) for seg, s in stacks.items()}
         states = np.broadcast_to(rho0.matrix, (draws.size, d, d))
@@ -609,47 +628,10 @@ def monte_carlo_quasistatic(
             states = 0.5 * (states + states.conj().swapaxes(1, 2))
             defect = density_defect(states)
             if defect is not None:
-                i, reason = defect
-                raise MonteCarloError(
-                    f"sample {start + i} ({noise.label}={float(draws[i])!r}) failed: {reason}"
-                )
-        for state in states:  # one at a time, so the sum ignores the block split
-            accumulator += state
-        for name, func in observables.items():
-            series[name][indices.start:indices.stop] = func(states)
-    mean_state = DensityMatrix(rho0.space, accumulator / count)
-    stats = {}
-    for name, values in series.items():
-        mean, std_error = _scalar_stats(values)
-        stats[name] = ObservableStat(name=name, mean=mean, std_error=std_error, values=values)
-    return MonteCarloResult(mean_state=mean_state, observables=stats, sample_count=count)
+                raise ValueError(defect[1])
+        return observable(states)
 
-
-def monte_carlo_scalar(
-    model: Callable[[float], float],
-    noise: QuasiStaticNoise,
-    *,
-    point_index: int = 0,
-    name: str = "observable",
-) -> ObservableStat:
-    """Average a plain scalar model over the same substream contract.
-
-    Cheaper sibling of :func:`monte_carlo_quasistatic` for protocols that
-    compute their trajectory observable without a density matrix (pure
-    state fast paths).  Draws are identical to the full version's for
-    the same noise, point and sample index.
-    """
-    values = np.empty(noise.sample_count, dtype=float)
-    for i in range(noise.sample_count):
-        value = noise.draw(point_index, i)
-        try:
-            values[i] = model(value)
-        except Exception as exc:
-            raise MonteCarloError(
-                f"sample {i} ({noise.label}={value!r}) failed: {exc}"
-            ) from exc
-    mean, std_error = _scalar_stats(values)
-    return ObservableStat(name=name, mean=mean, std_error=std_error, values=values)
+    return monte_carlo_scalar(block, noise, point_index=point_index)
 
 
 def quasistatic_sigma(g: float, delta: float, gamma2: float, t_gate: float) -> float:

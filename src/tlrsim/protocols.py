@@ -504,27 +504,24 @@ def cphase_space() -> HilbertSpace:
     return HilbertSpace([("rail1", 3), ("rail2", 3)])
 
 
-def _always_on_diag(spec: CphaseSpec, shift_dev: float) -> np.ndarray:
-    # cell shift on each occupied cell, cross term when both are occupied;
-    # a wait of w gives |22> the phase interaction * w, and the echo adds
-    # it in both halves, so the conditional phase is 2 * interaction * w
-    # plus what the finite legs pick up
-    return shift_dev * _SHIFT_DIAG - spec.interaction_strength * _CROSS_DIAG
-
-
 def _echo_half(
-    spec: CphaseSpec, shift_dev: float, wait: float, instant_legs: bool = False
+    spec: CphaseSpec, wait: float, instant_legs: bool = False
 ) -> list[tuple[np.ndarray, float | None]]:
-    """One echo half as (generator, duration) pairs in time order.
+    """One echo half at zero shift deviation as (generator, duration) pairs.
 
     The order is leg, wait, leg, flip; the echo runs the half twice.  A
     generator is a Hamiltonian matrix, except that the wait, whose
     Hamiltonian is diagonal, gives its diagonal, and a kick (duration
     None) gives its unitary: the ideal flip, or with ``instant_legs`` the
-    exact swap that replaces both legs.  Both legs are one object, so a
-    backend can build each distinct segment once.
+    exact swap that replaces both legs.  A frozen shift deviation x adds
+    x * ``_SHIFT_DIAG`` to every timed segment.  Both legs are one
+    object, so a backend can build each distinct segment once.
     """
-    diag = _always_on_diag(spec, shift_dev)
+    # cross term when both cells are occupied; a wait of w gives |22> the
+    # phase interaction * w, and the echo adds it in both halves, so the
+    # conditional phase is 2 * interaction * w plus what the finite legs
+    # pick up
+    diag = -spec.interaction_strength * _CROSS_DIAG
     if instant_legs:
         return [(_SWAP_PAIR, None), (diag, wait), (_SWAP_PAIR, None), (_FLIP_PAIR, None)]
     leg = (spec.transfer_coupling * _HOP_PAIR + np.diag(diag), spec.transfer_time)
@@ -535,34 +532,45 @@ def _echo_half(
     return [leg, (diag, wait), leg, flip]
 
 
-def _segment_unitaries(half) -> list[np.ndarray]:
-    """Unitary of each segment, the wait as its phase vector; each built once.
+def _segment_unitaries(half, shifts: np.ndarray) -> list[np.ndarray]:
+    """Each segment's unitary at every shift deviation in ``shifts``.
 
-    The generators are Hermitian, so a segment unitary comes from ``eigh``;
-    the diagonal wait needs only an elementwise exponential.
+    A kick is one (9, 9) unitary.  The generators are Hermitian, so a
+    timed segment gives an (n, 9, 9) stack from one batched ``eigh``; the
+    diagonal wait needs only an elementwise exponential and gives an
+    (n, 9) stack of phases.  Each distinct segment is built once.
     """
+    x = np.asarray(shifts, dtype=float)[:, None]
     built = {}
     for gen, t in half:
-        if id(gen) not in built:
-            if t is None:
-                built[id(gen)] = gen
-            elif gen.ndim == 1:
-                built[id(gen)] = np.exp(-1j * gen * t)
-            else:
-                evals, evecs = np.linalg.eigh(gen)
-                built[id(gen)] = (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
+        if id(gen) in built:
+            continue
+        if t is None:
+            built[id(gen)] = gen
+        elif gen.ndim == 1:
+            built[id(gen)] = np.exp(-1j * (x * _SHIFT_DIAG + gen) * t)
+        else:
+            evals, evecs = np.linalg.eigh(gen + x[:, :, None] * np.diag(_SHIFT_DIAG))
+            phases = np.exp(-1j * evals * t)[:, None, :]
+            built[id(gen)] = (evecs * phases) @ evecs.conj().swapaxes(1, 2)
     return [built[id(gen)] for gen, _ in half]
 
 
-def _echo_unitary(steps: list[np.ndarray]) -> np.ndarray:
-    """Both echo halves from one half's segment unitaries in time order."""
+def _echo_unitary(half, steps: list[np.ndarray]) -> np.ndarray:
+    """Both echo halves from one half's segment unitaries, (n, 9, 9)."""
     u = None
-    for step in steps:
-        if step.ndim == 1:
-            u = step[:, None] * u
+    for (gen, _), step in zip(half, steps):
+        if gen.ndim == 1:  # the wait, told by its description: a phase per basis state
+            u = step[..., None] * u
         else:
             u = step if u is None else step @ u
     return u @ u
+
+
+def _protocol_unitaries(spec: CphaseSpec, shifts: np.ndarray) -> np.ndarray:
+    """Full two-phase echo protocol for each frozen shift deviation, (n, 9, 9)."""
+    half = _echo_half(spec, spec.wait_time)
+    return _echo_unitary(half, _segment_unitaries(half, shifts))
 
 
 def _instant_leg_wait(spec: CphaseSpec) -> float:
@@ -585,14 +593,14 @@ def _solve_wait(spec: CphaseSpec) -> float:
     down to roundoff, so the wait joins that root smoothly as the legs
     get faster.
     """
-    half = _echo_half(spec, 0.0, 0.0)
-    steps = _segment_unitaries(half)
+    half = _echo_half(spec, 0.0)
+    steps = _segment_unitaries(half, np.zeros(1))
     diag = half[1][0]
     psi = equal_superposition()
 
     def miss(wait: float) -> float:
         steps[1] = np.exp(-1j * diag * wait)  # the legs and flip stay as built
-        out = _echo_unitary(steps) @ psi
+        out = _echo_unitary(half, steps)[0] @ psi
         return float(_wrap_phase(_conditional_phase(out) - math.pi))
 
     w_instant = _instant_leg_wait(spec)
@@ -627,11 +635,6 @@ def _solve_wait(spec: CphaseSpec) -> float:
     return float(wait)
 
 
-def _protocol_unitary(spec: CphaseSpec, shift_dev: float) -> np.ndarray:
-    """Full two-phase echo protocol for one frozen shift deviation."""
-    return _echo_unitary(_segment_unitaries(_echo_half(spec, shift_dev, spec.wait_time)))
-
-
 def cphase_ideal_leg_unitary(spec: CphaseSpec, shift_dev: float) -> np.ndarray:
     """Protocol unitary with instantaneous (exact swap) transfer legs.
 
@@ -640,8 +643,8 @@ def cphase_ideal_leg_unitary(spec: CphaseSpec, shift_dev: float) -> np.ndarray:
     conditional-phase-pi condition; used to check that the echo cancels
     a static shift deviation exactly.
     """
-    half = _echo_half(spec, shift_dev, _instant_leg_wait(spec), instant_legs=True)
-    return _echo_unitary(_segment_unitaries(half))
+    half = _echo_half(spec, _instant_leg_wait(spec), instant_legs=True)
+    return _echo_unitary(half, _segment_unitaries(half, np.array([shift_dev])))[0]
 
 
 def equal_superposition() -> np.ndarray:
@@ -660,16 +663,15 @@ _LOCAL_PHASE_DESIGN = np.array(
 )
 
 
-def _calibrated_target(spec: CphaseSpec) -> tuple[np.ndarray, dict]:
-    """Noiseless calibration run fixing global and per-qubit Z phases.
+def _calibrated_target(u_cal: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Calibration on the noiseless protocol fixing global and per-qubit Z phases.
 
-    The four logical output phases are decomposed into the ideal
-    controlled-phase pattern plus a least-squares fit of global and
+    The four logical output phases of ``u_cal`` are decomposed into the
+    ideal controlled-phase pattern plus a least-squares fit of global and
     local-Z contributions; an entangling residual cannot be absorbed
     and stays in the gate error.  The solved wait makes that residual
     vanish, and ``conditional_phase`` reports the phase it fixes.
     """
-    u_cal = _protocol_unitary(spec, 0.0)
     out = u_cal @ equal_superposition()
     amps = out[list(LOGICAL_FLAT)]
     theta = np.angle(amps)
@@ -715,7 +717,7 @@ def cphase_schedule(spec: CphaseSpec) -> list:
     space = cphase_space()
     terms = _cphase_jump_terms(space, spec.photon_loss_rate)
     shift = Operator(space, np.diag(_SHIFT_DIAG))
-    half = _echo_half(spec, 0.0, spec.wait_time)
+    half = _echo_half(spec, spec.wait_time)
     built = {}
     for gen, t in half:
         if id(gen) not in built:
@@ -745,33 +747,33 @@ def cphase_spin_echo_error(spec: CphaseSpec, point_index: int = 0) -> GateErrorR
     evaluated on the noiseless protocol and reported alongside (their
     fidelity is population retention; phases cancel).
     """
-    target, cal_info = _calibrated_target(spec)
+    u_cal = _protocol_unitaries(spec, np.zeros(1))[0]
+    target, cal_info = _calibrated_target(u_cal)
     psi_in = equal_superposition()
 
     if spec.photon_loss_rate == 0:
 
-        def trajectory(phi: float) -> float:
-            u = _protocol_unitary(spec, spec.shift_deviation(phi))
-            return _clip01(abs(np.vdot(target, u @ psi_in)) ** 2)
+        def fidelities(phis: np.ndarray) -> np.ndarray:
+            outs = _protocol_unitaries(spec, spec.shift_deviation(phis)) @ psi_in
+            # one np.vdot per state: a matmul reduction rounds the last digit differently
+            return np.array([_clip01(abs(np.vdot(target, out)) ** 2) for out in outs])
 
         stat = monte_carlo_scalar(
-            trajectory, spec.phi_noise, point_index=point_index, name="fidelity"
+            fidelities, spec.phi_noise, point_index=point_index, name="fidelity"
         )
     else:
         rho0 = DensityMatrix(cphase_space(), np.outer(psi_in, psi_in.conj()))
-        result = monte_carlo_quasistatic(
+        stat = monte_carlo_quasistatic(
             cphase_schedule(spec),
             spec.phi_noise,
             rho0,
-            observables={"fidelity": lambda states: _fidelities(states, target)},
+            lambda states: _fidelities(states, target),
             coefficient=spec.shift_deviation,
             point_index=point_index,
         )
-        stat = result.observables["fidelity"]
 
     primary_error = _clip01(1.0 - stat.mean)
 
-    u_cal = _protocol_unitary(spec, 0.0)
     per_input = []
     for label, flat in zip(("00", "01", "10", "11"), LOGICAL_FLAT):
         retention = _clip01(abs(u_cal[flat, flat]) ** 2)

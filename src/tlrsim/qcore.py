@@ -123,9 +123,6 @@ class Operator:
     def dag(self) -> "Operator":
         return Operator(self.space, self.matrix.conj().T)
 
-    def trace(self) -> complex:
-        return complex(np.trace(self.matrix))
-
     def is_hermitian(self, tol: float = HERMITICITY_TOL) -> bool:
         """Hermiticity check with ``tol`` relative to the largest element."""
         scale = max(1.0, float(np.abs(self.matrix).max()))
@@ -142,13 +139,6 @@ class Operator:
     def __add__(self, other: "Operator") -> "Operator":
         self._require_same_space(other)
         return Operator(self.space, self.matrix + other.matrix)
-
-    def __sub__(self, other: "Operator") -> "Operator":
-        self._require_same_space(other)
-        return Operator(self.space, self.matrix - other.matrix)
-
-    def __neg__(self) -> "Operator":
-        return Operator(self.space, -self.matrix)
 
     def __mul__(self, scalar: complex) -> "Operator":
         return Operator(self.space, self.matrix * scalar)
@@ -205,9 +195,6 @@ class DensityMatrix:
         mat.setflags(write=False)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "matrix", mat)
-
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
 
     def population(self, flat_index: int) -> float:
         return float(np.real(self.matrix[flat_index, flat_index]))

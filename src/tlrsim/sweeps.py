@@ -55,14 +55,6 @@ class SweepResult:
     seed: int
     quick: bool = False
 
-    @property
-    def provenance(self) -> dict:
-        return {
-            "tool": f"tlrsim {__version__}",
-            "config_hash": config_hash(self.config),
-            "seed": self.seed,
-        }
-
 
 def _map_points(fn, args_list, jobs: int):
     if jobs <= 1 or len(args_list) <= 1:

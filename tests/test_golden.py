@@ -1,0 +1,71 @@
+"""Byte contract: pinned digests of the CLI's outputs.
+
+A sweep is pinned by the md5 of its data rows (every line that does not
+start with ``#``, header row included), at one and at two worker
+processes; ``params`` and ``validate`` by the md5 of their whole output.
+A change that moves a digit of any pinned output must say which row moved
+and why, and re-pin the digest.
+"""
+
+import hashlib
+import json
+import subprocess
+import sys
+
+import pytest
+
+LOSSY = {"experiments": {"cphase": {"kappa_hz": 1e3}}}
+LOSSY_SIMULATED_FLIPS = {"experiments": {"cphase": {"kappa_hz": 1e3, "flips": "simulated"}}}
+
+SWEEPS = {
+    "cphase-samples-100": (
+        None, ["cphase-error", "--samples", "100"], "d8fee4d72d0b3d091613e9e12cfd7632"
+    ),
+    "cphase-lossy": (
+        LOSSY,
+        ["cphase-error", "--samples", "2", "--quick"],
+        "cacc941b7df04153c99c44ac8dcc65fc",
+    ),
+    "cphase-lossy-simulated-flips": (
+        LOSSY_SIMULATED_FLIPS,
+        ["cphase-error", "--samples", "2", "--quick"],
+        "4a6af91a99f4ee7941d85518d3693352",
+    ),
+    "transfer-error": (None, ["transfer-error"], "a5dd0a39a68f5430e0e6c5b90cfa6ee5"),
+    "detector": (None, ["detector"], "2d05596c2fca478b413ff50c603c19db"),
+}
+
+WHOLE_OUTPUTS = {
+    "params": "c5152944a4363c91b1dedf1a60ab336a",
+    "validate": "b6900b1ccd3a1335e0384923a91f1a9f",
+}
+
+
+def run_cli(*args):
+    proc = subprocess.run(
+        [sys.executable, "-m", "tlrsim", *args], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def md5(text):
+    return hashlib.md5(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_sweep_data_rows(tmp_path, name, jobs):
+    overrides, args, digest = SWEEPS[name]
+    if overrides is not None:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(overrides))
+        args = [*args, "--config", str(config)]
+    text = run_cli(*args, "--jobs", jobs, "--no-timestamp")
+    rows = "".join(line + "\n" for line in text.splitlines() if not line.startswith("#"))
+    assert md5(rows) == digest
+
+
+@pytest.mark.parametrize("command", sorted(WHOLE_OUTPUTS))
+def test_whole_output(command):
+    assert md5(run_cli(command)) == WHOLE_OUTPUTS[command]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from tlrsim import lindblad
+from tlrsim import lindblad, protocols
 from tlrsim.device import FjsParams, TlrParams, fjs_derive
 from tlrsim.lindblad import (
     Evolve,
@@ -373,6 +373,27 @@ class TestCphaseError:
         ]
         assert errors == sorted(errors, reverse=True)
 
+    @pytest.mark.parametrize("ideal_flips", [True, False])
+    def test_lossless_block_split_leaves_samples_unchanged(self, monkeypatch, ideal_flips):
+        # a block of 9 stacks (9, 9) wait phases next to the (9, 9) kicks
+        stats = []
+        original = protocols.monte_carlo_scalar
+
+        def recording(*args, **kwargs):
+            stats.append(original(*args, **kwargs))
+            return stats[-1]
+
+        monkeypatch.setattr(protocols, "monte_carlo_scalar", recording)
+        spec = cz_spec(20.0, n=20, use_ideal_flips=ideal_flips)
+        reports = []
+        for block in (lindblad.SAMPLE_BLOCK, 3, 9):
+            monkeypatch.setattr(lindblad, "SAMPLE_BLOCK", block)
+            reports.append(cphase_spin_echo_error(spec))
+        for stat, report in zip(stats[1:], reports[1:]):
+            assert np.array_equal(stat.values, stats[0].values)
+            assert stat.mean == stats[0].mean
+            assert report.primary_error == reports[0].primary_error
+
     def test_deterministic_given_seed(self):
         a = cphase_spin_echo_error(cz_spec(20.0, n=200))
         b = cphase_spin_echo_error(cz_spec(20.0, n=200))
@@ -456,14 +477,10 @@ class TestLossySchedule:
 
         def record(states):
             finals.extend(states.copy())
-            return np.zeros(len(states))
+            return states[:, 0, 0].real
 
-        result = monte_carlo_quasistatic(
-            segments,
-            spec.phi_noise,
-            rho0,
-            observables={"state": record},
-            coefficient=spec.shift_deviation,
+        p00 = monte_carlo_quasistatic(
+            segments, spec.phi_noise, rho0, record, coefficient=spec.shift_deviation
         )
         # G0 and G1 of each distinct evolution, once for all five samples
         assert len(generators) == 2 * distinct
@@ -482,21 +499,19 @@ class TestLossySchedule:
             folded.append(propagate_schedule(segments, rho0, x))
             assert trace_distance(finals[i], folded[-1]) <= 1e-12
         assert len(built) == 5 * distinct
-        mean = sum(f.matrix for f in folded) / 5
-        assert trace_distance(result.mean_state, mean) <= 1e-12
+        assert np.allclose(p00.values, [f.population(0) for f in folded], rtol=0, atol=1e-12)
 
     def test_block_split_leaves_samples_unchanged(self, monkeypatch):
         spec = cz_spec(20.0, n=8, photon_loss_rate=TWO_PI * 1e4, use_ideal_flips=False)
-        observables = {"p00": lambda states: states[:, 0, 0].real}
 
         def run():
             return monte_carlo_quasistatic(
                 cphase_schedule(spec),
                 spec.phi_noise,
                 _lossy_start(),
-                observables,
+                lambda states: states[:, 0, 0].real,
                 coefficient=spec.shift_deviation,
-            ).observables["p00"]
+            )
 
         whole = run()
         monkeypatch.setattr(lindblad, "SAMPLE_BLOCK", 3)
@@ -612,14 +627,13 @@ class TestQuasiStaticEquivalence:
             mean=0.0, std=sigma, label="exchange_detuning", sample_count=1000, seed=11
         )
         rho0 = _left_photon_state(space)
-        result = monte_carlo_quasistatic(
+        stat = monte_carlo_quasistatic(
             schedule,
             noise,
             rho0,
-            observables={"target_population": lambda states: states[:, 1, 1].real},
+            lambda states: states[:, 1, 1].real,
             coefficient=lambda delta: -weight * delta,
         )
-        stat = result.observables["target_population"]
 
         lindblad_final = propagate_expm(build_transfer_liouvillian(spec), rho0, t)
         reference = lindblad_final.population(1)

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from tlrsim.config import ConfigError, canonical_json, load_config, tlr_params
+from tlrsim.config import ConfigError, canonical_json, config_hash, load_config, tlr_params
 from tlrsim.device import coupling_strength, mode_frequency, to_angular
 from tlrsim.sweeps import (
     read_config_comment,
@@ -170,8 +170,11 @@ class TestCsvFormat:
             read_config_comment("a,b\n1,2\n")
 
     def test_provenance_fields(self):
-        result = run_transfer_sweep(CONFIG)
-        prov = result.provenance
-        assert prov["tool"] == "tlrsim 0.1.0"
-        assert prov["seed"] == 42
-        assert len(prov["config_hash"]) == 64
+        text = render_csv(run_transfer_sweep(CONFIG), timestamp=False)
+        meta = dict(
+            line[2:].split(": ", 1) for line in text.splitlines() if line.startswith("# ")
+        )
+        assert meta["tool"] == "tlrsim 0.1.0"
+        assert meta["seed"] == "42"
+        assert meta["config_hash"] == config_hash(CONFIG)
+        assert len(meta["config_hash"]) == 64

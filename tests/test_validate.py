@@ -1,7 +1,10 @@
+import hashlib
+import struct
 import warnings
 
 import pytest
 
+from tlrsim import detector, lindblad, validate
 from tlrsim.config import load_config
 from tlrsim.validate import CheckResult, has_failure, render_report, run_validation
 
@@ -45,6 +48,21 @@ class TestDefaultSuite:
 
     def test_mc_agreement_is_sub_sigma(self):
         assert BY_ID["mc-lindblad-agreement"].measured < 3.0
+
+
+    def test_each_propagator_built_once(self, monkeypatch):
+        keys = []
+        original = lindblad.propagator
+
+        def counting(liouvillian, duration):
+            key = liouvillian.matrix().tobytes() + struct.pack("<d", duration)
+            keys.append(hashlib.sha256(key).digest())
+            return original(liouvillian, duration)
+
+        for module in (lindblad, validate, detector):
+            monkeypatch.setattr(module, "propagator", counting)
+        run_validation(load_config())
+        assert len(keys) == len(set(keys)) == 10
 
 
 class TestNegativeControls:
