@@ -40,13 +40,6 @@ from .validate import has_failure, render_report, run_validation
 __all__ = ["main"]
 
 
-def _seed_value(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError("seed must fit in an unsigned 64-bit integer")
-    return value
-
-
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -63,8 +56,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="JSON config file")
     common.add_argument("--out", metavar="PATH", help="output file (default stdout)")
-    common.add_argument("--seed", type=_seed_value, help="override the sampling seed")
-    common.add_argument("--samples", type=_positive_int, help="Monte Carlo samples per point")
+    common.add_argument("--seed", type=int, help="override the sampling seed")
+    common.add_argument("--samples", type=int, help="Monte Carlo samples per point")
     common.add_argument(
         "--quick", action="store_true", help="allow sample counts below the authoritative minimum"
     )
@@ -157,6 +150,7 @@ def main(argv: list[str] | None = None) -> int:
             config["noise"]["seed"] = args.seed
         if args.samples is not None:
             config["noise"]["samples"] = args.samples
+        config = load_config(config)  # range-checks the overridden leaves
 
         if args.command == "params":
             _emit(_params_report(config), args.out)
@@ -171,13 +165,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "transfer-error":
             result = run_transfer_sweep(config, jobs=args.jobs)
         elif args.command == "cphase-error":
-            result = run_cphase_sweep(
-                config,
-                jobs=args.jobs,
-                samples=args.samples,
-                seed=args.seed,
-                quick=args.quick,
-            )
+            result = run_cphase_sweep(config, jobs=args.jobs, quick=args.quick)
         else:
             result = run_detector_sweep(config, jobs=args.jobs)
         _emit(render_csv(result, timestamp=timestamp), args.out)

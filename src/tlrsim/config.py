@@ -81,7 +81,6 @@ DEFAULT_CONFIG = {
         "temperature_k": 0.04,
     },
     "noise": {
-        "gamma2_hz": 1.0e6,
         "kappa_hz": 1.0e4,
         "samples": 1000,
         "seed": 42,
@@ -162,13 +161,12 @@ _RANGES = {
     "noise.seed": (0, 2**64 - 1, False),  # the range the --seed flag accepts
     "noise.samples": (1, MAX_SAMPLES, False),
     "noise.kappa_hz": _NONNEGATIVE,
-    "noise.gamma2_hz": _NONNEGATIVE,
     "experiments.transfer.kappa_grid_hz": _NONNEGATIVE,
     "experiments.transfer.gamma2_grid_hz": _NONNEGATIVE,
     "experiments.cphase.speed_ratios": _POSITIVE,
     "experiments.cphase.kappa_hz": _NONNEGATIVE,
     "experiments.detector.gamma_over_kappa": _POSITIVE,
-    "validation.mc_samples": (1, MAX_SAMPLES, False),
+    "validation.mc_samples": (2, MAX_SAMPLES, False),  # a standard error needs two
 }
 
 

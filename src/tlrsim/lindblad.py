@@ -477,7 +477,6 @@ class QuasiStaticNoise:
 class ObservableStat:
     """Sample statistics of one scalar observable over the trajectories."""
 
-    name: str
     mean: float
     std_error: float
     values: np.ndarray
@@ -557,7 +556,6 @@ def monte_carlo_scalar(
     noise: QuasiStaticNoise,
     *,
     point_index: int = 0,
-    name: str = "observable",
 ) -> ObservableStat:
     """Average a vectorized model over quasi-static Gaussian draws.
 
@@ -585,7 +583,7 @@ def monte_carlo_scalar(
                     ) from exc
             raise
     std_error = float(values.std(ddof=1) / math.sqrt(count)) if count > 1 else math.nan
-    return ObservableStat(name=name, mean=float(values.mean()), std_error=std_error, values=values)
+    return ObservableStat(mean=float(values.mean()), std_error=std_error, values=values)
 
 
 def monte_carlo_quasistatic(

@@ -758,9 +758,7 @@ def cphase_spin_echo_error(spec: CphaseSpec, point_index: int = 0) -> GateErrorR
             # one np.vdot per state: a matmul reduction rounds the last digit differently
             return np.array([_clip01(abs(np.vdot(target, out)) ** 2) for out in outs])
 
-        stat = monte_carlo_scalar(
-            fidelities, spec.phi_noise, point_index=point_index, name="fidelity"
-        )
+        stat = monte_carlo_scalar(fidelities, spec.phi_noise, point_index=point_index)
     else:
         rho0 = DensityMatrix(cphase_space(), np.outer(psi_in, psi_in.conj()))
         stat = monte_carlo_quasistatic(

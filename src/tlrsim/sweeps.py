@@ -1,9 +1,10 @@
 """Figure-grade sweeps and CSV emission.
 
-Every sweep is a pure function of (effective config, seed): points are
-computed by a worker pool but emitted strictly in grid order, and any
-Monte Carlo inside a point draws from a substream keyed on (seed, point
-index, sample index), so the worker count can never change the bytes.
+Every sweep is a pure function of its effective config, seed and sample
+count included: points are computed by a worker pool but emitted
+strictly in grid order, and any Monte Carlo inside a point draws from a
+substream keyed on (seed, point index, sample index), so the worker
+count can never change the bytes.
 
 CSV layout: ``#`` metadata lines (tool version, config hash, seed,
 optional timestamp, the full effective config for re-ingestion), then a
@@ -21,7 +22,6 @@ from pathlib import Path
 
 from . import __version__
 from .config import (
-    MAX_SAMPLES,
     ConfigError,
     canonical_json,
     config_hash,
@@ -52,7 +52,6 @@ class SweepResult:
     columns: tuple[str, ...]
     rows: tuple[tuple, ...]
     config: dict
-    seed: int
     quick: bool = False
 
 
@@ -102,7 +101,6 @@ def run_transfer_sweep(config: dict, jobs: int = 1) -> SweepResult:
         columns=("kappa_hz", "gamma2_hz", "error", "neg_log10_error"),
         rows=tuple(rows),
         config=config,
-        seed=config["noise"]["seed"],
     )
 
 
@@ -123,22 +121,14 @@ def _cphase_point(args) -> tuple:
     return (ratio, report.primary_error, report.metadata["std_error"], samples, seed)
 
 
-def run_cphase_sweep(
-    config: dict,
-    jobs: int = 1,
-    samples: int | None = None,
-    seed: int | None = None,
-    quick: bool = False,
-) -> SweepResult:
+def run_cphase_sweep(config: dict, jobs: int = 1, quick: bool = False) -> SweepResult:
     """Controlled-phase error versus transfer speed ratio.
 
+    Sample count and seed are ``noise.samples`` and ``noise.seed``.
     Authoritative results need at least 100 samples per point; smaller
     counts are only allowed with ``quick``, which marks the output.
     """
-    n = config["noise"]["samples"] if samples is None else samples
-    run_seed = config["noise"]["seed"] if seed is None else seed
-    if not 1 <= n <= MAX_SAMPLES:
-        raise ConfigError("noise.samples", f"must be in [1, {MAX_SAMPLES}], got {n}")
+    n = config["noise"]["samples"]
     if n < 100 and not quick:
         raise ConfigError(
             "noise.samples", f"{n} samples below the authoritative minimum of 100; pass --quick"
@@ -147,7 +137,7 @@ def run_cphase_sweep(
     kappa = to_angular(config["experiments"]["cphase"]["kappa_hz"])
     ideal_flips = config["experiments"]["cphase"]["flips"] == "ideal"
     grid = [
-        (derived, ratio, n, run_seed, kappa, ideal_flips, index)
+        (derived, ratio, n, config["noise"]["seed"], kappa, ideal_flips, index)
         for index, ratio in enumerate(config["experiments"]["cphase"]["speed_ratios"])
     ]
     rows = _map_points(_cphase_point, grid, jobs)
@@ -156,7 +146,6 @@ def run_cphase_sweep(
         columns=("ratio", "error", "std_err", "n_samples", "seed"),
         rows=tuple(rows),
         config=config,
-        seed=run_seed,
         quick=quick,
     )
 
@@ -194,7 +183,6 @@ def run_detector_sweep(config: dict, jobs: int = 1) -> SweepResult:
         columns=("gamma_over_kappa", "efficiency", "one_minus_eff", "converged", "t_final_s"),
         rows=tuple(rows),
         config=config,
-        seed=config["noise"]["seed"],
     )
 
 
@@ -214,7 +202,7 @@ def render_csv(result: SweepResult, timestamp: bool = True) -> str:
         f"# tool: tlrsim {__version__}",
         f"# experiment: {result.experiment}",
         f"# config_hash: {config_hash(result.config)}",
-        f"# seed: {result.seed}",
+        f"# seed: {result.config['noise']['seed']}",
     ]
     if result.quick:
         lines.append("# quick: results below the authoritative sample minimum")

@@ -96,7 +96,7 @@ def _operating_transfer(config: dict) -> TransferSpec:
         coupling=coupling,
         detuning=detuning,
         photon_loss_rate=to_angular(config["noise"]["kappa_hz"]),
-        dephasing_rate=to_angular(config["noise"]["gamma2_hz"]),
+        dephasing_rate=to_angular(config["device"]["cbjj"]["dephasing_rate_hz"]),
     )
 
 

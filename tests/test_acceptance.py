@@ -154,14 +154,14 @@ def test_criterion_6_invariant_suites():
 def test_criterion_7_byte_identical_csv():
     t0 = time.perf_counter()
     runs = {}
-    for name, fn, kwargs in (
-        ("transfer", run_transfer_sweep, {}),
-        ("cphase", run_cphase_sweep, {"samples": 150}),
-        ("detector", run_detector_sweep, {}),
+    for name, fn, config in (
+        ("transfer", run_transfer_sweep, CONFIG),
+        ("cphase", run_cphase_sweep, load_config({"noise": {"samples": 150}})),
+        ("detector", run_detector_sweep, CONFIG),
     ):
-        serial = render_csv(fn(CONFIG, jobs=1, **kwargs), timestamp=False)
-        again = render_csv(fn(CONFIG, jobs=1, **kwargs), timestamp=False)
-        pooled = render_csv(fn(CONFIG, jobs=8, **kwargs), timestamp=False)
+        serial = render_csv(fn(config, jobs=1), timestamp=False)
+        again = render_csv(fn(config, jobs=1), timestamp=False)
+        pooled = render_csv(fn(config, jobs=8), timestamp=False)
         runs[name] = serial == again == pooled
     elapsed = time.perf_counter() - t0
 

@@ -85,6 +85,7 @@ class TestConfigErrors:
         [
             ('{"noise": {"seed": -3}}', "noise.seed"),
             ('{"noise": {"samples": 1e300}}', "noise.samples"),
+            ('{"validation": {"mc_samples": 1}}', "validation.mc_samples"),
             ('{"experiments": {"cphase": {"kappa_hz": -1}}}', "experiments.cphase.kappa_hz"),
             ('{"device": {"tlr": {"mode_index": 0}}}', "device.tlr.mode_index"),
             ('{"device": {"temperature_k": -1}}', "device.temperature_k"),
@@ -137,6 +138,7 @@ class TestConfigErrors:
             ('{"device": {"tlr": {"photon_loss_rate_hz": 1e4}}}', "device.tlr.photon_loss_rate_hz"),
             ('{"device": {"cbjj": {"level_splitting_hz": 2.2e10}}}', "device.cbjj.level_splitting_hz"),
             ('{"device": {"tlr": {"length_m": 4e-3}}}', "device.tlr.length_m"),
+            ('{"noise": {"gamma2_hz": 1e6}}', "noise.gamma2_hz"),
         ],
     )
     def test_deleted_leaf_exits_two_with_path(self, tmp_path, text, key):
@@ -150,6 +152,19 @@ class TestConfigErrors:
         proc = run_cli("cphase-error", "--samples", "100000000000", "--no-timestamp")
         assert proc.returncode == 2
         assert "config error: noise.samples: must be in [1, 10000000]" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--samples", "0", "noise.samples: must be in [1, 10000000], got 0"),
+            ("--seed", "-1", "noise.seed: must be in [0, 18446744073709551615], got -1"),
+        ],
+    )
+    def test_out_of_range_flag_exits_two_with_path(self, flag, value, message):
+        proc = run_cli("cphase-error", flag, value, "--no-timestamp")
+        assert proc.returncode == 2
+        assert f"config error: {message}" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_low_sample_count_needs_quick(self):
         proc = run_cli("cphase-error", "--samples", "50")

@@ -20,7 +20,7 @@ TWO_PI = 2.0 * math.pi
 
 # canonical bytes of the shipped defaults; any change to a default value
 # or to key ordering must be deliberate and show up here
-DEFAULT_HASH = "c3b86b0e29b3a22253ebcd75a5dcdf9e98e29f99bb89247f8f8fa94472e1abed"
+DEFAULT_HASH = "550458c945034c175682d1eac8ff4ed3f0590982dfffa4b42ad9c70405c63ab9"
 
 
 class TestDefaults:
@@ -92,9 +92,9 @@ class TestMerge:
             ("noise.samples", 0),
             ("noise.samples", MAX_SAMPLES + 1),
             ("noise.kappa_hz", -1.0),
-            ("noise.gamma2_hz", -1.0),
             ("experiments.cphase.kappa_hz", -1.0),
             ("validation.mc_samples", 1e300),
+            ("validation.mc_samples", 1),
             ("device.tlr.inductance_h", 0.0),
             ("device.tlr.capacitance_f", -5e-12),
             ("device.tlr.mode_index", 0),
@@ -131,12 +131,13 @@ class TestMerge:
     def test_range_limits_and_signed_detunings_accepted(self):
         config = load_config(
             {
-                "noise": {"samples": MAX_SAMPLES, "kappa_hz": 0, "gamma2_hz": 0},
+                "noise": {"samples": MAX_SAMPLES, "kappa_hz": 0},
                 "experiments": {
                     "transfer": {"detuning_hz": -2e9, "kappa_grid_hz": [0.0]},
                     "cphase": {"kappa_hz": 0},
                 },
                 "device": {
+                    "cbjj": {"dephasing_rate_hz": 0},
                     "detector": {"detuning_hz": -1e6, "coupling_hz": 0},
                     "fjs": {
                         "shunt_capacitance_f": 0,
@@ -227,7 +228,7 @@ class TestSources:
 
 class TestCanonicalForm:
     def test_round_trip_reproduces_bytes(self):
-        config = load_config({"noise": {"gamma2_hz": 2.5e6}})
+        config = load_config({"device": {"cbjj": {"dephasing_rate_hz": 2.5e6}}})
         text = canonical_json(config)
         again = load_config(json.loads(text))
         assert canonical_json(again) == text

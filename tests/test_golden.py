@@ -21,6 +21,11 @@ SWEEPS = {
     "cphase-samples-100": (
         None, ["cphase-error", "--samples", "100"], "d8fee4d72d0b3d091613e9e12cfd7632"
     ),
+    "cphase-samples-120-seed-7": (
+        None,
+        ["cphase-error", "--samples", "120", "--seed", "7"],
+        "f7f641b9c6c65a786fe9424872ba74ad",
+    ),
     "cphase-lossy": (
         LOSSY,
         ["cphase-error", "--samples", "2", "--quick"],

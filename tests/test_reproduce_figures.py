@@ -8,8 +8,8 @@ from pathlib import Path
 from tlrsim.sweeps import read_config_comment
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_figures.py"
-# one point per sweep keeps the run short; the script reads the transfer
-# row at kappa 10 kHz, gamma2 1 MHz
+# one point per sweep keeps the run short; the script prints the transfer
+# row at the default noise.kappa_hz 10 kHz and cbjj dephasing 1 MHz
 SMALL = {
     "experiments": {
         "transfer": {"kappa_grid_hz": [1e4], "gamma2_grid_hz": [1e6]},
@@ -19,9 +19,9 @@ SMALL = {
 }
 
 
-def run_script(tmp_path, *args):
+def run_script(tmp_path, *args, overrides=SMALL):
     config = tmp_path / "small.json"
-    config.write_text(json.dumps(SMALL))
+    config.write_text(json.dumps(overrides))
     argv = [sys.executable, str(SCRIPT), "--config", str(config), "--outdir", str(tmp_path)]
     return subprocess.run(argv + list(args), capture_output=True, text=True, timeout=300)
 
@@ -41,3 +41,26 @@ def test_bad_seed_exits_two_naming_the_key(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith("config error: noise.seed")
     assert "Traceback" not in proc.stderr
+
+
+def test_operating_point_is_read_from_the_config(tmp_path):
+    overrides = json.loads(json.dumps(SMALL))
+    overrides["experiments"]["transfer"]["kappa_grid_hz"] = [1e4, 2e4]
+    overrides["noise"] = {"kappa_hz": 2e4}
+    proc = run_script(tmp_path, "--quick", overrides=overrides)
+    assert proc.returncode == 0, proc.stderr
+    rows = (tmp_path / "transfer_error.csv").read_text().splitlines()[-2:]
+    error = float(rows[1].split(",")[2])
+    assert rows[1].startswith("2.00000000e+04,")
+    assert f"kappa/2pi=20000 Hz, Gamma2/2pi=1e+06 Hz: {error:.4e}" in proc.stdout
+
+
+def test_grid_without_the_operating_point_is_reported(tmp_path):
+    overrides = json.loads(json.dumps(SMALL))
+    overrides["experiments"]["transfer"]["kappa_grid_hz"] = [2e4]
+    proc = run_script(tmp_path, "--quick", overrides=overrides)
+    assert proc.returncode == 0, proc.stderr
+    assert "transfer grid has no point at kappa/2pi=10000 Hz" in proc.stdout
+    assert "Traceback" not in proc.stderr
+    for name in ("transfer_error.csv", "cphase_error.csv", "detector_efficiency.csv"):
+        assert (tmp_path / name).is_file()

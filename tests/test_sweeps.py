@@ -16,6 +16,10 @@ from tlrsim.sweeps import (
 CONFIG = load_config()
 
 
+def noise_config(**noise):
+    return load_config({"noise": noise})
+
+
 def analytic_transfer_error(g, delta, kappa, gamma2):
     t = math.pi * abs(delta) / (2.0 * g * g)
     dephased = math.exp(-4.0 * (g / delta) ** 2 * gamma2 * t)
@@ -67,17 +71,18 @@ class TestTransferSweep:
 
 class TestCphaseSweep:
     def test_row_shape_and_determinism(self):
-        result = run_cphase_sweep(CONFIG, samples=150)
+        result = run_cphase_sweep(noise_config(samples=150))
         assert result.columns == ("ratio", "error", "std_err", "n_samples", "seed")
         assert [row[0] for row in result.rows] == [5.0, 10.0, 20.0, 40.0, 80.0]
         for row in result.rows:
             assert row[3] == 150 and row[4] == 42
-        again = run_cphase_sweep(CONFIG, samples=150)
+        again = run_cphase_sweep(noise_config(samples=150))
         assert render_csv(result, timestamp=False) == render_csv(again, timestamp=False)
 
     def test_parallel_matches_serial(self):
-        serial = run_cphase_sweep(CONFIG, jobs=1, samples=150)
-        parallel = run_cphase_sweep(CONFIG, jobs=3, samples=150)
+        config = noise_config(samples=150)
+        serial = run_cphase_sweep(config, jobs=1)
+        parallel = run_cphase_sweep(config, jobs=3)
         assert render_csv(serial, timestamp=False) == render_csv(parallel, timestamp=False)
 
     def test_monotone_within_two_std_errors(self):
@@ -89,14 +94,14 @@ class TestCphaseSweep:
 
     def test_sample_floor_enforced(self):
         with pytest.raises(ConfigError, match="quick"):
-            run_cphase_sweep(CONFIG, samples=50)
-        result = run_cphase_sweep(CONFIG, samples=50, quick=True)
+            run_cphase_sweep(noise_config(samples=50))
+        result = run_cphase_sweep(noise_config(samples=50), quick=True)
         assert result.quick
         assert "# quick:" in render_csv(result, timestamp=False)
 
     def test_seed_override_changes_output(self):
-        base = run_cphase_sweep(CONFIG, samples=150)
-        other = run_cphase_sweep(CONFIG, samples=150, seed=7)
+        base = run_cphase_sweep(noise_config(samples=150))
+        other = run_cphase_sweep(noise_config(samples=150, seed=7))
         assert base.rows != other.rows
         assert all(row[4] == 7 for row in other.rows)
 
@@ -150,7 +155,7 @@ class TestCsvFormat:
                 assert cell.fullmatch(field), field
 
     def test_integer_cells_stay_integers(self):
-        result = run_cphase_sweep(CONFIG, samples=120)
+        result = run_cphase_sweep(noise_config(samples=120))
         data = [l for l in render_csv(result, timestamp=False).splitlines() if not l.startswith("#")][1:]
         for line in data:
             fields = line.split(",")
@@ -158,12 +163,24 @@ class TestCsvFormat:
             assert fields[4] == "42"
 
     def test_config_comment_reproduces_run(self):
-        result = run_cphase_sweep(CONFIG, samples=150)
+        config = noise_config(samples=150)
+        result = run_cphase_sweep(config)
         text = render_csv(result, timestamp=False)
         recovered = read_config_comment(text)
-        assert canonical_json(recovered) == canonical_json(CONFIG)
-        rerun = run_cphase_sweep(load_config(recovered), samples=150)
+        assert canonical_json(recovered) == canonical_json(config)
+        rerun = run_cphase_sweep(load_config(recovered))
         assert render_csv(rerun, timestamp=False) == text
+
+    def test_config_is_the_only_source_of_samples_and_seed(self):
+        config = noise_config(samples=150, seed=7)
+        text = render_csv(run_cphase_sweep(config), timestamp=False)
+        assert "# seed: 7" in text
+        assert read_config_comment(text)["noise"] == {**CONFIG["noise"], "samples": 150, "seed": 7}
+        assert all(line.endswith(",150,7") for line in text.splitlines()[-5:])
+        rerun = run_cphase_sweep(load_config(read_config_comment(text)))
+        assert render_csv(rerun, timestamp=False) == text
+        with pytest.raises(TypeError):
+            run_cphase_sweep(CONFIG, samples=150, seed=7)
 
     def test_missing_config_comment_raises(self):
         with pytest.raises(ValueError, match="config"):
