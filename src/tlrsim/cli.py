@@ -4,6 +4,11 @@ Subcommands map one-to-one onto the experiment layer: ``params`` prints
 the derived operating point, the three sweep commands emit figure-grade
 CSV, and ``validate`` runs the invariant suites. Exit codes: 0 success,
 1 experiment or validation failure, 2 configuration error.
+
+A subcommand imports only what it runs: every one loads ``config`` and
+``device`` (and through ``config`` the ``detector`` and ``lindblad``
+engine), the sweeps add ``sweeps``, the transfer and controlled-phase
+sweeps ``protocols``, and ``validate`` adds ``validate`` and ``protocols``.
 """
 
 from __future__ import annotations
@@ -34,8 +39,6 @@ from .device import (
     to_linear,
     transfer_rate,
 )
-from .sweeps import render_csv, run_cphase_sweep, run_detector_sweep, run_transfer_sweep
-from .validate import has_failure, render_report, run_validation
 
 __all__ = ["main"]
 
@@ -157,9 +160,13 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "validate":
+            from .validate import has_failure, render_report, run_validation
+
             results = run_validation(config)
             _emit(render_report(results), args.out)
             return 1 if has_failure(results) else 0
+
+        from .sweeps import render_csv, run_cphase_sweep, run_detector_sweep, run_transfer_sweep
 
         timestamp = not args.no_timestamp
         if args.command == "transfer-error":

@@ -9,7 +9,6 @@ with the full path so unit typos cannot pass silently.
 from __future__ import annotations
 
 import copy
-import hashlib
 import json
 import math
 from pathlib import Path
@@ -122,9 +121,10 @@ _ENUMS = {
 # leaves where None is a meaningful value (auto-derived)
 _NULLABLE = {"device.fjs.mutual_inductance_d_h"}
 
-# Monte Carlo draws samples one at a time, about 0.1 ms each without loss
-# and far longer with it, so this cap already allows runs of hours per
-# point; larger counts are typos or cannot even be allocated
+# Monte Carlo runs samples in blocks of lindblad.SAMPLE_BLOCK, at about
+# 0.05 ms per sample without loss and 0.7 ms with it, so this cap already
+# allows runs of minutes to hours per point; larger counts are typos or
+# cannot even be allocated
 MAX_SAMPLES = 10_000_000
 
 # (low, high, open) ranges outside which the engine cannot run a leaf:
@@ -159,7 +159,7 @@ _RANGES = {
     "device.detector.dephasing_rate_hz": _NONNEGATIVE,
     "device.temperature_k": _NONNEGATIVE,
     "noise.seed": (0, 2**64 - 1, False),  # the range the --seed flag accepts
-    "noise.samples": (1, MAX_SAMPLES, False),
+    "noise.samples": (2, MAX_SAMPLES, False),  # a standard error needs two
     "noise.kappa_hz": _NONNEGATIVE,
     "experiments.transfer.kappa_grid_hz": _NONNEGATIVE,
     "experiments.transfer.gamma2_grid_hz": _NONNEGATIVE,
@@ -281,6 +281,8 @@ def canonical_json(config: dict) -> str:
 
 
 def config_hash(config: dict) -> str:
+    import hashlib  # OpenSSL bindings: a few ms of import that `params` does not need
+
     return hashlib.sha256(canonical_json(config).encode()).hexdigest()
 
 

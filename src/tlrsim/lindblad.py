@@ -106,22 +106,26 @@ class Liouvillian:
                 raise ValueError("jump operator lives on a different space")
 
     def matrix(self) -> np.ndarray:
-        """Dense superoperator in the column-stacking convention."""
+        """Dense superoperator in the column-stacking convention.
+
+        kron(a, b)[i d + k, j d + l] is the product a[i, j] b[k, l]; the
+        terms are summed as outer products, indexed [i, j, k, l], and
+        reordered once at the end.
+        """
         d = self.space.dim
         eye = np.eye(d)
-        sup = np.zeros((d * d, d * d), dtype=complex)
+        outer = np.multiply.outer
+        sup = np.zeros((d, d, d, d), dtype=complex)
         if self.hamiltonian is not None:
             h = self.hamiltonian.matrix
-            sup += -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+            sup += -1j * (outer(eye, h) - outer(h.T, eye))
         for term in self.terms:
             l = term.operator.matrix
             ldl = l.conj().T @ l
             sup += term.rate * (
-                np.kron(l.conj(), l)
-                - 0.5 * np.kron(eye, ldl)
-                - 0.5 * np.kron(ldl.T, eye)
+                outer(l.conj(), l) - 0.5 * outer(eye, ldl) - 0.5 * outer(ldl.T, eye)
             )
-        return sup
+        return sup.transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """Right-hand side d(rho)/dt evaluated with plain matrix products."""
@@ -215,11 +219,13 @@ def expm(a: np.ndarray) -> np.ndarray:
     scaled by 2^-s into the degree-13 range and the result squared s
     times.  The degree and s depend on that matrix alone, so its result
     does not depend on the stack it comes in; the matrices that share
-    both are computed together.
+    both are computed together.  1x1 matrices take ``np.exp`` instead.
     """
     a = np.asarray(a)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expm needs square matrices, got shape {a.shape}")
+    if a.shape[-1] == 1:
+        return np.exp(a)
     norms = np.linalg.norm(a, 1, axis=(-2, -1))
     degrees = _PADE_DEGREES[np.searchsorted(_PADE_THETA, norms)]
     frac, s = np.frexp(norms / _THETA_13)
@@ -493,36 +499,35 @@ SAMPLE_BLOCK = 32
 
 
 def _sectors(pattern: np.ndarray) -> list[np.ndarray]:
-    """Index sets of the connected components of a square sparsity pattern."""
-    linked = pattern | pattern.T
-    unassigned = np.ones(len(linked), dtype=bool)
-    sectors = []
-    for start in range(len(linked)):
-        if not unassigned[start]:
-            continue
-        members = np.zeros(len(linked), dtype=bool)
-        frontier = members.copy()
-        frontier[start] = True
-        while frontier.any():
-            members |= frontier
-            frontier = linked[frontier].any(axis=0) & ~members
-        unassigned &= ~members
-        sectors.append(np.flatnonzero(members))
-    return sectors
+    """Index sets of the connected components of a square sparsity pattern.
+
+    Labels propagate: each index takes the lowest label among itself and
+    its neighbours until no label changes, which leaves every index
+    labelled with the first index of its component.  Sectors come ordered
+    by first index, members ascending.
+    """
+    n = len(pattern)
+    linked = pattern | pattern.T | np.eye(n, dtype=bool)
+    labels = np.arange(n)
+    while True:
+        lowest = np.where(linked, labels, n).min(axis=1)
+        if np.array_equal(lowest, labels):
+            break
+        labels = lowest
+    members = np.argsort(labels, kind="stable")
+    firsts = np.flatnonzero(labels == np.arange(n))
+    return np.split(members, np.searchsorted(labels[members], firsts[1:]))
 
 
-def _sector_stacks(segment: Evolve) -> list[tuple]:
-    """``segment``'s G0 t and G1 t cut into its sectors, stacked by size.
+def _sector_stacks(g0: np.ndarray, g1: np.ndarray | None) -> list[tuple]:
+    """A segment's G0 t and G1 t cut into their sectors, stacked by size.
 
     One (indices, g0, g1) triple per sector size m: the (k, m) superoperator
     indices of the k sectors of that size, and their (k, m, m) blocks of
     G0 t and of G1 t (None without a shift term).
     """
-    g0 = segment.generator.matrix() * segment.duration
     pattern = g0 != 0
-    g1 = None
-    if segment.shift is not None:
-        g1 = Liouvillian(segment.generator.space, segment.shift).matrix() * segment.duration
+    if g1 is not None:
         pattern |= g1 != 0
     by_size: dict[int, list[np.ndarray]] = {}
     for sector in _sectors(pattern):
@@ -605,10 +610,16 @@ def monte_carlo_quasistatic(
     ``observable`` maps the (n, d, d) stack of final states to n values.
     """
     _check_schedule(schedule, rho0.space)
+    shifts = {}  # id of a distinct shift term -> its superoperator
     stacks = {}  # distinct Evolve segment -> its sector stacks
     for segment in schedule:
         if isinstance(segment, Evolve) and segment.duration > 0 and segment not in stacks:
-            stacks[segment] = _sector_stacks(segment)
+            g1 = None
+            if segment.shift is not None:
+                if id(segment.shift) not in shifts:
+                    shifts[id(segment.shift)] = Liouvillian(rho0.space, segment.shift).matrix()
+                g1 = shifts[id(segment.shift)] * segment.duration
+            stacks[segment] = _sector_stacks(segment.generator.matrix() * segment.duration, g1)
     d = rho0.space.dim
 
     def block(draws: np.ndarray) -> np.ndarray:

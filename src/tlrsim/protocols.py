@@ -447,6 +447,12 @@ class CphaseSpec:
     def wait_time(self) -> float:
         return _solve_wait(self)
 
+    @cached_property
+    def _noiseless_half(self) -> tuple[list, list]:
+        """One echo half at wait 0 and its segment unitaries at zero shift deviation."""
+        half = _echo_half(self, 0.0)
+        return half, _segment_unitaries(half, np.zeros(1))
+
     @property
     def transfer_time(self) -> float:
         return math.pi / (2.0 * self.transfer_coupling)
@@ -573,6 +579,17 @@ def _protocol_unitaries(spec: CphaseSpec, shifts: np.ndarray) -> np.ndarray:
     return _echo_unitary(half, _segment_unitaries(half, shifts))
 
 
+def _noiseless_unitaries(spec: CphaseSpec, waits: np.ndarray) -> np.ndarray:
+    """Noiseless echo protocol at each wait of ``waits``, (n, 9, 9).
+
+    Only the wait's phases depend on it; the legs and flip are built once
+    per spec and shared by the wait solve and the calibration.
+    """
+    half, steps = spec._noiseless_half
+    wait = np.exp(-1j * half[1][0] * waits[:, None])
+    return _echo_unitary(half, [steps[0], wait, *steps[2:]])
+
+
 def _instant_leg_wait(spec: CphaseSpec) -> float:
     return math.pi / (2.0 * abs(spec.interaction_strength))
 
@@ -593,19 +610,15 @@ def _solve_wait(spec: CphaseSpec) -> float:
     down to roundoff, so the wait joins that root smoothly as the legs
     get faster.
     """
-    half = _echo_half(spec, 0.0)
-    steps = _segment_unitaries(half, np.zeros(1))
-    diag = half[1][0]
     psi = equal_superposition()
 
-    def miss(wait: float) -> float:
-        steps[1] = np.exp(-1j * diag * wait)  # the legs and flip stay as built
-        out = _echo_unitary(half, steps)[0] @ psi
-        return float(_wrap_phase(_conditional_phase(out) - math.pi))
+    def misses_at(waits: np.ndarray) -> list[float]:
+        outs = _noiseless_unitaries(spec, waits) @ psi
+        return [float(_wrap_phase(_conditional_phase(out) - math.pi)) for out in outs]
 
     w_instant = _instant_leg_wait(spec)
     grid = np.linspace(0.0, 4.0 * w_instant, _WAIT_GRID + 1)
-    misses = [miss(w) for w in grid]
+    misses = misses_at(grid)
     # a wrap of the phase also flips the sign, but as a jump of about 2 pi
     brackets = [
         (a, b, fa, fb)
@@ -625,7 +638,7 @@ def _solve_wait(spec: CphaseSpec) -> float:
         if fa == fb:
             break
         wait = b - fb * (b - a) / (fb - fa)
-        f_wait = miss(wait)
+        f_wait = misses_at(np.array([wait]))[0]
         if abs(f_wait) <= _WAIT_TOL:
             break
         if fa * f_wait <= 0.0:
@@ -747,7 +760,7 @@ def cphase_spin_echo_error(spec: CphaseSpec, point_index: int = 0) -> GateErrorR
     evaluated on the noiseless protocol and reported alongside (their
     fidelity is population retention; phases cancel).
     """
-    u_cal = _protocol_unitaries(spec, np.zeros(1))[0]
+    u_cal = _noiseless_unitaries(spec, np.array([spec.wait_time]))[0]
     target, cal_info = _calibrated_target(u_cal)
     psi_in = equal_superposition()
 

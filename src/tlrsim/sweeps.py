@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
@@ -31,7 +30,6 @@ from .config import (
 )
 from .detector import DetectorParams, detection_efficiency
 from .device import coupling_strength, fjs_derive, mode_frequency, to_angular
-from .protocols import CphaseSpec, TransferSpec, cphase_spin_echo_error, transfer_gate_error
 
 __all__ = [
     "SweepResult",
@@ -68,6 +66,8 @@ def _map_points(fn, args_list, jobs: int):
 
 
 def _transfer_point(args) -> tuple:
+    from .protocols import TransferSpec, transfer_gate_error  # the detector sweep skips protocols
+
     coupling, detuning, kappa_hz, gamma2_hz = args
     spec = TransferSpec(
         coupling=coupling,
@@ -108,6 +108,8 @@ def run_transfer_sweep(config: dict, jobs: int = 1) -> SweepResult:
 
 
 def _cphase_point(args) -> tuple:
+    from .protocols import CphaseSpec, cphase_spin_echo_error
+
     derived, ratio, samples, seed, kappa, ideal_flips, index = args
     spec = CphaseSpec.from_fjs(
         derived,
@@ -207,6 +209,8 @@ def render_csv(result: SweepResult, timestamp: bool = True) -> str:
     if result.quick:
         lines.append("# quick: results below the authoritative sample minimum")
     if timestamp:
+        from datetime import datetime, timezone  # only a timestamped run needs it
+
         stamp = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
         lines.append(f"# timestamp: {stamp}")
     lines.append(f"# config: {canonical_json(result.config)}")

@@ -151,12 +151,12 @@ class TestConfigErrors:
     def test_samples_flag_past_cap_exits_two(self):
         proc = run_cli("cphase-error", "--samples", "100000000000", "--no-timestamp")
         assert proc.returncode == 2
-        assert "config error: noise.samples: must be in [1, 10000000]" in proc.stderr
+        assert "config error: noise.samples: must be in [2, 10000000]" in proc.stderr
 
     @pytest.mark.parametrize(
         "flag, value, message",
         [
-            ("--samples", "0", "noise.samples: must be in [1, 10000000], got 0"),
+            ("--samples", "0", "noise.samples: must be in [2, 10000000], got 0"),
             ("--seed", "-1", "noise.seed: must be in [0, 18446744073709551615], got -1"),
         ],
     )
@@ -165,6 +165,13 @@ class TestConfigErrors:
         assert proc.returncode == 2
         assert f"config error: {message}" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_one_sample_exits_two_even_with_quick(self):
+        # one sample has no standard error: it would print nan in every std_err cell
+        proc = run_cli("cphase-error", "--samples", "1", "--quick", "--no-timestamp")
+        assert proc.returncode == 2
+        assert "config error: noise.samples: must be in [2, 10000000], got 1" in proc.stderr
+        assert proc.stdout == ""
 
     def test_low_sample_count_needs_quick(self):
         proc = run_cli("cphase-error", "--samples", "50")

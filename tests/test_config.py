@@ -90,6 +90,7 @@ class TestMerge:
             ("noise.seed", -3),
             ("noise.seed", 2**64),
             ("noise.samples", 0),
+            ("noise.samples", 1),
             ("noise.samples", MAX_SAMPLES + 1),
             ("noise.kappa_hz", -1.0),
             ("experiments.cphase.kappa_hz", -1.0),

@@ -1,8 +1,14 @@
-"""Module boundaries: tlrsim modules talk to each other through public names."""
+"""Module boundaries: tlrsim modules talk to each other through public names,
+and each subcommand imports only what it runs."""
 
 import ast
 import importlib
+import json
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import tlrsim
 
@@ -42,15 +48,30 @@ def test_no_module_imports_private_names_of_another():
     assert offenders == {}
 
 
-def test_perfbench_targets_resolve():
-    # the benchmark tracer patches these names; read them without importing it
+def layers_value(name: str):
+    """A literal assigned at the top of perfbench/layers.py, read without importing it."""
     tree = ast.parse(LAYERS.read_text())
-    targets = next(
+    return next(
         ast.literal_eval(node.value)
         for node in tree.body
         if isinstance(node, ast.Assign)
-        and any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets)
+        and any(isinstance(t, ast.Name) and t.id == name for t in node.targets)
     )
+
+
+def modules_after(code: str) -> set[str]:
+    """tlrsim modules loaded after running ``code`` in a fresh interpreter."""
+    report = "import sys, json; print(json.dumps([m for m in sys.modules if m.startswith('tlrsim')]))"
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{code}\n{report}"], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_perfbench_targets_resolve():
+    # the benchmark tracer patches these names
+    targets = layers_value("TARGETS")
     assert targets
     missing = []
     for module_name, attr in targets:
@@ -60,3 +81,26 @@ def test_perfbench_targets_resolve():
         if not callable(owner):
             missing.append(f"{module_name}.{attr}")
     assert missing == []
+
+
+def test_cli_import_loads_every_module_perfbench_times():
+    # the benchmark reads each module's cumulative time from `-X importtime -c "import tlrsim.cli"`
+    timed = set(layers_value("IMPORT_MODULES").values())
+    assert timed
+    assert timed - modules_after("import tlrsim.cli") == set()
+
+
+@pytest.mark.parametrize(
+    "command, unused",
+    [
+        ("params", {"tlrsim.sweeps", "tlrsim.protocols", "tlrsim.validate"}),
+        ("detector", {"tlrsim.protocols", "tlrsim.validate"}),
+    ],
+)
+def test_subcommand_loads_only_what_it_runs(tmp_path, command, unused):
+    out = tmp_path / "out.txt"
+    loaded = modules_after(
+        f"import tlrsim.cli\nassert tlrsim.cli.main([{command!r}, '--out', {str(out)!r}]) == 0"
+    )
+    assert out.read_text()
+    assert loaded & unused == set()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from tlrsim import lindblad
 from tlrsim.lindblad import (
@@ -115,6 +116,12 @@ class TestExpm:
         for i in range(6):
             assert np.array_equal(stacked[i], expm(a[i]))
         assert np.array_equal(expm(a[3]), expm(a[3][None])[0])
+
+    def test_one_by_one_is_the_scalar_exponential(self):
+        a = np.array([0.0, -3.5 + 40.0j, 1e-3j, -700.0 + 2.0j]).reshape(4, 1, 1)
+        assert np.array_equal(expm(a), np.exp(a))
+        for m in a:
+            assert np.allclose(expm(m), scipy.linalg.expm(m), rtol=1e-14, atol=0)
 
     def test_cli_import_loads_no_scipy(self):
         code = ("import sys, tlrsim.cli; "
@@ -538,3 +545,61 @@ def test_integrators_agree_on_random_generators(case):
     a = propagate_expm(liou, rho0, duration)
     b = propagate_rk4(liou, rho0, duration)
     assert trace_distance(a, b) <= 1e-6
+
+
+def kron_superoperator(liou):
+    """The superoperator written with np.kron, as the reference for Liouvillian.matrix."""
+    d = liou.space.dim
+    eye = np.eye(d)
+    sup = np.zeros((d * d, d * d), dtype=complex)
+    if liou.hamiltonian is not None:
+        h = liou.hamiltonian.matrix
+        sup += -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    for term in liou.terms:
+        l = term.operator.matrix
+        ldl = l.conj().T @ l
+        sup += term.rate * (
+            np.kron(l.conj(), l) - 0.5 * np.kron(eye, ldl) - 0.5 * np.kron(ldl.T, eye)
+        )
+    return sup
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    dim=st.integers(min_value=2, max_value=9),
+    jumps=st.integers(min_value=0, max_value=4),
+    with_hamiltonian=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_superoperator_is_the_kron_formula_bit_for_bit(dim, jumps, with_hamiltonian, seed):
+    rng = np.random.default_rng(seed)
+    space = HilbertSpace([("s", dim)])
+    raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    h = Operator(space, 0.5 * (raw + raw.conj().T)) if with_hamiltonian else None
+    terms = tuple(
+        LindbladTerm(
+            Operator(space, rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))),
+            float(rng.uniform(0.0, 3.0)),
+        )
+        for _ in range(jumps)
+    )
+    liou = Liouvillian(space, hamiltonian=h, terms=terms)
+    assert np.array_equal(liou.matrix(), kron_superoperator(liou))
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    n=st.integers(min_value=1, max_value=81),
+    density=st.floats(min_value=0.0, max_value=0.1),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_sectors_are_the_connected_components(n, density, seed):
+    pattern = np.random.default_rng(seed).random((n, n)) < density
+    _, labels = connected_components(pattern, directed=True, connection="weak")
+    groups = [np.flatnonzero(labels == label) for label in np.unique(labels)]
+    expected = sorted((g.tolist() for g in groups), key=lambda g: g[0])
+    sectors = lindblad._sectors(pattern)
+    assert [s.tolist() for s in sectors] == expected
+    firsts = [s[0] for s in sectors]
+    assert firsts == sorted(firsts)
+    assert all(np.all(np.diff(s) > 0) for s in sectors)

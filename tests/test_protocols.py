@@ -482,8 +482,9 @@ class TestLossySchedule:
         p00 = monte_carlo_quasistatic(
             segments, spec.phi_noise, rho0, record, coefficient=spec.shift_deviation
         )
-        # G0 and G1 of each distinct evolution, once for all five samples
-        assert len(generators) == 2 * distinct
+        # G0 of each distinct evolution and G1 of their shared shift term,
+        # once for all five samples
+        assert len(generators) == distinct + 1
 
         built = []
         original = lindblad.propagator
@@ -531,7 +532,10 @@ class TestSectors:
         for segment, (count, largest) in zip(
             _distinct_evolutions(cphase_schedule(spec)), expected
         ):
-            stacks = lindblad._sector_stacks(segment)
+            shift = Liouvillian(segment.generator.space, segment.shift).matrix()
+            stacks = lindblad._sector_stacks(
+                segment.generator.matrix() * segment.duration, shift * segment.duration
+            )
             sizes = [idx.shape[1] for idx, _, _ in stacks for _ in idx]
             assert (len(sizes), max(sizes), sum(sizes)) == (count, largest, 81)
             full = lindblad.expm(segment.at(x).matrix() * segment.duration)
