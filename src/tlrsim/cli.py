@@ -27,9 +27,8 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .config import ConfigError, fjs_params, load_config, tlr_params
+from .config import ConfigError, fjs_params, load_config, tap_coupling, tlr_params
 from .device import (
-    coupling_strength,
     effective_dephasing_rate,
     fjs_derive,
     induced_loss_rate,
@@ -96,14 +95,8 @@ def _human_freq(hz: float) -> str:
 def _params_report(config: dict) -> str:
     tlr = tlr_params(config)
     omega0 = mode_frequency(tlr)
-    cap = config["device"]["tlr"]["capacitance_f"]
-    cap_junction = config["device"]["cbjj"]["junction_capacitance_f"]
-    g_left = coupling_strength(
-        omega0, cap, config["device"]["coupler"]["coupling_capacitance_f"], cap_junction
-    )
-    g_right = coupling_strength(
-        omega0, cap, config["device"]["coupler"]["right_coupling_capacitance_f"], cap_junction
-    )
+    g_left = tap_coupling(config, "left")
+    g_right = tap_coupling(config, "right")
     delta = to_angular(config["experiments"]["transfer"]["detuning_hz"])
     rate = transfer_rate(g_left, delta)
     dephasing = effective_dephasing_rate(
@@ -183,7 +176,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -14,7 +14,7 @@ import math
 from pathlib import Path
 
 from .detector import DetectorParams
-from .device import FjsParams, TlrParams, to_angular
+from .device import FjsParams, TlrParams, coupling_strength, mode_frequency, to_angular
 
 __all__ = [
     "ConfigError",
@@ -24,6 +24,7 @@ __all__ = [
     "canonical_json",
     "config_hash",
     "tlr_params",
+    "tap_coupling",
     "fjs_params",
     "detector_params",
 ]
@@ -295,6 +296,19 @@ def tlr_params(config: dict) -> TlrParams:
         inductance=sec["inductance_h"],
         capacitance=sec["capacitance_f"],
         mode_index=sec["mode_index"],
+    )
+
+
+_TAP_CAPACITANCE = {"left": "coupling_capacitance_f", "right": "right_coupling_capacitance_f"}
+
+
+def tap_coupling(config: dict, tap: str) -> float:
+    """Angular resonator-junction coupling g of the ``left`` or ``right`` transfer tap."""
+    return coupling_strength(
+        mode_frequency(tlr_params(config)),
+        config["device"]["tlr"]["capacitance_f"],
+        config["device"]["coupler"][_TAP_CAPACITANCE[tap]],
+        config["device"]["cbjj"]["junction_capacitance_f"],
     )
 
 

@@ -13,9 +13,9 @@ import warnings
 from dataclasses import dataclass
 
 __all__ = [
-    "PhysicalConstants",
-    "CONSTANTS",
     "TWO_PI",
+    "DISPERSIVE_FLOOR",
+    "DISPERSIVE_SAFE",
     "to_angular",
     "to_linear",
     "TlrParams",
@@ -33,22 +33,17 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
+# CODATA constants used by the derivations (SI)
+HBAR = 1.054_571_817e-34
+E_CHARGE = 1.602_176_634e-19
+K_B = 1.380_649e-23
+FLUX_QUANTUM = math.pi * HBAR / E_CHARGE  # h / 2e
 
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """CODATA constants used by the derivations (SI)."""
-
-    hbar: float = 1.054_571_817e-34
-    e: float = 1.602_176_634e-19
-    k_b: float = 1.380_649e-23
-
-    @property
-    def flux_quantum(self) -> float:
-        """Superconducting flux quantum h / 2e."""
-        return math.pi * self.hbar / self.e
-
-
-CONSTANTS = PhysicalConstants()
+# |Delta| / g of a dispersive tap: below the floor the construction is
+# rejected (and the rate formula warns); below the safe ratio its
+# corrections are large enough to warn about
+DISPERSIVE_FLOOR = 5.0
+DISPERSIVE_SAFE = 10.0
 
 
 def to_angular(frequency_hz: float) -> float:
@@ -152,13 +147,23 @@ class FjsDerived:
 
 
 def mode_frequency(tlr: TlrParams) -> float:
-    """Angular frequency of the selected standing-wave mode, n pi / sqrt(LC)."""
-    return tlr.mode_index * math.pi / math.sqrt(tlr.inductance * tlr.capacitance)
+    """Angular frequency of the selected standing-wave mode, n pi / sqrt(LC).
+
+    Positive inputs of extreme size can push L * C or the frequency out of
+    the float range; that raises ValueError instead of dividing by zero.
+    """
+    product = tlr.inductance * tlr.capacitance
+    if not 0.0 < product < math.inf:
+        raise ValueError(f"resonator L * C = {product!r} leaves the float range")
+    omega = tlr.mode_index * math.pi / math.sqrt(product)
+    if omega == math.inf:
+        raise ValueError("resonator mode frequency overflows the float range")
+    return omega
 
 
 def zero_point_current(tlr: TlrParams) -> float:
     """Zero-point current amplitude sqrt(hbar * omega / L) of the mode."""
-    return math.sqrt(CONSTANTS.hbar * mode_frequency(tlr) / tlr.inductance)
+    return math.sqrt(HBAR * mode_frequency(tlr) / tlr.inductance)
 
 
 def coupling_strength(
@@ -187,13 +192,17 @@ def coupling_strength(
 def transfer_rate(g: float, delta: float) -> float:
     """Linear photon transfer rate g^2 / (2 pi Delta) in Hz.
 
-    ``g`` and ``delta`` are angular.  Warns when |Delta| < 5 g, outside
-    the dispersive regime the formula assumes.
+    ``g`` and ``delta`` are angular.  Warns when |Delta| is below
+    ``DISPERSIVE_FLOOR`` g, outside the dispersive regime the formula
+    assumes.
     """
     if delta == 0:
         raise ValueError("detuning must be nonzero")
-    if abs(delta) < 5.0 * g:
-        warnings.warn("detuning below 5 g; dispersive transfer rate unreliable", stacklevel=2)
+    if abs(delta) < DISPERSIVE_FLOOR * g:
+        warnings.warn(
+            f"detuning below {DISPERSIVE_FLOOR:g} g; dispersive transfer rate unreliable",
+            stacklevel=2,
+        )
     return g * g / (TWO_PI * delta)
 
 
@@ -227,9 +236,10 @@ def thermal_occupancy(temperature: float, omega: float) -> float:
         raise ValueError("temperature must be nonnegative")
     if omega <= 0:
         raise ValueError("mode frequency must be positive")
-    if temperature == 0:
+    k_t = K_B * temperature
+    if k_t == 0.0:  # zero, or so cold that k_B T underflows
         return 0.0
-    x = CONSTANTS.hbar * omega / (CONSTANTS.k_b * temperature)
+    x = HBAR * omega / k_t
     # exp(-x) / (1 - exp(-x)) == 1 / (exp(x) - 1) without overflow at large x
     return math.exp(-x) / -math.expm1(-x)
 
@@ -256,11 +266,14 @@ def fjs_derive(fjs: FjsParams, tlr: TlrParams) -> FjsDerived:
     interaction strength and the quasi-static spread of the single-photon
     frequency shift follow from the quartic and quadratic well terms.
     """
-    e_j = CONSTANTS.hbar * fjs.junction_critical_current / (2.0 * CONSTANTS.e)
+    e_j = HBAR * fjs.junction_critical_current / (2.0 * E_CHARGE)
     total_cap = fjs.junction_capacitance + fjs.shunt_capacitance
-    e_c = (2.0 * CONSTANTS.e) ** 2 / (4.0 * total_cap)
+    e_c = (2.0 * E_CHARGE) ** 2 / (4.0 * total_cap)
+    i_0 = zero_point_current(tlr)  # both resonators are built alike
+    if min(e_j, e_c, i_0) == 0.0:  # inputs of extreme size underflow a denominator
+        raise ValueError("SQUID operating point leaves the float range")
 
-    sin_phi0 = CONSTANTS.hbar * fjs.bias_current / (8.0 * CONSTANTS.e * e_j)
+    sin_phi0 = HBAR * fjs.bias_current / (8.0 * E_CHARGE * e_j)
     if abs(sin_phi0) >= 1.0:
         raise ValueError("bias current exceeds the critical tilt of the SQUID well")
     phi0 = math.asin(sin_phi0)
@@ -268,15 +281,13 @@ def fjs_derive(fjs: FjsParams, tlr: TlrParams) -> FjsDerived:
     alpha = (4.0 * e_j * math.cos(phi0) / e_c) ** 0.25
     sigma_phi = 1.0 / (alpha * math.sqrt(2.0))
 
-    flux_quantum = CONSTANTS.flux_quantum
-    i_0 = zero_point_current(tlr)  # both resonators are built alike
     i_crit = fjs.junction_critical_current
 
-    denom_c = math.pi * fjs.squid_self_inductance * i_crit + flux_quantum
+    denom_c = math.pi * fjs.squid_self_inductance * i_crit + FLUX_QUANTUM
     chi_c = math.pi * fjs.mutual_inductance_c * i_0 / denom_c
 
     denom_d = (
-        math.pi * (fjs.squid_self_inductance + fjs.loop_inductance) * i_crit + flux_quantum
+        math.pi * (fjs.squid_self_inductance + fjs.loop_inductance) * i_crit + FLUX_QUANTUM
     )
     if fjs.mutual_inductance_d is None:
         m_d = chi_c * denom_d / (math.pi * i_0)
@@ -292,9 +303,9 @@ def fjs_derive(fjs: FjsParams, tlr: TlrParams) -> FjsDerived:
 
     chi_sq_c = chi_c * chi_c
     chi_sq_d = chi_d * chi_d
-    omega_s = -2.0 * e_j * (phi_sq_mean * chi_sq_c + chi_sq_c * chi_sq_d) / CONSTANTS.hbar
-    delta_omega_s = -2.0 * e_j * chi_sq_c * phi_sq_spread / CONSTANTS.hbar
-    omega_int = -4.0 * e_j * chi_sq_c * chi_sq_d * math.cos(phi0) / CONSTANTS.hbar
+    omega_s = -2.0 * e_j * (phi_sq_mean * chi_sq_c + chi_sq_c * chi_sq_d) / HBAR
+    delta_omega_s = -2.0 * e_j * chi_sq_c * phi_sq_spread / HBAR
+    omega_int = -4.0 * e_j * chi_sq_c * chi_sq_d * math.cos(phi0) / HBAR
 
     cos_mean, cos_std = _cos_fluctuation(phi0, var)
     if cos_mean == 0.0:

@@ -18,10 +18,10 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
+from .device import DISPERSIVE_FLOOR, DISPERSIVE_SAFE, effective_dephasing_rate
 from .lindblad import (
     Apply,
     Evolve,
@@ -87,17 +87,12 @@ class GateErrorReport:
 
     per_input: tuple[tuple[str, float], ...]
     primary_error: float
-    average_error: float
     metadata: dict
 
     def __post_init__(self):
         object.__setattr__(self, "per_input", tuple(map(tuple, self.per_input)))
-        for name, value in (
-            ("primary_error", self.primary_error),
-            ("average_error", self.average_error),
-        ):
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} {value} outside [0, 1]")
+        if not 0.0 <= self.primary_error <= 1.0:
+            raise ValueError(f"primary_error {self.primary_error} outside [0, 1]")
         for label, f in self.per_input:
             if not 0.0 <= f <= 1.0:
                 raise ValueError(f"fidelity for {label!r} outside [0, 1]: {f}")
@@ -110,14 +105,15 @@ def _clip01(x: float) -> float:
 def _validate_dispersive(coupling: float, detuning: float) -> None:
     if coupling <= 0:
         raise ValueError("coupling must be positive")
-    if abs(detuning) < 5.0 * coupling:
+    if abs(detuning) < DISPERSIVE_FLOOR * coupling:
         raise ValueError(
-            f"detuning {detuning} below 5x coupling {coupling}; dispersive "
-            "construction invalid"
+            f"detuning {detuning} below {DISPERSIVE_FLOOR:g}x coupling {coupling}; "
+            "dispersive construction invalid"
         )
-    if abs(detuning) < 10.0 * coupling:
+    if abs(detuning) < DISPERSIVE_SAFE * coupling:
         warnings.warn(
-            "detuning below 10x coupling; dispersive corrections grow", stacklevel=3
+            f"detuning below {DISPERSIVE_SAFE:g}x coupling; dispersive corrections grow",
+            stacklevel=3,
         )
 
 
@@ -130,21 +126,18 @@ class TransferSpec:
 
     ``dephasing_rate`` is the raw junction dephasing; the rate passed to
     the photon is reduced by the virtual-excitation weight 2(g/Delta)^2.
-    ``target_angle`` pi means a full swap.
+    The gate is a full swap.
     """
 
     coupling: float
     detuning: float
     photon_loss_rate: float = 0.0
     dephasing_rate: float = 0.0
-    target_angle: float = math.pi
 
     def __post_init__(self):
         _validate_dispersive(self.coupling, self.detuning)
         if self.photon_loss_rate < 0 or self.dephasing_rate < 0:
             raise ValueError("rates must be nonnegative")
-        if self.target_angle <= 0:
-            raise ValueError("target angle must be positive")
 
     @property
     def exchange_rate(self) -> float:
@@ -153,14 +146,13 @@ class TransferSpec:
 
     @property
     def gate_time(self) -> float:
-        """Evolution time for the target angle: angle * |Delta| / (2 g^2)."""
-        return self.target_angle * abs(self.detuning) / (2.0 * self.coupling**2)
+        """Evolution time of a full swap: pi |Delta| / (2 g^2)."""
+        return math.pi * abs(self.detuning) / (2.0 * self.coupling**2)
 
     @property
     def effective_dephasing(self) -> float:
         """Collective-mode dephasing rate seen by the photon."""
-        ratio = self.coupling / self.detuning
-        return 2.0 * ratio * ratio * self.dephasing_rate
+        return effective_dephasing_rate(self.coupling, self.detuning, self.dephasing_rate)
 
 
 def transfer_space() -> HilbertSpace:
@@ -223,21 +215,16 @@ def transfer_gate_error(spec: TransferSpec) -> GateErrorReport:
         per_input.append((label, _clip01(fidelity(final, target))))
         if label == "photon_left":
             primary_error = _clip01(1.0 - final.population(1))
-    average_error = _clip01(1.0 - sum(f for _, f in per_input) / len(per_input))
     metadata = {
         "coupling": spec.coupling,
         "detuning": spec.detuning,
         "photon_loss_rate": spec.photon_loss_rate,
         "dephasing_rate": spec.dephasing_rate,
-        "target_angle": spec.target_angle,
         "gate_time": t,
         "exchange_rate": spec.exchange_rate,
     }
     return GateErrorReport(
-        per_input=tuple(per_input),
-        primary_error=primary_error,
-        average_error=average_error,
-        metadata=metadata,
+        per_input=tuple(per_input), primary_error=primary_error, metadata=metadata
     )
 
 
@@ -311,7 +298,6 @@ def transfer_full_model_error(spec: TransferSpec) -> GateErrorReport:
     metadata = {
         "coupling": g,
         "detuning": delta,
-        "target_angle": spec.target_angle,
         "gate_time": t_eff,
         "full_swap_time": float(t_full),
         "peak_junction_excitation": float(np.max(p_junction)),
@@ -322,7 +308,6 @@ def transfer_full_model_error(spec: TransferSpec) -> GateErrorReport:
     return GateErrorReport(
         per_input=(("photon_left", fidelity_full),),
         primary_error=_clip01(1.0 - fidelity_full),
-        average_error=_clip01(1.0 - fidelity_full),
         metadata=metadata,
     )
 
@@ -376,7 +361,6 @@ def phase_gate_report(spec: PhaseSpec) -> GateErrorReport:
     return GateErrorReport(
         per_input=(("plus", f),),
         primary_error=_clip01(1.0 - f),
-        average_error=_clip01(1.0 - f),
         metadata=metadata,
     )
 
@@ -431,7 +415,6 @@ class CphaseSpec:
     interaction_strength: float
     shift_std: float
     phi_noise: QuasiStaticNoise
-    shift_mean: float = 0.0
     photon_loss_rate: float = 0.0
     use_ideal_flips: bool = True
 
@@ -486,7 +469,6 @@ class CphaseSpec:
             interaction_strength=derived.omega_int,
             shift_std=abs(derived.delta_omega_s),
             phi_noise=noise,
-            shift_mean=derived.omega_s,
             photon_loss_rate=photon_loss_rate,
             use_ideal_flips=use_ideal_flips,
         )
@@ -789,13 +771,11 @@ def cphase_spin_echo_error(spec: CphaseSpec, point_index: int = 0) -> GateErrorR
     for label, flat in zip(("00", "01", "10", "11"), LOGICAL_FLAT):
         retention = _clip01(abs(u_cal[flat, flat]) ** 2)
         per_input.append((label, retention))
-    average_error = _clip01(1.0 - sum(f for _, f in per_input) / len(per_input))
 
     metadata = {
         "transfer_coupling": spec.transfer_coupling,
         "interaction_strength": spec.interaction_strength,
         "shift_std": spec.shift_std,
-        "shift_mean": spec.shift_mean,
         "photon_loss_rate": spec.photon_loss_rate,
         "use_ideal_flips": spec.use_ideal_flips,
         "phi_mean": spec.phi_noise.mean,
@@ -809,47 +789,26 @@ def cphase_spin_echo_error(spec: CphaseSpec, point_index: int = 0) -> GateErrorR
         **cal_info,
     }
     return GateErrorReport(
-        per_input=tuple(per_input),
-        primary_error=primary_error,
-        average_error=average_error,
-        metadata=metadata,
+        per_input=tuple(per_input), primary_error=primary_error, metadata=metadata
     )
 
 
-def logical_phase_extract(
-    state: StateVector | DensityMatrix,
-    logical_indices: Sequence[int] = LOGICAL_FLAT,
-    reference: int = 1,
-) -> tuple[float, ...]:
-    """Phases of the logical amplitudes relative to the reference index.
+def logical_phase_extract(state: StateVector) -> tuple[float, ...]:
+    """Phases of the four logical amplitudes relative to the second (|01>).
 
-    Accepts a pure state or a density matrix (phases then read from the
-    reference column).  Raises :class:`LeakageError` when more than 1%
-    of the population left the logical subspace.
+    Raises :class:`LeakageError` when more than 1% of the population left
+    the logical subspace.
     """
-    idx = list(logical_indices)
-    if isinstance(state, StateVector):
-        amps = state.amplitudes[idx]
-        logical_population = float(np.sum(np.abs(amps) ** 2))
-        reference_weight = abs(amps[reference]) ** 2
-        column = amps * np.conj(amps[reference])
-    elif isinstance(state, DensityMatrix):
-        logical_population = float(
-            np.real(np.sum(np.diag(state.matrix)[idx]))
-        )
-        column = state.matrix[idx, idx[reference]]
-        reference_weight = float(np.real(state.matrix[idx[reference], idx[reference]]))
-    else:
-        raise TypeError(f"unsupported state type {type(state)!r}")
-
+    amps = state.amplitudes[list(LOGICAL_FLAT)]
+    logical_population = float(np.sum(np.abs(amps) ** 2))
     leakage = 1.0 - logical_population
     if leakage > 0.01:
         raise LeakageError(
             f"logical subspace holds only {logical_population:.6f} of the "
             f"population (leakage {leakage:.3e})"
         )
-    if reference_weight < 1e-12:
+    if abs(amps[1]) ** 2 < 1e-12:
         raise ValueError("reference amplitude vanishes; phases undefined")
-    phases = _wrap_phase(np.angle(column))
-    phases[reference] = 0.0
+    phases = _wrap_phase(np.angle(amps * np.conj(amps[1])))
+    phases[1] = 0.0
     return tuple(float(p) for p in phases)

@@ -123,14 +123,16 @@ class Operator:
     def dag(self) -> "Operator":
         return Operator(self.space, self.matrix.conj().T)
 
-    def is_hermitian(self, tol: float = HERMITICITY_TOL) -> bool:
-        """Hermiticity check with ``tol`` relative to the largest element."""
+    def is_hermitian(self) -> bool:
+        """Hermiticity within ``HERMITICITY_TOL`` relative to the largest element."""
         scale = max(1.0, float(np.abs(self.matrix).max()))
-        return float(np.abs(self.matrix - self.matrix.conj().T).max()) <= tol * scale
+        deviation = float(np.abs(self.matrix - self.matrix.conj().T).max())
+        return deviation <= HERMITICITY_TOL * scale
 
-    def is_unitary(self, tol: float = 1e-10) -> bool:
+    def is_unitary(self) -> bool:
+        """U U^dagger within ``NORM_TOL`` of the identity, elementwise."""
         d = self.space.dim
-        return float(np.abs(self.matrix @ self.matrix.conj().T - np.eye(d)).max()) <= tol
+        return float(np.abs(self.matrix @ self.matrix.conj().T - np.eye(d)).max()) <= NORM_TOL
 
     def _require_same_space(self, other: "Operator") -> None:
         if self.space != other.space:

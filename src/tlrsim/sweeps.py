@@ -26,10 +26,11 @@ from .config import (
     config_hash,
     detector_params,
     fjs_params,
+    tap_coupling,
     tlr_params,
 )
 from .detector import DetectorParams, detection_efficiency
-from .device import coupling_strength, fjs_derive, mode_frequency, to_angular
+from .device import fjs_derive, to_angular
 
 __all__ = [
     "SweepResult",
@@ -58,7 +59,8 @@ def _map_points(fn, args_list, jobs: int):
         return [fn(args) for args in args_list]
     from concurrent.futures import ProcessPoolExecutor  # ~15 ms of import: serial runs skip it
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # fork starts every worker up front: never more than there are points
+    with ProcessPoolExecutor(max_workers=min(jobs, len(args_list))) as pool:
         return list(pool.map(fn, args_list))
 
 
@@ -81,14 +83,7 @@ def _transfer_point(args) -> tuple:
 
 def run_transfer_sweep(config: dict, jobs: int = 1) -> SweepResult:
     """Transfer-gate error over the loss/dephasing grid, loss rate slowest."""
-    tlr = tlr_params(config)
-    omega = mode_frequency(tlr)
-    coupling = coupling_strength(
-        omega,
-        config["device"]["tlr"]["capacitance_f"],
-        config["device"]["coupler"]["coupling_capacitance_f"],
-        config["device"]["cbjj"]["junction_capacitance_f"],
-    )
+    coupling = tap_coupling(config, "left")
     detuning = to_angular(config["experiments"]["transfer"]["detuning_hz"])
     grid = [
         (coupling, detuning, kappa_hz, gamma2_hz)

@@ -14,13 +14,20 @@ dispersive band) without failing the run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import detector_params, fjs_params, tlr_params
+from .config import detector_params, fjs_params, tap_coupling, tlr_params
 from .detector import DetectorParams, build_detector_liouvillian, detection_efficiency, detector_space
-from .device import coupling_strength, fjs_derive, mode_frequency, thermal_occupancy, to_angular
+from .device import (
+    DISPERSIVE_FLOOR,
+    DISPERSIVE_SAFE,
+    fjs_derive,
+    mode_frequency,
+    thermal_occupancy,
+    to_angular,
+)
 from .lindblad import (
     Evolve,
     Liouvillian,
@@ -75,23 +82,14 @@ def _leq(check_id: str, measured: float, tol: float, detail: str = "") -> CheckR
     return CheckResult(check_id, status, measured, f"<= {tol:.3e}", detail)
 
 
-def _config_coupling(config: dict) -> float:
-    return coupling_strength(
-        mode_frequency(tlr_params(config)),
-        config["device"]["tlr"]["capacitance_f"],
-        config["device"]["coupler"]["coupling_capacitance_f"],
-        config["device"]["cbjj"]["junction_capacitance_f"],
-    )
-
-
 def _operating_transfer(config: dict) -> TransferSpec:
     # engine checks need a well-posed operating point even when the
-    # configured detuning violates the dispersive floor, so clamp it;
-    # the dispersive-regime row reports the configured value itself
-    coupling = _config_coupling(config)
+    # configured detuning violates the dispersive floor, so clamp it to the
+    # safe ratio; the dispersive-regime row reports the configured value itself
+    coupling = tap_coupling(config, "left")
     detuning = to_angular(config["experiments"]["transfer"]["detuning_hz"])
-    if abs(detuning) < 10.0 * coupling:
-        detuning = math.copysign(10.0 * coupling, detuning if detuning else 1.0)
+    if abs(detuning) < DISPERSIVE_SAFE * coupling:
+        detuning = math.copysign(DISPERSIVE_SAFE * coupling, detuning if detuning else 1.0)
     return TransferSpec(
         coupling=coupling,
         detuning=detuning,
@@ -100,7 +98,7 @@ def _operating_transfer(config: dict) -> TransferSpec:
     )
 
 
-def _final_states(config: dict):
+def _final_states(config: dict, spec: TransferSpec, cz: CphaseSpec):
     """Final density matrices of the representative dissipative runs.
 
     Returns (finals, raw_asymmetry, trace_drifts) where raw_asymmetry is
@@ -110,7 +108,6 @@ def _final_states(config: dict):
     finals = []
     drifts = []
 
-    spec = _operating_transfer(config)
     liou = build_transfer_liouvillian(spec)
     rho0 = dict(transfer_inputs(transfer_space()))["photon_left"].to_density_matrix()
     superop = propagator(liou, spec.gate_time)
@@ -123,14 +120,6 @@ def _final_states(config: dict):
     finals += [fin_expm, fin_rk4]
     drifts += [abs(np.trace(fin_expm.matrix) - 1.0), abs(np.trace(fin_rk4.matrix) - 1.0)]
 
-    derived = fjs_derive(fjs_params(config), tlr_params(config))
-    cz = CphaseSpec.from_fjs(
-        derived,
-        speed_ratio=20.0,
-        sample_count=10,
-        seed=config["noise"]["seed"],
-        photon_loss_rate=to_angular(1.0e3),
-    )
     space = cphase_space()
     rho_cz = StateVector(space, equal_superposition()).to_density_matrix()
     shift = cz.shift_deviation(cz.phi_noise.mean + cz.phi_noise.std)
@@ -152,15 +141,13 @@ def _final_states(config: dict):
     return finals, raw_asym, [float(d) for d in drifts], fin_expm, fin_rk4
 
 
-def _check_excitation(spec: TransferSpec, tol: float) -> CheckResult:
+def _check_excitation(exchange_only: Liouvillian, gate_time: float, tol: float) -> CheckResult:
     # lossless exchange: total photon number is an exact constant
-    space, _, _, exchange = transfer_operators()
-    liou = Liouvillian(space, hamiltonian=exchange * spec.exchange_rate)
-    rho0 = dict(transfer_inputs(space))["photon_left"].to_density_matrix()
+    rho0 = dict(transfer_inputs(exchange_only.space))["photon_left"].to_density_matrix()
     n_total = np.diag([0.0, 1.0, 1.0, 2.0])
     worst = 0.0
     for frac in (0.25, 0.5, 0.75, 1.0):
-        fin = propagate_expm(liou, rho0, frac * spec.gate_time)
+        fin = propagate_expm(exchange_only, rho0, frac * gate_time)
         worst = max(worst, abs(float(np.trace(fin.matrix @ n_total).real) - 1.0))
     return _leq("excitation-conservation", worst, tol, "lossless exchange, 4 checkpoints")
 
@@ -183,26 +170,22 @@ def _check_rabi(tol: float) -> CheckResult:
     return _leq("rabi-return", miss, tol, "resonant lossless revival at t = pi/g")
 
 
-def _check_echo(config: dict, tol: float) -> CheckResult:
-    derived = fjs_derive(fjs_params(config), tlr_params(config))
-    spec = CphaseSpec.from_fjs(
-        derived, speed_ratio=20.0, sample_count=10, seed=config["noise"]["seed"]
-    )
+def _check_echo(spec: CphaseSpec, tol: float) -> CheckResult:
+    # instantaneous legs: photon loss never enters
     psi = equal_superposition()
     space = cphase_space()
     phase_sets = []
-    for shift in (0.0, 3.2 * abs(derived.delta_omega_s)):
+    for shift in (0.0, 3.2 * spec.shift_std):
         out = cphase_ideal_leg_unitary(spec, shift) @ psi
         phase_sets.append(logical_phase_extract(StateVector(space, out)))
     worst = max(abs(a - b) for a, b in zip(*phase_sets))
     return _leq("echo-independence", worst, tol, "static level shift, instantaneous legs")
 
 
-def _check_mc_agreement(config: dict, sigma_bound: float, samples: int) -> CheckResult:
-    spec = _operating_transfer(config)
-    lossless = TransferSpec(
-        coupling=spec.coupling, detuning=spec.detuning, dephasing_rate=spec.dephasing_rate
-    )
+def _check_mc_agreement(
+    spec: TransferSpec, exchange_only: Liouvillian, sigma_bound: float, samples: int, seed: int
+) -> CheckResult:
+    lossless = replace(spec, photon_loss_rate=0.0)
     t = lossless.gate_time
     sigma = quasistatic_sigma(
         lossless.coupling, lossless.detuning, lossless.dephasing_rate, t
@@ -210,13 +193,12 @@ def _check_mc_agreement(config: dict, sigma_bound: float, samples: int) -> Check
     space, _, _, exchange = transfer_operators()
     weight = (lossless.coupling / lossless.detuning) ** 2
     # the exchange rate seen by a sample is g^2/Delta - weight * delta
-    exchange_only = Liouvillian(space, hamiltonian=exchange * lossless.exchange_rate)
     noise = QuasiStaticNoise(
         mean=0.0,
         std=sigma,
         label="exchange_detuning",
         sample_count=samples,
-        seed=config["noise"]["seed"],
+        seed=seed,
     )
     rho0 = dict(transfer_inputs(space))["photon_left"].to_density_matrix()
     stat = monte_carlo_quasistatic(
@@ -238,8 +220,7 @@ def _check_mc_agreement(config: dict, sigma_bound: float, samples: int) -> Check
     )
 
 
-def _check_dispersive(config: dict, band: tuple[float, float]) -> list[CheckResult]:
-    g = _operating_transfer(config).coupling
+def _check_dispersive(g: float, band: tuple[float, float]) -> list[CheckResult]:
     reports = {}
     for x in (0.1, 0.05):
         spec = TransferSpec(coupling=g, detuning=g / x)
@@ -265,26 +246,36 @@ def _check_dispersive(config: dict, band: tuple[float, float]) -> list[CheckResu
     return [peak_check, ratio_check]
 
 
-def _check_regime(config: dict) -> CheckResult:
-    spec_ratio = abs(
-        to_angular(config["experiments"]["transfer"]["detuning_hz"])
-    ) / _config_coupling(config)
-    if spec_ratio >= 10.0:
+def _check_regime(config: dict, coupling: float) -> CheckResult:
+    spec_ratio = abs(to_angular(config["experiments"]["transfer"]["detuning_hz"])) / coupling
+    bound = f">= {DISPERSIVE_SAFE:g}"
+    if spec_ratio >= DISPERSIVE_SAFE:
         return CheckResult(
-            "dispersive-regime", "pass", spec_ratio, ">= 10", "configured transfer detuning"
+            "dispersive-regime", "pass", spec_ratio, bound, "configured transfer detuning"
         )
-    detail = "dispersive approximation degrades below 10x coupling"
-    if spec_ratio < 5.0:
-        detail += "; transfer constructors reject below the hard 5x floor"
-    return CheckResult("dispersive-regime", "warn", spec_ratio, ">= 10", detail)
+    detail = f"dispersive approximation degrades below {DISPERSIVE_SAFE:g}x coupling"
+    if spec_ratio < DISPERSIVE_FLOOR:
+        detail += f"; transfer constructors reject below the hard {DISPERSIVE_FLOOR:g}x floor"
+    return CheckResult("dispersive-regime", "warn", spec_ratio, bound, detail)
 
 
 def run_validation(config: dict) -> list[CheckResult]:
     """Run every invariant suite and return one result per check."""
     tol = config["validation"]
     results: list[CheckResult] = []
+    transfer = _operating_transfer(config)
+    exchange_only = build_transfer_liouvillian(
+        replace(transfer, photon_loss_rate=0.0, dephasing_rate=0.0)
+    )
+    cz = CphaseSpec.from_fjs(
+        fjs_derive(fjs_params(config), tlr_params(config)),
+        speed_ratio=20.0,
+        sample_count=10,
+        seed=config["noise"]["seed"],
+        photon_loss_rate=to_angular(1.0e3),
+    )
 
-    finals, raw_asym, drifts, fin_expm, fin_rk4 = _final_states(config)
+    finals, raw_asym, drifts, fin_expm, fin_rk4 = _final_states(config, transfer, cz)
     results.append(
         _leq(
             "trace-preservation",
@@ -322,13 +313,16 @@ def run_validation(config: dict) -> list[CheckResult]:
         )
     )
 
-    spec = _operating_transfer(config)
-    results.append(_check_excitation(spec, tol["excitation_tol"]))
+    results.append(_check_excitation(exchange_only, transfer.gate_time, tol["excitation_tol"]))
     results.append(_check_rabi(tol["rabi_return_tol"]))
-    results.append(_check_echo(config, tol["echo_tol"]))
-    results.append(_check_mc_agreement(config, tol["mc_sigma"], tol["mc_samples"]))
-    results.extend(_check_dispersive(config, tuple(tol["halving_ratio_band"])))
-    results.append(_check_regime(config))
+    results.append(_check_echo(cz, tol["echo_tol"]))
+    results.append(
+        _check_mc_agreement(
+            transfer, exchange_only, tol["mc_sigma"], tol["mc_samples"], config["noise"]["seed"]
+        )
+    )
+    results.extend(_check_dispersive(transfer.coupling, tuple(tol["halving_ratio_band"])))
+    results.append(_check_regime(config, transfer.coupling))
 
     occupancy = thermal_occupancy(
         config["device"]["temperature_k"], mode_frequency(tlr_params(config))

@@ -1,9 +1,26 @@
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from tlrsim import cli
+from tlrsim.config import (
+    _RANGES,
+    _UNBOUNDED,
+    DEFAULT_CONFIG,
+    detector_params,
+    fjs_params,
+    load_config,
+    tlr_params,
+)
 
 CMD = [sys.executable, "-m", "tlrsim"]
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -180,6 +197,91 @@ class TestConfigErrors:
         proc = run_cli("cphase-error", "--samples", "50", "--quick", "--no-timestamp")
         assert proc.returncode == 0
         assert "# quick:" in proc.stdout
+
+
+# Derived conditions that a config inside the accepted ranges can still
+# reach: each exits 1 with this message (and the single leaf that gets there)
+EXIT_ONE_CONDITIONS = (
+    "bias current exceeds the critical tilt of the SQUID well",  # |bias_current_a|
+    "resonator L * C = ",  # L * C under- or overflows: inductance_h, capacitance_f
+    "resonator mode frequency overflows the float range",  # mode_index near 1e308
+    "SQUID operating point leaves the float range",  # a denominator underflows to 0
+    "bias point with vanishing mean cos(phi)",  # tiny critical current: wide phase spread
+    "alpha and sigma_phi must be positive",  # huge critical current: sigma_phi underflows
+    "interaction shift must be negative",  # the cross-Kerr underflows to -0.0
+    "detuning must be nonzero",  # experiments.transfer.detuning_hz of 0
+)
+
+EXTREMES = (5e-324, 1e-300, 1e-30, 0.0, 1.0, 1e30, 1e300, sys.float_info.max)
+
+
+def numeric_leaves(tree, prefix=()):
+    for key, value in tree.items():
+        path = (*prefix, key)
+        if isinstance(value, dict):
+            yield from numeric_leaves(value, path)
+        elif not isinstance(value, (str, bool)):
+            yield path, value
+
+
+def accepted_values(path, default):
+    """Values the config's range for ``path`` accepts, its extremes included."""
+    low, high, open_low = _RANGES.get(".".join(path), _UNBOUNDED)
+    if isinstance(default, int):
+        return st.integers(max(low, -(2**64)), min(high, int(sys.float_info.max)))
+    extremes = [sign * x for sign in (1, -1) for x in EXTREMES]
+    accepted = [x for x in extremes if low <= x <= high and not (open_low and x == low)]
+    floats = st.floats(
+        min_value=low if math.isfinite(low) else None,
+        max_value=high if math.isfinite(high) else None,
+        exclude_min=open_low,
+        allow_nan=False,
+        allow_infinity=False,
+    )
+    values = st.one_of(st.sampled_from(accepted), floats)
+    return st.lists(values, min_size=1, max_size=1) if isinstance(default, list) else values
+
+
+@st.composite
+def single_leaf_overrides(draw):
+    path, default = draw(st.sampled_from(sorted(numeric_leaves(DEFAULT_CONFIG))))
+    override = draw(accepted_values(path, default))
+    for key in reversed(path):
+        override = {key: override}
+    return override
+
+
+class TestDerivedConditions:
+    @pytest.mark.parametrize("command", ["params", "transfer-error", "validate"])
+    def test_lc_underflow_exits_one_without_traceback(self, tmp_path, command):
+        path = tmp_path / "underflow.json"
+        path.write_text(
+            json.dumps({"device": {"tlr": {"inductance_h": 1e-200, "capacitance_f": 1e-200}}})
+        )
+        proc = run_cli(command, "--config", str(path), "--no-timestamp")
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "error: resonator L * C = 0.0 leaves the float range" in proc.stderr
+
+    @settings(max_examples=300, deadline=None)
+    @given(single_leaf_overrides())
+    def test_accepted_leaf_never_crashes_params(self, override):
+        config = load_config(override)  # inside the range: no ConfigError
+        tlr_params(config), fjs_params(config), detector_params(config)
+        stderr = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "config.json")
+            with open(path, "w") as handle:
+                json.dump(override, handle)
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    code = cli.main(["params", "--config", path])
+        assert code in (0, 1)  # the config loaded, so never 2
+        if code == 1:
+            assert any(f"error: {c}" in stderr.getvalue() for c in EXIT_ONE_CONDITIONS), (
+                stderr.getvalue()
+            )
 
 
 class TestCsvCommands:

@@ -83,6 +83,37 @@ def test_perfbench_targets_resolve():
     assert missing == []
 
 
+def propagator_calls_off_contract(source: str) -> list[int]:
+    """Lines of ``propagator(...)`` calls that do not pass exactly two positional arguments."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "propagator"
+        and (
+            len(node.args) != 2
+            or node.keywords
+            or any(isinstance(arg, ast.Starred) for arg in node.args)
+        )
+    ]
+
+
+def test_contract_check_sees_keyword_and_starred_calls():
+    assert propagator_calls_off_contract("propagator(liou, t)\n") == []
+    source = "propagator(liou, duration=t)\npropagator(*args)\nlindblad.propagator(liou)\n"
+    assert propagator_calls_off_contract(source) == [1, 2, 3]
+
+
+def test_propagator_calls_pass_liouvillian_and_duration_positionally():
+    # the benchmark tracer reads args[0] and args[1] of every propagator call
+    offenders = {
+        path.name: lines
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (lines := propagator_calls_off_contract(path.read_text()))
+    }
+    assert offenders == {}
+
+
 def test_cli_import_loads_every_module_perfbench_times():
     # the benchmark reads each module's cumulative time from `-X importtime -c "import tlrsim.cli"`
     timed = set(layers_value("IMPORT_MODULES").values())

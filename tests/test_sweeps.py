@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import re
 
@@ -131,6 +132,29 @@ class TestDetectorSweep:
     def test_nonpositive_ratio_rejected(self):
         with pytest.raises(ConfigError, match="gamma_over_kappa"):
             run_detector_sweep(load_config({"experiments": {"detector": {"gamma_over_kappa": [0.0]}}}))
+
+    def test_workers_capped_at_point_count(self, monkeypatch):
+        # fork starts every worker up front; a stand-in pool records the
+        # count it is asked for and maps serially, so no process starts
+        requested = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        pooled = run_detector_sweep(load_config(), jobs=64)
+        assert requested == [5]
+        assert pooled.rows == run_detector_sweep(load_config(), jobs=1).rows
 
 
 class TestCsvFormat:
