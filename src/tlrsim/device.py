@@ -9,6 +9,7 @@ human-facing configuration uses linear Hz and converts through
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -22,7 +23,6 @@ __all__ = [
     "FjsParams",
     "FjsDerived",
     "mode_frequency",
-    "zero_point_current",
     "coupling_strength",
     "transfer_rate",
     "effective_dephasing_rate",
@@ -137,14 +137,6 @@ class FjsDerived:
     josephson_energy: float
     charging_energy: float
 
-    def __post_init__(self):
-        if self.alpha <= 0 or self.sigma_phi <= 0:
-            raise ValueError("alpha and sigma_phi must be positive")
-        if self.delta_omega_int_rel < 0:
-            raise ValueError("relative interaction spread must be nonnegative")
-        if math.cos(self.phi0) > 0 and self.omega_int >= 0:
-            raise ValueError("interaction shift must be negative for cos(phi0) > 0")
-
 
 def mode_frequency(tlr: TlrParams) -> float:
     """Angular frequency of the selected standing-wave mode, n pi / sqrt(LC).
@@ -244,6 +236,17 @@ def thermal_occupancy(temperature: float, omega: float) -> float:
     return math.exp(-x) / -math.expm1(-x)
 
 
+def _require_float_range(*values: float) -> None:
+    """Reject a quantity that inputs of extreme size pushed out of the normal float range.
+
+    Below the smallest normal float a value has underflowed (to 0 or a
+    subnormal), and above it overflowed to inf; either leaves the derived
+    operating point meaningless.
+    """
+    if not all(sys.float_info.min <= abs(v) < math.inf for v in values):
+        raise ValueError("SQUID operating point leaves the float range")
+
+
 def _cos_fluctuation(phi0: float, var: float) -> tuple[float, float]:
     """Mean and standard deviation of cos(phi) for phi ~ N(phi0, var).
 
@@ -270,8 +273,7 @@ def fjs_derive(fjs: FjsParams, tlr: TlrParams) -> FjsDerived:
     total_cap = fjs.junction_capacitance + fjs.shunt_capacitance
     e_c = (2.0 * E_CHARGE) ** 2 / (4.0 * total_cap)
     i_0 = zero_point_current(tlr)  # both resonators are built alike
-    if min(e_j, e_c, i_0) == 0.0:  # inputs of extreme size underflow a denominator
-        raise ValueError("SQUID operating point leaves the float range")
+    _require_float_range(e_j, e_c, i_0)  # each is a denominator below
 
     sin_phi0 = HBAR * fjs.bias_current / (8.0 * E_CHARGE * e_j)
     if abs(sin_phi0) >= 1.0:
@@ -308,8 +310,9 @@ def fjs_derive(fjs: FjsParams, tlr: TlrParams) -> FjsDerived:
     omega_int = -4.0 * e_j * chi_sq_c * chi_sq_d * math.cos(phi0) / HBAR
 
     cos_mean, cos_std = _cos_fluctuation(phi0, var)
-    if cos_mean == 0.0:
-        raise ValueError("bias point with vanishing mean cos(phi) has no defined spread ratio")
+    # the echo needs an interaction and a shift spread; cos_std < 1, so a
+    # normal cos_mean keeps the spread ratio finite
+    _require_float_range(alpha, sigma_phi, omega_int, delta_omega_s, cos_mean)
     delta_omega_int_rel = cos_std / abs(cos_mean)
 
     return FjsDerived(

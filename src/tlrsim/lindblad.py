@@ -464,15 +464,15 @@ class QuasiStaticNoise:
 
     mean: float
     std: float
-    label: str = "detuning"
-    sample_count: int = 1
-    seed: int = 0
+    label: str
+    sample_count: int
+    seed: int
 
     def __post_init__(self):
         if self.std < 0:
             raise ValueError("noise std must be nonnegative")
-        if self.sample_count < 1:
-            raise ValueError("sample count must be at least 1")
+        if self.sample_count < 2:
+            raise ValueError("sample count must be at least 2: a standard error needs two")
 
     def draw(self, point_index: int, sample_index: int) -> float:
         rng = substream_rng(self.seed, point_index, sample_index)
@@ -587,7 +587,7 @@ def monte_carlo_scalar(
                         f"sample {start + k} ({noise.label}={float(draw)!r}) failed: {exc}"
                     ) from exc
             raise
-    std_error = float(values.std(ddof=1) / math.sqrt(count)) if count > 1 else math.nan
+    std_error = float(values.std(ddof=1) / math.sqrt(count))
     return ObservableStat(mean=float(values.mean()), std_error=std_error, values=values)
 
 

@@ -28,12 +28,9 @@ from .lindblad import (
     LindbladTerm,
     Liouvillian,
     QuasiStaticNoise,
-    apply_propagator,
-    expm,
     monte_carlo_quasistatic,
     monte_carlo_scalar,
     propagate_expm,
-    propagator,
 )
 from .qcore import (
     DensityMatrix,
@@ -48,14 +45,11 @@ from .qcore import (
 )
 
 __all__ = [
-    "LeakageError",
-    "GateErrorReport",
     "TransferSpec",
     "PhaseSpec",
     "CphaseSpec",
     "transfer_space",
     "transfer_operators",
-    "transfer_inputs",
     "build_transfer_liouvillian",
     "transfer_gate_error",
     "transfer_full_model_error",
@@ -70,32 +64,6 @@ __all__ = [
     "LOGICAL_FLAT",
     "IDEAL_CZ_PHASES",
 ]
-
-
-class LeakageError(ValueError):
-    """Too much population left the logical subspace to read out phases."""
-
-
-@dataclass(frozen=True)
-class GateErrorReport:
-    """Fidelity bookkeeping for one gate construction.
-
-    ``primary_error`` is the figure-grade metric of the protocol;
-    ``metadata`` carries every number needed to reproduce it bit-exactly
-    (parameters, seed, sample count).
-    """
-
-    per_input: tuple[tuple[str, float], ...]
-    primary_error: float
-    metadata: dict
-
-    def __post_init__(self):
-        object.__setattr__(self, "per_input", tuple(map(tuple, self.per_input)))
-        if not 0.0 <= self.primary_error <= 1.0:
-            raise ValueError(f"primary_error {self.primary_error} outside [0, 1]")
-        for label, f in self.per_input:
-            if not 0.0 <= f <= 1.0:
-                raise ValueError(f"fidelity for {label!r} outside [0, 1]: {f}")
 
 
 def _clip01(x: float) -> float:
@@ -181,63 +149,27 @@ def build_transfer_liouvillian(spec: TransferSpec) -> Liouvillian:
     return Liouvillian(space, hamiltonian=h, terms=tuple(terms))
 
 
-def transfer_inputs(space: HilbertSpace) -> list[tuple[str, StateVector]]:
-    """The four labelled inputs that :func:`transfer_gate_error` reports."""
-    root2 = math.sqrt(0.5)
-    amps = {
-        "photon_left": [0, 0, 1, 0],
-        "photon_right": [0, 1, 0, 0],
-        "plus": [0, root2, root2, 0],
-        "plus_i": [0, 1j * root2, root2, 0],
-    }
-    return [(label, StateVector(space, np.array(v, dtype=complex))) for label, v in amps.items()]
-
-
-def transfer_gate_error(spec: TransferSpec) -> GateErrorReport:
+def transfer_gate_error(spec: TransferSpec) -> float:
     """Gate error of the dispersive transfer under loss and dephasing.
 
-    Primary metric: photon starts in the left resonator; error is one
-    minus the final right-resonator population.  Fidelities against the
-    ideal evolution (full swap maps left to -i right) are reported for
-    four inputs alongside.
+    The photon starts in the left resonator; the error is one minus the
+    right-resonator population after the full swap.
     """
-    space, a, b, exchange = transfer_operators()
-    liou = build_transfer_liouvillian(spec)
-    t = spec.gate_time
-    ideal_u = expm(-1j * exchange.matrix * spec.exchange_rate * t)
-    superop = propagator(liou, t)
-
-    per_input = []
-    primary_error = None
-    for label, psi in transfer_inputs(space):
-        final = apply_propagator(superop, psi.to_density_matrix())
-        target = StateVector(space, ideal_u @ psi.amplitudes)
-        per_input.append((label, _clip01(fidelity(final, target))))
-        if label == "photon_left":
-            primary_error = _clip01(1.0 - final.population(1))
-    metadata = {
-        "coupling": spec.coupling,
-        "detuning": spec.detuning,
-        "photon_loss_rate": spec.photon_loss_rate,
-        "dephasing_rate": spec.dephasing_rate,
-        "gate_time": t,
-        "exchange_rate": spec.exchange_rate,
-    }
-    return GateErrorReport(
-        per_input=tuple(per_input), primary_error=primary_error, metadata=metadata
-    )
+    rho0 = transfer_space().basis_state([1, 0]).to_density_matrix()
+    final = propagate_expm(build_transfer_liouvillian(spec), rho0, spec.gate_time)
+    return _clip01(1.0 - final.population(1))
 
 
 _TIME_RESOLUTION = 16  # grid steps per fast dispersive period (even)
 
 
-def transfer_full_model_error(spec: TransferSpec) -> GateErrorReport:
+def transfer_full_model_error(spec: TransferSpec) -> dict:
     """Validate the effective transfer against the three-body model.
 
     Simulates both resonators plus the two-level junction coherently in
-    the rotating frame (junction detuned by Delta) and reports, through
-    ``metadata``:
+    the rotating frame (junction detuned by Delta) and returns:
 
+    - ``error``: one minus the target population at the full swap,
     - ``full_swap_time``: where the smoothed target population peaks,
     - ``peak_junction_excitation``: largest transient junction population,
     - ``model_discrepancy``: the largest gauge-aligned distance
@@ -285,7 +217,6 @@ def transfer_full_model_error(spec: TransferSpec) -> GateErrorReport:
         t_full = times[i0]
 
     peak = evecs @ (np.exp(-1j * evals * t_full) * c0)
-    fidelity_full = _clip01(abs(peak[2]) ** 2)
 
     # effective-model amplitudes on the same grid, junction in ground
     jt = spec.exchange_rate * times
@@ -295,21 +226,12 @@ def transfer_full_model_error(spec: TransferSpec) -> GateErrorReport:
         np.max(np.sqrt(2.0 * np.clip(1.0 - np.abs(overlap[mask]), 0.0, None)))
     )
 
-    metadata = {
-        "coupling": g,
-        "detuning": delta,
-        "gate_time": t_eff,
+    return {
+        "error": 1.0 - _clip01(abs(peak[2]) ** 2),
         "full_swap_time": float(t_full),
         "peak_junction_excitation": float(np.max(p_junction)),
         "model_discrepancy": discrepancy,
-        "dispersive_ratio": g / abs(delta),
-        "time_resolution": _TIME_RESOLUTION,
     }
-    return GateErrorReport(
-        per_input=(("photon_left", fidelity_full),),
-        primary_error=_clip01(1.0 - fidelity_full),
-        metadata=metadata,
-    )
 
 
 # ------------------------------------------------------------- phase gate
@@ -334,8 +256,12 @@ def phase_gate_time(spec: PhaseSpec) -> float:
     return spec.phase * spec.detuning / spec.coupling**2
 
 
-def phase_gate_report(spec: PhaseSpec) -> GateErrorReport:
-    """Apply the dispersive shift on the right rail and verify the phase."""
+def phase_gate_report(spec: PhaseSpec) -> dict:
+    """Apply the dispersive shift on the right rail and verify the phase.
+
+    Returns the gate ``error`` on the plus state and the ``relative_phase``
+    its coherence picked up.
+    """
     space, a, b, _ = transfer_operators()
     n_right = embed(number(2, "right"), space, "right")
     shift = spec.coupling**2 / spec.detuning
@@ -349,20 +275,10 @@ def phase_gate_report(spec: PhaseSpec) -> GateErrorReport:
         space,
         np.array([0, root2 * np.exp(-1j * spec.phase), root2, 0], dtype=complex),
     )
-    f = _clip01(fidelity(final, target))
-    relative_phase = float(np.angle(final.matrix[1, 2]))
-    metadata = {
-        "coupling": spec.coupling,
-        "detuning": spec.detuning,
-        "phase": spec.phase,
-        "gate_time": t,
-        "relative_phase": relative_phase,
+    return {
+        "error": 1.0 - _clip01(fidelity(final, target)),
+        "relative_phase": float(np.angle(final.matrix[1, 2])),
     }
-    return GateErrorReport(
-        per_input=(("plus", f),),
-        primary_error=_clip01(1.0 - f),
-        metadata=metadata,
-    )
 
 
 # -------------------------------------------------- controlled-phase gate
@@ -733,14 +649,16 @@ def _fidelities(states: np.ndarray, target: np.ndarray) -> np.ndarray:
     return np.clip(values.real, 0.0, 1.0)
 
 
-def cphase_spin_echo_error(spec: CphaseSpec, point_index: int = 0) -> GateErrorReport:
+def cphase_spin_echo_error(spec: CphaseSpec, point_index: int = 0) -> dict:
     """Monte Carlo gate error of the echo-wrapped controlled-phase.
 
-    Primary metric: one minus the mean fidelity of the equal logical
+    ``error`` is one minus the mean fidelity of the equal logical
     superposition against the calibrated controlled-phase target, over
-    quasi-static draws of the cell phase.  Logical basis inputs are
-    evaluated on the noiseless protocol and reported alongside (their
-    fidelity is population retention; phases cancel).
+    quasi-static draws of the cell phase, and ``std_error`` its Monte
+    Carlo standard error.  Alongside come the solved ``wait_time``, the
+    calibration of :func:`_calibrated_target`, and ``retention``: the
+    population each logical basis state (00, 01, 10, 11) keeps under the
+    noiseless protocol, its fidelity there since phases cancel.
     """
     u_cal = _noiseless_unitaries(spec, np.array([spec.wait_time]))[0]
     target, cal_info = _calibrated_target(u_cal)
@@ -765,45 +683,26 @@ def cphase_spin_echo_error(spec: CphaseSpec, point_index: int = 0) -> GateErrorR
             point_index=point_index,
         )
 
-    primary_error = _clip01(1.0 - stat.mean)
-
-    per_input = []
-    for label, flat in zip(("00", "01", "10", "11"), LOGICAL_FLAT):
-        retention = _clip01(abs(u_cal[flat, flat]) ** 2)
-        per_input.append((label, retention))
-
-    metadata = {
-        "transfer_coupling": spec.transfer_coupling,
-        "interaction_strength": spec.interaction_strength,
-        "shift_std": spec.shift_std,
-        "photon_loss_rate": spec.photon_loss_rate,
-        "use_ideal_flips": spec.use_ideal_flips,
-        "phi_mean": spec.phi_noise.mean,
-        "phi_std": spec.phi_noise.std,
-        "sample_count": spec.phi_noise.sample_count,
-        "seed": spec.phi_noise.seed,
-        "point_index": point_index,
-        "wait_time": spec.wait_time,
-        "transfer_time": spec.transfer_time,
+    return {
+        "error": _clip01(1.0 - stat.mean),
         "std_error": stat.std_error,
+        "wait_time": spec.wait_time,
         **cal_info,
+        "retention": tuple(_clip01(abs(u_cal[flat, flat]) ** 2) for flat in LOGICAL_FLAT),
     }
-    return GateErrorReport(
-        per_input=tuple(per_input), primary_error=primary_error, metadata=metadata
-    )
 
 
 def logical_phase_extract(state: StateVector) -> tuple[float, ...]:
     """Phases of the four logical amplitudes relative to the second (|01>).
 
-    Raises :class:`LeakageError` when more than 1% of the population left
-    the logical subspace.
+    Raises ValueError when more than 1% of the population left the
+    logical subspace.
     """
     amps = state.amplitudes[list(LOGICAL_FLAT)]
     logical_population = float(np.sum(np.abs(amps) ** 2))
     leakage = 1.0 - logical_population
     if leakage > 0.01:
-        raise LeakageError(
+        raise ValueError(
             f"logical subspace holds only {logical_population:.6f} of the "
             f"population (leakage {leakage:.3e})"
         )

@@ -77,7 +77,7 @@ def _transfer_point(args) -> tuple:
         photon_loss_rate=to_angular(kappa_hz),
         dephasing_rate=to_angular(gamma2_hz),
     )
-    error = transfer_gate_error(spec).primary_error
+    error = transfer_gate_error(spec)
     return (kappa_hz, gamma2_hz, error, -math.log10(max(error, 1e-300)))
 
 
@@ -114,8 +114,8 @@ def _cphase_point(args) -> tuple:
         photon_loss_rate=kappa,
         use_ideal_flips=ideal_flips,
     )
-    report = cphase_spin_echo_error(spec, point_index=index)
-    return (ratio, report.primary_error, report.metadata["std_error"], samples, seed)
+    result = cphase_spin_echo_error(spec, point_index=index)
+    return (ratio, result["error"], result["std_error"], samples, seed)
 
 
 def run_cphase_sweep(config: dict, jobs: int = 1, quick: bool = False) -> SweepResult:

@@ -205,10 +205,7 @@ EXIT_ONE_CONDITIONS = (
     "bias current exceeds the critical tilt of the SQUID well",  # |bias_current_a|
     "resonator L * C = ",  # L * C under- or overflows: inductance_h, capacitance_f
     "resonator mode frequency overflows the float range",  # mode_index near 1e308
-    "SQUID operating point leaves the float range",  # a denominator underflows to 0
-    "bias point with vanishing mean cos(phi)",  # tiny critical current: wide phase spread
-    "alpha and sigma_phi must be positive",  # huge critical current: sigma_phi underflows
-    "interaction shift must be negative",  # the cross-Kerr underflows to -0.0
+    "SQUID operating point leaves the float range",  # a derived quantity under- or overflows
     "detuning must be nonzero",  # experiments.transfer.detuning_hz of 0
 )
 
@@ -262,6 +259,22 @@ class TestDerivedConditions:
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert "error: resonator L * C = 0.0 leaves the float range" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"tlr": {"inductance_h": 1e100}},  # the cross-Kerr underflows to -0.0
+            {"fjs": {"junction_critical_current_a": 1e300}},  # sigma_phi underflows
+            {"fjs": {"junction_critical_current_a": 1e-30}},  # mean cos(phi) underflows
+        ],
+    )
+    def test_squid_underflow_names_the_float_range(self, tmp_path, override):
+        path = tmp_path / "underflow.json"
+        path.write_text(json.dumps({"device": override}))
+        proc = run_cli("params", "--config", str(path))
+        assert proc.returncode == 1
+        assert "error: SQUID operating point leaves the float range" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     @settings(max_examples=300, deadline=None)
     @given(single_leaf_overrides())

@@ -4,6 +4,7 @@ and each subcommand imports only what it runs."""
 import ast
 import importlib
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -112,6 +113,61 @@ def test_propagator_calls_pass_liouvillian_and_duration_positionally():
         if (lines := propagator_calls_off_contract(path.read_text()))
     }
     assert offenders == {}
+
+
+ROOT = PACKAGE.parents[1]
+
+# public functions that no other module, script or benchmark layer calls,
+# each kept on purpose
+TEST_ONLY_EXPORTS = {
+    "protocols.phase_gate_time": "the paper's single-qubit phase gate, listed in the README",
+    "protocols.phase_gate_report": "the paper's single-qubit phase gate, listed in the README",
+    "sweeps.read_config_comment": "documented re-ingestion of a CSV's embedded config",
+}
+
+
+def exported_functions(source: str) -> list[str]:
+    """Names in a module's ``__all__`` that the module defines as functions."""
+    tree = ast.parse(source)
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported = set(ast.literal_eval(node.value))
+    return [n.name for n in tree.body if isinstance(n, ast.FunctionDef) and n.name in exported]
+
+
+def unused_exports(modules: dict[str, str], callers: list[str]) -> list[str]:
+    """``module.function`` of each exported function that no other source names.
+
+    ``modules`` maps a tlrsim module's name to its source; ``callers`` are
+    the other sources (scripts, the benchmark tracer) that may name it.
+    """
+    found = []
+    for module, source in modules.items():
+        others = [text for name, text in modules.items() if name != module] + callers
+        for function in exported_functions(source):
+            word = re.compile(rf"\b{function}\b")
+            if not any(word.search(text) for text in others):
+                found.append(f"{module}.{function}")
+    return found
+
+
+def package_sources() -> tuple[dict[str, str], list[str]]:
+    modules = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
+    callers = [path.read_text() for path in [*(ROOT / "scripts").glob("*.py"), LAYERS]]
+    return modules, callers
+
+
+def test_unused_export_check_flags_a_test_only_function():
+    modules, callers = package_sources()
+    modules["planted"] = '__all__ = ["planted_helper"]\n\n\ndef planted_helper():\n    pass\n'
+    assert "planted.planted_helper" in unused_exports(modules, callers)
+
+
+def test_no_public_function_only_tests_use():
+    assert sorted(unused_exports(*package_sources())) == sorted(TEST_ONLY_EXPORTS)
 
 
 def test_cli_import_loads_every_module_perfbench_times():

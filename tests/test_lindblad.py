@@ -324,7 +324,7 @@ class TestSubstreams:
 
 class TestScalarMonteCarlo:
     def test_bitwise_reproducible(self):
-        noise = QuasiStaticNoise(mean=0.0, std=1.0, sample_count=64, seed=11)
+        noise = QuasiStaticNoise(mean=0.0, std=1.0, label="detuning", sample_count=64, seed=11)
         r1 = monte_carlo_scalar(np.cos, noise, point_index=2)
         r2 = monte_carlo_scalar(np.cos, noise, point_index=2)
         assert np.array_equal(r1.values, r2.values)
@@ -335,15 +335,15 @@ class TestScalarMonteCarlo:
     def test_sample_prefix_stable_under_count(self):
         # growing the sample budget must not reshuffle earlier draws
         small = monte_carlo_scalar(
-            np.cos, QuasiStaticNoise(0.0, 1.0, sample_count=16, seed=5)
+            np.cos, QuasiStaticNoise(0.0, 1.0, "detuning", sample_count=16, seed=5)
         )
         large = monte_carlo_scalar(
-            np.cos, QuasiStaticNoise(0.0, 1.0, sample_count=40, seed=5)
+            np.cos, QuasiStaticNoise(0.0, 1.0, "detuning", sample_count=40, seed=5)
         )
         assert np.array_equal(large.values[:16], small.values)
 
     def test_values_are_the_model_at_each_draw(self):
-        noise = QuasiStaticNoise(mean=0.2, std=1.5, sample_count=70, seed=4)
+        noise = QuasiStaticNoise(mean=0.2, std=1.5, label="detuning", sample_count=70, seed=4)
         result = monte_carlo_scalar(np.cos, noise, point_index=1)
         draws = [noise.draw(1, i) for i in range(70)]
         assert np.array_equal(result.values, [math.cos(x) for x in draws])
@@ -351,21 +351,28 @@ class TestScalarMonteCarlo:
     def test_gaussian_dephasing_against_analytic(self):
         # E[cos(delta t)] over delta ~ N(0, sigma^2) is exp(-sigma^2 t^2 / 2).
         sigma, t = 0.8, 1.25
-        noise = QuasiStaticNoise(mean=0.0, std=sigma, sample_count=1000, seed=2024)
+        noise = QuasiStaticNoise(
+            mean=0.0, std=sigma, label="detuning", sample_count=1000, seed=2024
+        )
         result = monte_carlo_scalar(lambda d: np.cos(d * t), noise)
         exact = math.exp(-0.5 * sigma * sigma * t * t)
         assert abs(result.mean - exact) <= 3.0 * result.std_error
 
     def test_values_frozen(self):
         result = monte_carlo_scalar(
-            np.cos, QuasiStaticNoise(0.0, 1.0, sample_count=4, seed=1)
+            np.cos, QuasiStaticNoise(0.0, 1.0, "detuning", sample_count=4, seed=1)
         )
         with pytest.raises(ValueError):
             result.values[0] = 99.0
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            QuasiStaticNoise(0.0, 1.0, sample_count=0)
+            QuasiStaticNoise(0.0, 1.0, "detuning", sample_count=0, seed=0)
+
+    def test_rejects_a_single_sample(self):
+        # one sample has no standard error, as noise.samples and validation.mc_samples say
+        with pytest.raises(ValueError, match="at least 2"):
+            QuasiStaticNoise(0.0, 1.0, "detuning", sample_count=1, seed=0)
 
     def test_failure_reports_index_and_value(self):
         def broken(values):
@@ -409,7 +416,7 @@ class TestStateMonteCarlo:
         return [Evolve(Liouvillian(self.space), duration, self.offset)]
 
     def test_zero_std_matches_deterministic_run(self):
-        noise = QuasiStaticNoise(mean=0.7, std=0.0, sample_count=5, seed=3)
+        noise = QuasiStaticNoise(mean=0.7, std=0.0, label="detuning", sample_count=5, seed=3)
         direct = propagate_expm(self.model(0.7), self.rho0, 1.1)
 
         def distance(states):
@@ -420,7 +427,7 @@ class TestStateMonteCarlo:
 
     def test_mean_state_dephases_like_gaussian(self):
         sigma, t = 0.9, 1.3
-        noise = QuasiStaticNoise(mean=0.0, std=sigma, sample_count=400, seed=21)
+        noise = QuasiStaticNoise(mean=0.0, std=sigma, label="detuning", sample_count=400, seed=21)
 
         def real_parts(states):
             return states[:, 0, 1].real
@@ -437,14 +444,14 @@ class TestStateMonteCarlo:
         assert pop.mean == pytest.approx(0.5, abs=1e-12)
 
     def test_observable_stats_recorded(self):
-        noise = QuasiStaticNoise(mean=0.0, std=0.4, sample_count=32, seed=8)
+        noise = QuasiStaticNoise(mean=0.0, std=0.4, label="detuning", sample_count=32, seed=8)
         stat = monte_carlo_quasistatic(self.evolve_for(1.0), noise, self.rho0, coherence)
         assert stat.values.shape == (32,)
         assert stat.mean == pytest.approx(float(stat.values.mean()), rel=1e-12)
         assert stat.std_error == pytest.approx(float(stat.values.std(ddof=1)) / math.sqrt(32))
 
     def test_schedule_model_supported(self):
-        noise = QuasiStaticNoise(mean=0.4, std=0.0, sample_count=2, seed=1)
+        noise = QuasiStaticNoise(mean=0.4, std=0.0, label="detuning", sample_count=2, seed=1)
         half = Evolve(Liouvillian(self.space), 0.5, self.offset)
         direct = propagate_expm(self.model(0.4), self.rho0, 1.0)
         stat = monte_carlo_quasistatic(
@@ -453,7 +460,7 @@ class TestStateMonteCarlo:
         assert np.max(stat.values) <= 1e-12
 
     def test_coefficient_map_scales_the_shift(self):
-        noise = QuasiStaticNoise(mean=0.4, std=0.0, sample_count=3, seed=1)
+        noise = QuasiStaticNoise(mean=0.4, std=0.0, label="detuning", sample_count=3, seed=1)
         direct = propagate_expm(self.model(-1.0), self.rho0, 1.0)
         stat = monte_carlo_quasistatic(
             self.evolve_for(1.0),
@@ -466,7 +473,7 @@ class TestStateMonteCarlo:
 
     def test_missing_duration_reported(self):
         # a bare generator carries no duration: the schedule is rejected
-        noise = QuasiStaticNoise(mean=0.0, std=0.0, label="tilt", sample_count=1, seed=1)
+        noise = QuasiStaticNoise(mean=0.0, std=0.0, label="tilt", sample_count=2, seed=1)
         with pytest.raises(TypeError, match="unknown schedule segment"):
             monte_carlo_quasistatic([self.model(0.0)], noise, self.rho0, coherence)
 
@@ -488,7 +495,7 @@ class TestStateMonteCarlo:
     def test_block_split_leaves_samples_unchanged(self, monkeypatch):
         decay = (LindbladTerm(self.lower, 0.3),)
         schedule = [Evolve(Liouvillian(self.space, terms=decay), 2.0, self.offset)]
-        noise = QuasiStaticNoise(mean=0.0, std=3.0, sample_count=8, seed=12)
+        noise = QuasiStaticNoise(mean=0.0, std=3.0, label="detuning", sample_count=8, seed=12)
         whole = monte_carlo_quasistatic(schedule, noise, self.rho0, coherence)
         monkeypatch.setattr(lindblad, "SAMPLE_BLOCK", 3)
         split = monte_carlo_quasistatic(schedule, noise, self.rho0, coherence)

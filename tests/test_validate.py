@@ -95,6 +95,27 @@ class TestNegativeControls:
         assert 5.0 < row.measured < 10.0
 
 
+class TestZeroDephasing:
+    # every draw is the same lossless exchange, so the Monte Carlo spread is 0
+    CONFIG = {"device": {"cbjj": {"dephasing_rate_hz": 0}}}
+
+    def mc_row(self, overrides):
+        results = run_validation(load_config(overrides))
+        return next(r for r in results if r.id == "mc-lindblad-agreement"), results
+
+    def test_zero_spread_agrees_within_the_integrator_tolerance(self):
+        row, results = self.mc_row(self.CONFIG)
+        assert row.status == "pass"
+        assert row.measured <= 1e-12
+        assert row.bound == "<= 1.000e-06"
+        assert not has_failure(results)
+        assert render_report(results).count("\n") == len(EXPECTED_IDS) + 1
+
+    def test_zero_spread_still_fails_past_the_tolerance(self):
+        row, _ = self.mc_row({**self.CONFIG, "validation": {"cross_integrator_tol": 1e-30}})
+        assert row.status == "fail"
+
+
 class TestReportFormat:
     def test_one_line_per_check_plus_header(self):
         text = render_report(RESULTS)
