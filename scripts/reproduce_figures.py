@@ -43,7 +43,12 @@ def main() -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        reason = exc.strerror or exc
+        print(f"config error: --outdir: cannot create {outdir}: {reason}", file=sys.stderr)
+        return 2
 
     transfer = run_transfer_sweep(config, jobs=args.jobs)
     write_csv(transfer, outdir / "transfer_error.csv")

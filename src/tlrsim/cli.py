@@ -80,8 +80,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(out).write_text(text)
+    except OSError as exc:
+        raise ConfigError("--out", f"cannot write {out}: {exc.strerror or exc}") from None
 
 
 def _human_freq(hz: float) -> str:

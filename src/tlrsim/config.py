@@ -122,6 +122,9 @@ _ENUMS = {
 # leaves where None is a meaningful value (auto-derived)
 _NULLABLE = {"device.fjs.mutual_inductance_d_h"}
 
+# list leaves that hold one [low, high] interval
+_INTERVALS = {"validation.halving_ratio_band"}
+
 # Monte Carlo runs samples in blocks of lindblad.SAMPLE_BLOCK, at about
 # 0.05 ms per sample without loss and 0.7 ms with it, so this cap already
 # allows runs of minutes to hours per point; larger counts are typos or
@@ -217,6 +220,8 @@ def _check_leaf(path: str, default, value):
                 raise ConfigError(item_path, "expected a number")
             out.append(_finite(item_path, item))
             _check_range(item_path, item, _RANGES.get(path, _UNBOUNDED))
+        if path in _INTERVALS and (len(out) != 2 or out[0] > out[1]):
+            raise ConfigError(path, f"expected [low, high] with low <= high, got {value!r}")
         return out
     if default is None or isinstance(default, (int, float)):
         if not isinstance(value, (int, float)):

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .device import TWO_PI
 from .lindblad import LindbladTerm, Liouvillian, propagator, unvec, vec
 from .qcore import DensityMatrix, HilbertSpace, annihilation, embed, number, projector
 
@@ -41,15 +40,15 @@ class DetectorParams:
     """Operating point of the detector.
 
     All rates are angular (rad/s).  ``detuning`` is photon frequency
-    minus junction transition frequency; 0 is the resonant default.
+    minus junction transition frequency; 0 is resonant.
     """
 
-    coupling: float = TWO_PI * 1.0e8
-    detuning: float = 0.0
-    photon_loss_rate: float = TWO_PI * 1.0e4
-    escape_rate: float = TWO_PI * 2.0e7
-    intra_well_decay: float = TWO_PI * 1.0e5
-    dephasing_rate: float = TWO_PI * 1.0e6
+    coupling: float
+    detuning: float
+    photon_loss_rate: float
+    escape_rate: float
+    intra_well_decay: float
+    dephasing_rate: float
 
     def __post_init__(self):
         rates = (

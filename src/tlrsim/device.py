@@ -68,9 +68,9 @@ def to_linear(omega: float) -> float:
 class TlrParams:
     """Transmission line resonator: lumped totals plus the operating mode."""
 
-    inductance: float = 0.5e-9
-    capacitance: float = 5.0e-12
-    mode_index: int = 2
+    inductance: float
+    capacitance: float
+    mode_index: int
 
     def __post_init__(self):
         if self.inductance <= 0 or self.capacitance <= 0:
@@ -89,15 +89,15 @@ class FjsParams:
     the frequency-shift uncertainty; 1.0 means one standard deviation.
     """
 
-    junction_critical_current: float = 5.0e-5
-    junction_capacitance: float = 1.0e-12
-    shunt_capacitance: float = 1.9e-11
-    squid_self_inductance: float = 1.0e-11
-    loop_inductance: float = 1.0e-10
-    mutual_inductance_c: float = 8.0e-11
-    mutual_inductance_d: float | None = None
-    bias_current: float = 0.0
-    phi_sq_spread_scale: float = 1.0
+    junction_critical_current: float
+    junction_capacitance: float
+    shunt_capacitance: float
+    squid_self_inductance: float
+    loop_inductance: float
+    mutual_inductance_c: float
+    mutual_inductance_d: float | None
+    bias_current: float
+    phi_sq_spread_scale: float
 
     def __post_init__(self):
         if self.junction_critical_current <= 0:
@@ -134,8 +134,6 @@ class FjsDerived:
     delta_omega_s: float
     delta_omega_int_rel: float
     mutual_inductance_d: float
-    josephson_energy: float
-    charging_energy: float
 
 
 def mode_frequency(tlr: TlrParams) -> float:
@@ -326,6 +324,4 @@ def fjs_derive(fjs: FjsParams, tlr: TlrParams) -> FjsDerived:
         delta_omega_s=delta_omega_s,
         delta_omega_int_rel=delta_omega_int_rel,
         mutual_inductance_d=m_d,
-        josephson_energy=e_j,
-        charging_energy=e_c,
     )

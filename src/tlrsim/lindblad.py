@@ -274,19 +274,13 @@ def propagate_expm(
 
 
 def propagate_rk4(
-    liouvillian: Liouvillian,
-    rho0: DensityMatrix,
-    duration: float,
-    *,
-    initial_steps: int | None = None,
-    trace_tol: float = TRACE_DRIFT_TOL,
-    max_halvings: int = MAX_HALVINGS,
+    liouvillian: Liouvillian, rho0: DensityMatrix, duration: float
 ) -> DensityMatrix:
     """Fixed-step RK4 on the matrix-valued master equation.
 
     The generator preserves trace exactly in exact arithmetic, so any
     trace drift flags numerical trouble; the step is halved until the
-    drift stays below ``trace_tol`` or ``max_halvings`` is exhausted.
+    drift stays below ``TRACE_DRIFT_TOL`` or ``MAX_HALVINGS`` is exhausted.
     """
     if rho0.space != liouvillian.space:
         raise ValueError("state lives on a different space")
@@ -295,19 +289,13 @@ def propagate_rk4(
     if duration == 0:
         return rho0
 
-    if initial_steps is None:
-        scale = liouvillian.spectral_scale()
-        initial_steps = max(16, math.ceil(duration * scale / _STEP_FRACTION))
-    if initial_steps < 1:
-        raise ValueError("initial_steps must be at least 1")
-
-    steps = initial_steps
-    for _ in range(max_halvings + 1):
+    steps = max(16, math.ceil(duration * liouvillian.spectral_scale() / _STEP_FRACTION))
+    for _ in range(MAX_HALVINGS + 1):
         if steps > MAX_STEPS:
             raise IntegrationError(
                 f"generator too stiff: {steps} RK4 steps exceed the cap {MAX_STEPS}"
             )
-        result = _rk4_run(liouvillian, rho0.matrix, duration, steps, trace_tol)
+        result = _rk4_run(liouvillian, rho0.matrix, duration, steps)
         if result is not None:
             result = 0.5 * (result + result.conj().T)
             try:
@@ -316,7 +304,7 @@ def propagate_rk4(
                 pass  # not a valid state at this resolution: halve and retry
         steps *= 2
     raise IntegrationError(
-        f"no valid state within trace drift {trace_tol} after {max_halvings} step halvings"
+        f"no valid state within trace drift {TRACE_DRIFT_TOL} after {MAX_HALVINGS} step halvings"
     )
 
 
@@ -325,7 +313,6 @@ def _rk4_run(
     rho0: np.ndarray,
     duration: float,
     steps: int,
-    trace_tol: float,
 ) -> np.ndarray | None:
     dt = duration / steps
     rho = rho0.astype(complex)
@@ -339,7 +326,7 @@ def _rk4_run(
         drift = abs(np.trace(rho).real - 1.0) + abs(np.trace(rho).imag)
         # nan-safe: only verified small drift and bounded norm may continue
         # (physical states have Frobenius norm <= 1; blowup means instability)
-        if not (drift < trace_tol and np.linalg.norm(rho) < 4.0):
+        if not (drift < TRACE_DRIFT_TOL and np.linalg.norm(rho) < 4.0):
             return None
     return rho
 
@@ -348,30 +335,26 @@ def _rk4_run(
 class Evolve:
     """Schedule segment: free evolution under one generator.
 
-    ``shift`` is an optional Hermitian term that a sample's coefficient
-    scales: at coefficient x the segment evolves under the generator with
-    x * shift added to its Hamiltonian (see :meth:`at`).  Segments compare
-    and hash by identity, so an object that recurs in a schedule is built
-    once.
+    ``shift`` is the Hermitian term that a sample's coefficient scales: at
+    coefficient x the segment evolves under the generator with x * shift
+    added to its Hamiltonian (see :meth:`at`).  Segments compare and hash
+    by identity, so an object that recurs in a schedule is built once.
     """
 
     generator: Liouvillian
     duration: float
-    shift: Operator | None = None
+    shift: Operator
 
     def __post_init__(self):
         if self.duration < 0:
             raise ValueError("duration must be nonnegative")
-        if self.shift is not None:
-            if self.shift.space != self.generator.space:
-                raise ValueError("shift term lives on a different space")
-            if not self.shift.is_hermitian():
-                raise ValueError("shift term must be Hermitian")
+        if self.shift.space != self.generator.space:
+            raise ValueError("shift term lives on a different space")
+        if not self.shift.is_hermitian():
+            raise ValueError("shift term must be Hermitian")
 
     def at(self, coefficient: float) -> Liouvillian:
         """The generator at one sample coefficient."""
-        if self.shift is None:
-            return self.generator
         term = self.shift * coefficient
         h = self.generator.hamiltonian
         return replace(self.generator, hamiltonian=term if h is None else h + term)
@@ -519,31 +502,28 @@ def _sectors(pattern: np.ndarray) -> list[np.ndarray]:
     return np.split(members, np.searchsorted(labels[members], firsts[1:]))
 
 
-def _sector_stacks(g0: np.ndarray, g1: np.ndarray | None) -> list[tuple]:
+def _sector_stacks(g0: np.ndarray, g1: np.ndarray) -> list[tuple]:
     """A segment's G0 t and G1 t cut into their sectors, stacked by size.
 
     One (indices, g0, g1) triple per sector size m: the (k, m) superoperator
     indices of the k sectors of that size, and their (k, m, m) blocks of
-    G0 t and of G1 t (None without a shift term).
+    G0 t and of G1 t.
     """
-    pattern = g0 != 0
-    if g1 is not None:
-        pattern |= g1 != 0
     by_size: dict[int, list[np.ndarray]] = {}
-    for sector in _sectors(pattern):
+    for sector in _sectors((g0 != 0) | (g1 != 0)):
         by_size.setdefault(sector.size, []).append(sector)
     stacks = []
     for sectors in by_size.values():
         idx = np.array(sectors)
         rows, cols = idx[:, :, None], idx[:, None, :]
-        stacks.append((idx, g0[rows, cols], None if g1 is None else g1[rows, cols]))
+        stacks.append((idx, g0[rows, cols], g1[rows, cols]))
     return stacks
 
 
 def _sector_propagators(stacks: list[tuple], coefficients: np.ndarray) -> list[tuple]:
-    """(indices, propagators) per sector size: (n, k, m, m), or (k, m, m) if fixed."""
+    """(indices, propagators) per sector size, the propagators (n, k, m, m)."""
     scale = coefficients[:, None, None, None]
-    return [(idx, expm(g0 if g1 is None else g0 + scale * g1)) for idx, g0, g1 in stacks]
+    return [(idx, expm(g0 + scale * g1)) for idx, g0, g1 in stacks]
 
 
 def _apply_sectors(propagators: list[tuple], states: np.ndarray) -> np.ndarray:
@@ -597,16 +577,16 @@ def monte_carlo_quasistatic(
     rho0: DensityMatrix,
     observable: Callable[[np.ndarray], np.ndarray],
     *,
-    coefficient: Callable[[np.ndarray], np.ndarray] | None = None,
+    coefficient: Callable[[np.ndarray], np.ndarray],
     point_index: int = 0,
 ) -> ObservableStat:
     """Average an observable of a schedule's final states over quasi-static draws.
 
     ``coefficient`` maps an array of drawn values to the coefficients of
-    each :class:`Evolve` segment's shift term (default: the values
-    themselves).  Each block of :func:`monte_carlo_scalar` runs the
-    schedule on a stack of states; after every segment each state is
-    Hermitized and checked against the :class:`DensityMatrix` tolerances.
+    each :class:`Evolve` segment's shift term.  Each block of
+    :func:`monte_carlo_scalar` runs the schedule on a stack of states;
+    after every segment each state is Hermitized and checked against the
+    :class:`DensityMatrix` tolerances.
     ``observable`` maps the (n, d, d) stack of final states to n values.
     """
     _check_schedule(schedule, rho0.space)
@@ -614,16 +594,14 @@ def monte_carlo_quasistatic(
     stacks = {}  # distinct Evolve segment -> its sector stacks
     for segment in schedule:
         if isinstance(segment, Evolve) and segment.duration > 0 and segment not in stacks:
-            g1 = None
-            if segment.shift is not None:
-                if id(segment.shift) not in shifts:
-                    shifts[id(segment.shift)] = Liouvillian(rho0.space, segment.shift).matrix()
-                g1 = shifts[id(segment.shift)] * segment.duration
-            stacks[segment] = _sector_stacks(segment.generator.matrix() * segment.duration, g1)
+            if id(segment.shift) not in shifts:
+                shifts[id(segment.shift)] = Liouvillian(rho0.space, segment.shift).matrix()
+            g0, g1 = segment.generator.matrix(), shifts[id(segment.shift)]
+            stacks[segment] = _sector_stacks(g0 * segment.duration, g1 * segment.duration)
     d = rho0.space.dim
 
     def block(draws: np.ndarray) -> np.ndarray:
-        coefficients = draws if coefficient is None else np.asarray(coefficient(draws), float)
+        coefficients = np.asarray(coefficient(draws), float)
         propagators = {seg: _sector_propagators(s, coefficients) for seg, s in stacks.items()}
         states = np.broadcast_to(rho0.matrix, (draws.size, d, d))
         for segment in schedule:

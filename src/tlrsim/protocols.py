@@ -15,6 +15,7 @@ space with logical basis at flat indices (0, 1, 3, 4).
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -104,6 +105,10 @@ class TransferSpec:
 
     def __post_init__(self):
         _validate_dispersive(self.coupling, self.detuning)
+        # g^2 sets the gate time and the exchange rate: a square that under-
+        # or overflows would surface as a division by zero or a non-finite generator
+        if not sys.float_info.min <= self.coupling * self.coupling < math.inf:
+            raise ValueError("transfer coupling squared leaves the float range")
         if self.photon_loss_rate < 0 or self.dephasing_rate < 0:
             raise ValueError("rates must be nonnegative")
 
@@ -160,17 +165,16 @@ def transfer_gate_error(spec: TransferSpec) -> float:
     return _clip01(1.0 - final.population(1))
 
 
-_TIME_RESOLUTION = 16  # grid steps per fast dispersive period (even)
+_TIME_RESOLUTION = 16  # grid steps per fast dispersive period
 
 
 def transfer_full_model_error(spec: TransferSpec) -> dict:
     """Validate the effective transfer against the three-body model.
 
     Simulates both resonators plus the two-level junction coherently in
-    the rotating frame (junction detuned by Delta) and returns:
+    the rotating frame (junction detuned by Delta) on a grid out to 1.45
+    gate times and returns:
 
-    - ``error``: one minus the target population at the full swap,
-    - ``full_swap_time``: where the smoothed target population peaks,
     - ``peak_junction_excitation``: largest transient junction population,
     - ``model_discrepancy``: the largest gauge-aligned distance
       max_t ||psi_full - e^{i theta} psi_eff x ground|| over the gate,
@@ -192,31 +196,10 @@ def transfer_full_model_error(spec: TransferSpec) -> dict:
     t_eff = spec.gate_time
     fast_period = 2.0 * math.pi / math.sqrt(delta**2 + 8.0 * g**2)
     dt = fast_period / _TIME_RESOLUTION
-    n_t = int(math.ceil(1.45 * t_eff / dt))
-    times = np.arange(n_t + 1) * dt
+    times = np.arange(math.ceil(1.45 * t_eff / dt) + 1) * dt
 
     amps = evecs @ (np.exp(-1j * np.outer(evals, times)) * c0[:, None])
-    p_target = np.abs(amps[2, :]) ** 2  # photon right, junction ground
     p_junction = np.sum(np.abs(amps[1::2, :]) ** 2, axis=0)
-
-    # envelope: average away the fast dispersive ripple, then locate the peak
-    window = _TIME_RESOLUTION + 1
-    kernel = np.ones(window) / window
-    smooth = np.convolve(p_target, kernel, mode="same")
-    half = window // 2
-    lo = max(half, int(0.6 * t_eff / dt))
-    hi = n_t - half
-    segment = smooth[lo:hi]
-    i0 = lo + int(np.argmax(segment))
-    # parabolic vertex refinement on the smoothed envelope
-    s_m, s_0, s_p = smooth[i0 - 1], smooth[i0], smooth[i0 + 1]
-    curvature = s_p - 2.0 * s_0 + s_m
-    if curvature < 0:
-        t_full = times[i0] - 0.5 * dt * (s_p - s_m) / curvature
-    else:
-        t_full = times[i0]
-
-    peak = evecs @ (np.exp(-1j * evals * t_full) * c0)
 
     # effective-model amplitudes on the same grid, junction in ground
     jt = spec.exchange_rate * times
@@ -227,8 +210,6 @@ def transfer_full_model_error(spec: TransferSpec) -> dict:
     )
 
     return {
-        "error": 1.0 - _clip01(abs(peak[2]) ** 2),
-        "full_swap_time": float(t_full),
         "peak_junction_excitation": float(np.max(p_junction)),
         "model_discrepancy": discrepancy,
     }
@@ -331,8 +312,8 @@ class CphaseSpec:
     interaction_strength: float
     shift_std: float
     phi_noise: QuasiStaticNoise
-    photon_loss_rate: float = 0.0
-    use_ideal_flips: bool = True
+    photon_loss_rate: float
+    use_ideal_flips: bool
 
     def __post_init__(self):
         if self.transfer_coupling <= 0:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import __version__
@@ -29,7 +29,7 @@ from .config import (
     tap_coupling,
     tlr_params,
 )
-from .detector import DetectorParams, detection_efficiency
+from .detector import detection_efficiency
 from .device import fjs_derive, to_angular
 
 __all__ = [
@@ -152,15 +152,7 @@ def run_cphase_sweep(config: dict, jobs: int = 1, quick: bool = False) -> SweepR
 
 def _detector_point(args) -> tuple:
     base, ratio = args
-    params = DetectorParams(
-        coupling=base.coupling,
-        detuning=base.detuning,
-        photon_loss_rate=base.photon_loss_rate,
-        escape_rate=ratio * base.photon_loss_rate,
-        intra_well_decay=base.intra_well_decay,
-        dephasing_rate=base.dephasing_rate,
-    )
-    result = detection_efficiency(params)
+    result = detection_efficiency(replace(base, escape_rate=ratio * base.photon_loss_rate))
     return (
         ratio,
         result.efficiency,
@@ -215,8 +207,8 @@ def render_csv(result: SweepResult, timestamp: bool = True) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_csv(result: SweepResult, path: str | Path, timestamp: bool = True) -> None:
-    Path(path).write_text(render_csv(result, timestamp=timestamp))
+def write_csv(result: SweepResult, path: str | Path) -> None:
+    Path(path).write_text(render_csv(result))
 
 
 def read_config_comment(text: str) -> dict:

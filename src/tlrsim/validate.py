@@ -20,14 +20,7 @@ import numpy as np
 
 from .config import detector_params, fjs_params, tap_coupling, tlr_params
 from .detector import DetectorParams, build_detector_liouvillian, detection_efficiency, detector_space
-from .device import (
-    DISPERSIVE_FLOOR,
-    DISPERSIVE_SAFE,
-    fjs_derive,
-    mode_frequency,
-    thermal_occupancy,
-    to_angular,
-)
+from .device import DISPERSIVE_SAFE, fjs_derive, mode_frequency, thermal_occupancy, to_angular
 from .lindblad import (
     Evolve,
     Liouvillian,
@@ -69,16 +62,15 @@ class CheckResult:
     status: str
     measured: float
     bound: str
-    detail: str = ""
 
     def __post_init__(self):
         if self.status not in ("pass", "warn", "fail"):
             raise ValueError(f"unknown status {self.status!r}")
 
 
-def _leq(check_id: str, measured: float, tol: float, detail: str = "") -> CheckResult:
+def _leq(check_id: str, measured: float, tol: float) -> CheckResult:
     status = "pass" if measured <= tol else "fail"
-    return CheckResult(check_id, status, measured, f"<= {tol:.3e}", detail)
+    return CheckResult(check_id, status, measured, f"<= {tol:.3e}")
 
 
 def _operating_transfer(config: dict) -> TransferSpec:
@@ -148,7 +140,7 @@ def _check_excitation(
     for frac in (0.25, 0.5, 0.75, 1.0):
         fin = propagate_expm(exchange_only, rho0, frac * gate_time)
         worst = max(worst, abs(float(np.trace(fin.matrix @ n_total).real) - 1.0))
-    return _leq("excitation-conservation", worst, tol, "lossless exchange, 4 checkpoints")
+    return _leq("excitation-conservation", worst, tol)
 
 
 def _check_rabi(tol: float) -> CheckResult:
@@ -164,13 +156,13 @@ def _check_rabi(tol: float) -> CheckResult:
     liou = build_detector_liouvillian(params)
     space = detector_space()
     rho0 = space.basis_state([1, 0]).to_density_matrix()
-    final = propagate_expm(liou, rho0, math.pi / g)
+    final = propagate_expm(liou, rho0, math.pi / g)  # resonant lossless revival
     miss = 1.0 - final.population(3)
-    return _leq("rabi-return", miss, tol, "resonant lossless revival at t = pi/g")
+    return _leq("rabi-return", miss, tol)
 
 
 def _check_echo(spec: CphaseSpec, tol: float) -> CheckResult:
-    # instantaneous legs: photon loss never enters
+    # a static level shift under instantaneous legs: photon loss never enters
     psi = equal_superposition()
     space = cphase_space()
     phase_sets = []
@@ -178,7 +170,7 @@ def _check_echo(spec: CphaseSpec, tol: float) -> CheckResult:
         out = cphase_ideal_leg_unitary(spec, shift) @ psi
         phase_sets.append(logical_phase_extract(StateVector(space, out)))
     worst = max(abs(a - b) for a, b in zip(*phase_sets))
-    return _leq("echo-independence", worst, tol, "static level shift, instantaneous legs")
+    return _leq("echo-independence", worst, tol)
 
 
 def _check_mc_agreement(
@@ -212,59 +204,35 @@ def _check_mc_agreement(
     if stat.std_error == 0.0:
         # no dephasing: every draw is the same lossless exchange, so both
         # sides are one evolution integrated two ways
-        return _leq(
-            "mc-lindblad-agreement",
-            difference,
-            tol["cross_integrator_tol"],
-            f"N={samples} identical draws vs lossless Lindblad",
-        )
+        return _leq("mc-lindblad-agreement", difference, tol["cross_integrator_tol"])
     pull = difference / stat.std_error
     status = "pass" if pull <= sigma_bound else "fail"
-    return CheckResult(
-        "mc-lindblad-agreement",
-        status,
-        pull,
-        f"<= {sigma_bound:.1f} sigma",
-        f"N={samples} quasi-static vs dephasing Lindblad",
-    )
+    return CheckResult("mc-lindblad-agreement", status, pull, f"<= {sigma_bound:.1f} sigma")
 
 
 def _check_dispersive(g: float, band: tuple[float, float]) -> list[CheckResult]:
     models = {
         x: transfer_full_model_error(TransferSpec(coupling=g, detuning=g / x)) for x in (0.1, 0.05)
     }
+    # intermediary occupation at g/|detuning| = 0.1
     peak = models[0.1]["peak_junction_excitation"]
     bound = 4 * 0.1**2
-    peak_check = CheckResult(
-        "dispersive-peak",
-        "pass" if peak <= bound * (1 + 1e-9) else "fail",
-        peak,
-        f"<= {bound:.3e}",
-        "intermediary occupation at g/|detuning| = 0.1",
-    )
+    status = "pass" if peak <= bound * (1 + 1e-9) else "fail"
+    peak_check = CheckResult("dispersive-peak", status, peak, f"<= {bound:.3e}")
+    # full/effective discrepancy contraction under g/|detuning| halving
     lo, hi = band
     ratio = models[0.1]["model_discrepancy"] / models[0.05]["model_discrepancy"]
-    ratio_check = CheckResult(
-        "dispersive-halving",
-        "pass" if lo <= ratio <= hi else "fail",
-        ratio,
-        f"in [{lo:g}, {hi:g}]",
-        "full/effective discrepancy contraction under g/|detuning| halving",
-    )
+    status = "pass" if lo <= ratio <= hi else "fail"
+    ratio_check = CheckResult("dispersive-halving", status, ratio, f"in [{lo:g}, {hi:g}]")
     return [peak_check, ratio_check]
 
 
 def _check_regime(config: dict, coupling: float) -> CheckResult:
+    # the configured transfer detuning: the dispersive approximation
+    # degrades below the safe ratio, an advisory condition, not a failure
     spec_ratio = abs(to_angular(config["experiments"]["transfer"]["detuning_hz"])) / coupling
-    bound = f">= {DISPERSIVE_SAFE:g}"
-    if spec_ratio >= DISPERSIVE_SAFE:
-        return CheckResult(
-            "dispersive-regime", "pass", spec_ratio, bound, "configured transfer detuning"
-        )
-    detail = f"dispersive approximation degrades below {DISPERSIVE_SAFE:g}x coupling"
-    if spec_ratio < DISPERSIVE_FLOOR:
-        detail += f"; transfer constructors reject below the hard {DISPERSIVE_FLOOR:g}x floor"
-    return CheckResult("dispersive-regime", "warn", spec_ratio, bound, detail)
+    status = "pass" if spec_ratio >= DISPERSIVE_SAFE else "warn"
+    return CheckResult("dispersive-regime", status, spec_ratio, f">= {DISPERSIVE_SAFE:g}")
 
 
 def run_validation(config: dict) -> list[CheckResult]:
@@ -285,41 +253,20 @@ def run_validation(config: dict) -> list[CheckResult]:
     )
 
     finals, raw_asym, drifts, fin_expm, fin_rk4 = _final_states(config, transfer, rho_left, cz)
-    results.append(
-        _leq(
-            "trace-preservation",
-            max(drifts),
-            tol["trace_tol"],
-            "worst |tr - 1| across transfer, controlled-phase, detector runs",
-        )
-    )
+    # worst |tr - 1| across the transfer, controlled-phase and detector runs
+    results.append(_leq("trace-preservation", max(drifts), tol["trace_tol"]))
     post_asym = max(float(np.max(np.abs(f.matrix - f.matrix.conj().T))) for f in finals)
-    results.append(_leq("hermiticity", post_asym, tol["hermiticity_tol"], "returned states"))
-    results.append(
-        _leq(
-            "hermiticity-raw",
-            raw_asym,
-            tol["pre_hermitize_tol"],
-            "bare propagator output before symmetrization",
-        )
-    )
+    results.append(_leq("hermiticity", post_asym, tol["hermiticity_tol"]))
+    # bare propagator output, before symmetrization
+    results.append(_leq("hermiticity-raw", raw_asym, tol["pre_hermitize_tol"]))
     min_eig = min(float(np.linalg.eigvalsh(f.matrix).min()) for f in finals)
+    status = "pass" if min_eig >= -tol["positivity_tol"] else "fail"
     results.append(
-        CheckResult(
-            "positivity",
-            "pass" if min_eig >= -tol["positivity_tol"] else "fail",
-            min_eig,
-            f">= {-tol['positivity_tol']:.3e}",
-            "smallest eigenvalue across returned states",
-        )
+        CheckResult("positivity", status, min_eig, f">= {-tol['positivity_tol']:.3e}")
     )
+    # expm against RK4 at the transfer operating point
     results.append(
-        _leq(
-            "cross-integrator",
-            trace_distance(fin_expm, fin_rk4),
-            tol["cross_integrator_tol"],
-            "expm vs RK4 at the transfer operating point",
-        )
+        _leq("cross-integrator", trace_distance(fin_expm, fin_rk4), tol["cross_integrator_tol"])
     )
 
     results.append(
@@ -336,9 +283,8 @@ def run_validation(config: dict) -> list[CheckResult]:
     occupancy = thermal_occupancy(
         config["device"]["temperature_k"], mode_frequency(tlr_params(config))
     )
-    results.append(
-        _leq("thermal-occupancy", occupancy, 1.0e-10, "equilibrium photons at operating point")
-    )
+    # equilibrium photons at the operating point
+    results.append(_leq("thermal-occupancy", occupancy, 1.0e-10))
     return results
 
 

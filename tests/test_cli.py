@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from tlrsim import cli
 from tlrsim.config import (
+    _INTERVALS,
     _RANGES,
     _UNBOUNDED,
     DEFAULT_CONFIG,
@@ -58,6 +59,13 @@ class TestParams:
         assert proc.returncode == 0
         assert proc.stdout == ""
         assert "mode_frequency_hz" in dest.read_text()
+
+    def test_unwritable_out_exits_two_naming_flag_and_path(self, tmp_path):
+        dest = tmp_path / "missing" / "report.txt"
+        proc = run_cli("params", "--out", str(dest))
+        assert proc.returncode == 2
+        assert f"config error: --out: cannot write {dest}:" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestConfigErrors:
@@ -236,6 +244,8 @@ def accepted_values(path, default):
         allow_infinity=False,
     )
     values = st.one_of(st.sampled_from(accepted), floats)
+    if ".".join(path) in _INTERVALS:
+        return st.lists(values, min_size=2, max_size=2).map(sorted)
     return st.lists(values, min_size=1, max_size=1) if isinstance(default, list) else values
 
 
@@ -274,6 +284,16 @@ class TestDerivedConditions:
         proc = run_cli("params", "--config", str(path))
         assert proc.returncode == 1
         assert "error: SQUID operating point leaves the float range" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("command", ["transfer-error", "validate"])
+    def test_coupling_square_underflow_names_the_float_range(self, tmp_path, command):
+        # inside the accepted range, but g is 2.8e-301 and g^2 underflows
+        path = tmp_path / "underflow.json"
+        path.write_text(json.dumps({"device": {"coupler": {"coupling_capacitance_f": 5e-324}}}))
+        proc = run_cli(command, "--config", str(path), "--no-timestamp")
+        assert proc.returncode == 1
+        assert "error: transfer coupling squared leaves the float range" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     @settings(max_examples=300, deadline=None)

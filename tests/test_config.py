@@ -172,6 +172,16 @@ class TestMerge:
             load_config({"experiments": {section: {key: grid}}})
         assert err.value.path == f"{path}[{bad}]"
 
+    @pytest.mark.parametrize("band", [[1.5], [1.5, 2.0, 3.0], [3.0, 1.5]])
+    def test_halving_band_must_be_one_interval(self, band):
+        with pytest.raises(ConfigError, match=r"expected \[low, high\] with low <= high") as err:
+            load_config({"validation": {"halving_ratio_band": band}})
+        assert err.value.path == "validation.halving_ratio_band"
+
+    def test_halving_band_may_be_a_single_point(self):
+        config = load_config({"validation": {"halving_ratio_band": [2.0, 2.0]}})
+        assert config["validation"]["halving_ratio_band"] == [2.0, 2.0]
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError, match="kappa_grid_hz"):
             load_config({"experiments": {"transfer": {"kappa_grid_hz": []}}})

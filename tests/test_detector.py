@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from tlrsim.config import detector_params, load_config
 from tlrsim.detector import (
     DetectionResult,
     DetectorParams,
@@ -13,6 +15,10 @@ from tlrsim.detector import (
 from tlrsim.device import TWO_PI
 from tlrsim.lindblad import propagate_expm, vec
 from tlrsim.qcore import DensityMatrix, StateVector
+
+
+# the default detector of the shipped config
+DEFAULT = detector_params(load_config())
 
 
 def bare_params(**overrides):
@@ -30,7 +36,7 @@ def bare_params(**overrides):
 
 class TestLiouvillianStructure:
     def test_trace_functional_annihilated(self):
-        liou = build_detector_liouvillian(DetectorParams())
+        liou = build_detector_liouvillian(DEFAULT)
         sup = liou.matrix()
         trace_row = vec(np.eye(6)).conj()
         residual = np.abs(trace_row @ sup).max()
@@ -38,7 +44,7 @@ class TestLiouvillianStructure:
 
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):
-            DetectorParams(escape_rate=-1.0)
+            replace(DEFAULT, escape_rate=-1.0)
 
 
 class TestCoherentLimit:
@@ -95,7 +101,7 @@ class TestUnreachableClick:
 
 class TestDetectionEfficiency:
     def test_operating_point_above_99_percent(self):
-        result = detection_efficiency(DetectorParams())
+        result = detection_efficiency(DEFAULT)
         assert result.converged
         assert result.efficiency > 0.99
         assert result.efficiency < 1.0
@@ -103,13 +109,13 @@ class TestDetectionEfficiency:
         assert result.efficiency == pytest.approx(0.9945, abs=2e-3)
 
     def test_click_probability_monotone_in_time(self):
-        result = detection_efficiency(DetectorParams())
+        result = detection_efficiency(DEFAULT)
         latched = [row[3] for row in result.time_series]
         for earlier, later in zip(latched, latched[1:]):
             assert later >= earlier - 1e-9
 
     def test_population_accounting_each_checkpoint(self):
-        result = detection_efficiency(DetectorParams())
+        result = detection_efficiency(DEFAULT)
         for t, p_g, p_e, p_f, photon in result.time_series:
             assert p_g + p_e + p_f == pytest.approx(1.0, abs=1e-9)
             assert -1e-9 <= photon <= 1.0 + 1e-9
@@ -130,49 +136,31 @@ class TestDetectionEfficiency:
         assert result.converged
 
     def test_efficiency_monotone_nonincreasing_in_loss(self):
-        base = DetectorParams()
         ladder = [
             detection_efficiency(
-                DetectorParams(
-                    coupling=base.coupling,
-                    photon_loss_rate=scale * base.photon_loss_rate,
-                    escape_rate=base.escape_rate,
-                    intra_well_decay=base.intra_well_decay,
-                    dephasing_rate=base.dephasing_rate,
-                )
+                replace(DEFAULT, photon_loss_rate=scale * DEFAULT.photon_loss_rate)
             ).efficiency
             for scale in (1.0, 4.0, 16.0)
         ]
         assert ladder[0] >= ladder[1] >= ladder[2]
 
     def test_efficiency_monotone_nonincreasing_in_relaxation(self):
-        base = DetectorParams()
         ladder = [
             detection_efficiency(
-                DetectorParams(
-                    coupling=base.coupling,
-                    photon_loss_rate=base.photon_loss_rate,
-                    escape_rate=base.escape_rate,
-                    intra_well_decay=scale * base.intra_well_decay,
-                    dephasing_rate=base.dephasing_rate,
-                )
+                replace(DEFAULT, intra_well_decay=scale * DEFAULT.intra_well_decay)
             ).efficiency
             for scale in (1.0, 4.0, 16.0)
         ]
         assert ladder[0] >= ladder[1] >= ladder[2]
 
     def test_dephasing_influence_minor(self):
-        base = detection_efficiency(DetectorParams()).efficiency
-        strong = detection_efficiency(
-            DetectorParams(dephasing_rate=TWO_PI * 1.0e7)
-        ).efficiency
+        base = detection_efficiency(DEFAULT).efficiency
+        strong = detection_efficiency(replace(DEFAULT, dephasing_rate=TWO_PI * 1.0e7)).efficiency
         assert abs(strong - base) < 0.01
 
     def test_detuned_detector_is_worse(self):
-        resonant = detection_efficiency(DetectorParams()).efficiency
-        detuned = detection_efficiency(
-            DetectorParams(detuning=TWO_PI * 1.0e9)
-        ).efficiency
+        resonant = detection_efficiency(DEFAULT).efficiency
+        detuned = detection_efficiency(replace(DEFAULT, detuning=TWO_PI * 1.0e9)).efficiency
         assert 0.0 < detuned < resonant
 
 

@@ -1,13 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tlrsim.config import fjs_params, load_config, tlr_params
 from tlrsim.device import (
-    FjsParams,
     TWO_PI,
-    TlrParams,
     coupling_strength,
     effective_dephasing_rate,
     fjs_derive,
@@ -28,7 +28,8 @@ K_B = 1.380_649e-23
 
 # Values every figure in this suite hangs off: the qubit resonator and the
 # junction coupler at their standard operating point.
-TLR = TlrParams()
+TLR = tlr_params(load_config())
+FJS = fjs_params(load_config())
 OMEGA0 = mode_frequency(TLR)
 G_COUPLER = coupling_strength(OMEGA0, 5.0e-12, 2.3e-14, 5.0e-13)
 DELTA = TWO_PI * 2.0e9
@@ -40,11 +41,11 @@ class TestModeFrequency:
         assert to_linear(OMEGA0) == pytest.approx(2.0e10, rel=1e-3)
 
     def test_quarter_lc_doubles_frequency(self):
-        quarter = TlrParams(inductance=0.5e-9 / 2, capacitance=5.0e-12 / 2)
+        quarter = replace(TLR, inductance=0.5e-9 / 2, capacitance=5.0e-12 / 2)
         assert mode_frequency(quarter) == pytest.approx(2 * OMEGA0, rel=1e-12)
 
     def test_linear_in_mode_index(self):
-        third = TlrParams(mode_index=3)
+        third = replace(TLR, mode_index=3)
         assert mode_frequency(third) == pytest.approx(1.5 * OMEGA0, rel=1e-12)
 
 
@@ -59,7 +60,7 @@ class TestZeroPoint:
     def test_quarter_inductance_doubles_current(self):
         # omega doubles and L quarters, so sqrt(hbar omega / L) grows 2 sqrt(2)
         # ... with C also quartered; check pure scaling against the formula.
-        quarter = TlrParams(inductance=0.5e-9 / 4)
+        quarter = replace(TLR, inductance=0.5e-9 / 4)
         ratio = zero_point_current(quarter) / zero_point_current(TLR)
         # omega scales by 2, L by 1/4: sqrt(2 * 4) = 2 sqrt(2).
         assert ratio == pytest.approx(2 * math.sqrt(2), rel=1e-12)
@@ -192,7 +193,7 @@ def oracle_fjs():
 
 class TestFjsDerive:
     def setup_method(self):
-        self.derived = fjs_derive(FjsParams(), TlrParams())
+        self.derived = fjs_derive(FJS, TLR)
 
     def test_zero_bias_has_symmetric_well(self):
         assert self.derived.phi0 == 0.0
@@ -209,7 +210,7 @@ class TestFjsDerive:
         assert self.derived.chi_d == pytest.approx(chi, rel=1e-12)
         # Solved mutual inductance reproduces the chi equality.
         explicit = fjs_derive(
-            FjsParams(mutual_inductance_d=self.derived.mutual_inductance_d), TlrParams()
+            replace(FJS, mutual_inductance_d=self.derived.mutual_inductance_d), TLR
         )
         assert explicit.chi_d == pytest.approx(self.derived.chi_c, rel=1e-12)
         assert self.derived.mutual_inductance_d == pytest.approx(4.254e-10, rel=1e-3)
@@ -238,7 +239,7 @@ class TestFjsDerive:
         assert 1e-4 / 3 <= self.derived.delta_omega_int_rel <= 3e-4
 
     def test_bias_tilts_well(self):
-        tilted = fjs_derive(FjsParams(bias_current=2.0e-5), TlrParams())
+        tilted = fjs_derive(replace(FJS, bias_current=2.0e-5), TLR)
         assert tilted.phi0 == pytest.approx(math.asin(2.0e-5 / (4 * 50e-6)), rel=1e-12)
         assert tilted.phi0 > 0
         # First-order spread takes over: much larger relative uncertainty.
@@ -246,23 +247,23 @@ class TestFjsDerive:
 
     def test_overtilted_bias_rejected(self):
         with pytest.raises(ValueError):
-            fjs_derive(FjsParams(bias_current=2.1e-4), TlrParams())
+            fjs_derive(replace(FJS, bias_current=2.1e-4), TLR)
 
     def test_determinism(self):
-        again = fjs_derive(FjsParams(), TlrParams())
+        again = fjs_derive(fjs_params(load_config()), tlr_params(load_config()))
         assert again == self.derived
 
     def test_spread_scale_passthrough(self):
-        doubled = fjs_derive(FjsParams(phi_sq_spread_scale=2.0), TlrParams())
+        doubled = fjs_derive(replace(FJS, phi_sq_spread_scale=2.0), TLR)
         assert doubled.delta_omega_s == pytest.approx(2 * self.derived.delta_omega_s, rel=1e-12)
 
 
 class TestValidationErrors:
     def test_bad_tlr(self):
         with pytest.raises(ValueError):
-            TlrParams(inductance=-1e-9)
+            replace(TLR, inductance=-1e-9)
         with pytest.raises(ValueError):
-            TlrParams(mode_index=0)
+            replace(TLR, mode_index=0)
 
     def test_bad_cbjj(self):
         # the junction capacitance only enters through the coupling formula
@@ -275,7 +276,7 @@ class TestValidationErrors:
 
     def test_bad_fjs(self):
         with pytest.raises(ValueError):
-            FjsParams(junction_critical_current=0.0)
+            replace(FJS, junction_critical_current=0.0)
 
 
 @settings(deadline=None, max_examples=100)
@@ -291,7 +292,7 @@ def test_thermal_occupancy_nonnegative(f):
 )
 def test_mode_frequency_scaling_law(l, c):
     # omega sqrt(LC) is the fixed geometry constant n pi.
-    tlr = TlrParams(inductance=l, capacitance=c)
+    tlr = replace(TLR, inductance=l, capacitance=c)
     assert mode_frequency(tlr) * math.sqrt(l * c) == pytest.approx(2 * math.pi, rel=1e-12)
 
 
@@ -300,6 +301,6 @@ def test_mode_frequency_scaling_law(l, c):
 def test_sigma_phi_shrinks_with_total_capacitance(extra):
     # Larger shunt capacitance lowers the charging energy and squeezes the
     # phase spread: sigma_phi must decrease monotonically.
-    base = fjs_derive(FjsParams(), TlrParams())
-    bigger = fjs_derive(FjsParams(shunt_capacitance=1.9e-11 + extra), TlrParams())
+    base = fjs_derive(FJS, TLR)
+    bigger = fjs_derive(replace(FJS, shunt_capacitance=1.9e-11 + extra), TLR)
     assert bigger.sigma_phi <= base.sigma_phi

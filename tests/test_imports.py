@@ -191,3 +191,124 @@ def test_subcommand_loads_only_what_it_runs(tmp_path, command, unused):
     )
     assert out.read_text()
     assert loaded & unused == set()
+
+
+# defaulted parameters and dataclass fields that no src/, scripts/ or
+# benchmark-layer call passes, each kept on purpose (cli.main's argv needs
+# no entry: perfbench/layers.py passes it)
+UNPASSED_OPTIONS: dict[str, str] = {}
+
+# the default device is written once, in config.DEFAULT_CONFIG
+NO_DEFAULT_FIELDS = {"TlrParams", "FjsParams", "DetectorParams", "CphaseSpec"}
+
+ALL = 1 << 30  # positional count of a call with a starred argument
+
+
+def decorated(node, name: str) -> bool:
+    """Whether ``node`` carries the decorator ``name`` or ``name(...)``."""
+    return any(getattr(getattr(d, "func", d), "id", None) == name for d in node.decorator_list)
+
+
+def defaulted_options(source: str) -> list[tuple[str, str, int | None]]:
+    """(callee, name, position) of each defaulted parameter or dataclass field.
+
+    ``callee`` is the name a call uses: the function's, or the class's for
+    a dataclass field or an ``__init__`` parameter.  ``position`` counts
+    positional arguments (self and cls excluded); None marks keyword-only.
+    """
+    found = []
+    owners = {}  # method node -> its class
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef):
+            owners.update((item, node) for item in node.body)
+            if decorated(node, "dataclass"):
+                fields = [n for n in node.body if isinstance(n, ast.AnnAssign)]
+                found += [
+                    (node.name, f.target.id, i) for i, f in enumerate(fields) if f.value is not None
+                ]
+        elif isinstance(node, ast.FunctionDef):
+            owner = owners.get(node)
+            callee = owner.name if owner and node.name == "__init__" else node.name
+            positional = [*node.args.posonlyargs, *node.args.args]
+            if owner and not decorated(node, "staticmethod"):
+                positional = positional[1:]
+            first = len(positional) - len(node.args.defaults)
+            found += [(callee, a.arg, i) for i, a in enumerate(positional) if i >= first]
+            found += [
+                (callee, a.arg, None)
+                for a, default in zip(node.args.kwonlyargs, node.args.kw_defaults)
+                if default is not None
+            ]
+    return found
+
+
+def passed_arguments(sources: list[str]) -> dict[str, tuple[int, set[str]]]:
+    """Per callee name, the most positional arguments any call passes and every keyword.
+
+    ``cls(...)`` inside a classmethod is a call to its class.  A starred
+    argument passes every position, and ``**mapping`` every keyword ("**").
+    """
+    calls: dict[str, tuple[int, set[str]]] = {}
+    for source in sources:
+        tree = ast.parse(source)
+        classes = {}  # cls(...) call node -> the class of its classmethod
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and decorated(item, "classmethod"):
+                        cls = item.args.args[0].arg
+                        for call in ast.walk(item):
+                            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == cls:
+                                classes[call] = node.name
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = classes.get(node) or getattr(node.func, "id", getattr(node.func, "attr", None))
+            count = ALL if any(isinstance(a, ast.Starred) for a in node.args) else len(node.args)
+            keywords = {"**" if k.arg is None else k.arg for k in node.keywords}
+            most, names = calls.get(name, (0, set()))
+            calls[name] = (max(most, count), names | keywords)
+    return calls
+
+
+def unpassed_options(modules: dict[str, str], callers: list[str]) -> list[str]:
+    """``module.callee.name`` of each defaulted option that no source passes."""
+    calls = passed_arguments([*modules.values(), *callers])
+    found = []
+    for module, source in modules.items():
+        for callee, name, position in defaulted_options(source):
+            most, keywords = calls.get(callee, (0, set()))
+            if not ((position is not None and most > position) or keywords & {name, "**"}):
+                found.append(f"{module}.{callee}.{name}")
+    return found
+
+
+def test_option_check_counts_positions_keywords_and_cls():
+    source = (
+        "from dataclasses import dataclass\n"
+        "def f(a, b=1, *, c=2):\n    pass\n"
+        "@dataclass\nclass Spec:\n    x: float\n    y: float = 0.0\n"
+        "    @classmethod\n    def make(cls):\n        return cls(1.0, 2.0)\n"
+        "f(0, 1)\n"
+    )
+    assert unpassed_options({"m": source}, []) == ["m.f.c"]
+    assert unpassed_options({"m": source}, ["f(0, c=3)\n"]) == []
+    assert unpassed_options({"m": source}, ["f(**options)\n"]) == []
+
+
+def test_option_check_flags_a_test_only_option():
+    modules, callers = package_sources()
+    # the module's own call passes x alone; only a test would set verbose
+    planted = "def planted_helper(x, verbose=False):\n    return x\n\n\nplanted_helper(1)\n"
+    modules["planted"] = planted
+    assert "planted.planted_helper.verbose" in unpassed_options(modules, callers)
+
+
+def test_no_option_only_tests_set():
+    assert sorted(unpassed_options(*package_sources())) == sorted(UNPASSED_OPTIONS)
+
+
+def test_default_device_records_declare_no_field_defaults():
+    modules = package_sources()[0]
+    defaulted = {callee for source in modules.values() for callee, *_ in defaulted_options(source)}
+    assert defaulted & NO_DEFAULT_FIELDS == set()

@@ -220,8 +220,7 @@ class TestIntegratorCrossCheck:
         rho0 = space.basis_state([1, 0]).to_density_matrix()
         t = 1.29e-8
         reference = propagate_expm(liou, rho0, t)
-        coarse = propagate_rk4(liou, rho0, t, initial_steps=40)
-        fine = propagate_rk4(liou, rho0, t, initial_steps=80)
+        coarse, fine = (lindblad._rk4_run(liou, rho0.matrix, t, steps) for steps in (40, 80))
         ratio = trace_distance(reference, coarse) / trace_distance(reference, fine)
         assert 8.0 <= ratio <= 32.0
 
@@ -240,19 +239,26 @@ class TestRk4StepControl:
         self.liou = Liouvillian(self.space, terms=(LindbladTerm(lower, 1.0e6),))
         self.rho0 = self.space.basis_state([1]).to_density_matrix()
 
-    def test_auto_halving_recovers_from_coarse_start(self):
-        final = propagate_rk4(self.liou, self.rho0, 1.0e-3, initial_steps=4)
+    @pytest.fixture
+    def coarse_start(self, monkeypatch):
+        # the step rule asks for 1 step here, so the run starts at the floor
+        # of 16, where gamma dt = 62.5 is far past RK4's stability limit
+        monkeypatch.setattr(lindblad, "_STEP_FRACTION", 1.0e3)
+
+    def test_auto_halving_recovers_from_coarse_start(self, coarse_start):
+        final = propagate_rk4(self.liou, self.rho0, 1.0e-3)
         assert final.population(0) == pytest.approx(1.0, abs=1e-9)
 
-    def test_halving_budget_exhaustion_raises(self):
-        with pytest.raises(IntegrationError):
-            propagate_rk4(
-                self.liou, self.rho0, 1.0e-3, initial_steps=1, max_halvings=2
-            )
+    def test_halving_budget_exhaustion_raises(self, coarse_start, monkeypatch):
+        monkeypatch.setattr(lindblad, "MAX_HALVINGS", 2)
+        with pytest.raises(IntegrationError, match="after 2 step halvings"):
+            propagate_rk4(self.liou, self.rho0, 1.0e-3)
 
-    def test_step_cap_raises(self):
-        with pytest.raises(IntegrationError):
-            propagate_rk4(self.liou, self.rho0, 1.0e-3, initial_steps=3_000_000)
+    def test_step_cap_raises(self, monkeypatch):
+        # the step rule asks for 50,000 steps
+        monkeypatch.setattr(lindblad, "MAX_STEPS", 10_000)
+        with pytest.raises(IntegrationError, match="too stiff"):
+            propagate_rk4(self.liou, self.rho0, 1.0e-3)
 
 
 class TestLiouvillianValidation:
@@ -279,8 +285,9 @@ class TestSchedule:
         x_gate = Operator(space, np.array([[0, 1], [1, 0]], dtype=complex))
         liou = Liouvillian(space, terms=(LindbladTerm(lower, 2.0),))
         rho0 = space.basis_state([0]).to_density_matrix()
+        # the shift term (any Hermitian one) enters at coefficient 0
         final = propagate_schedule(
-            [Apply(x_gate), Evolve(liou, 0.7), Apply(x_gate)], rho0
+            [Apply(x_gate), Evolve(liou, 0.7, x_gate), Apply(x_gate)], rho0
         )
         # flip, decay, flip back: ground population is now exp(-1.4)
         assert final.population(0) == pytest.approx(math.exp(-1.4), abs=1e-12)
@@ -289,7 +296,7 @@ class TestSchedule:
         space, lower = qubit_tools()
         liou = Liouvillian(space, terms=(LindbladTerm(lower, 2.0),))
         rho0 = space.basis_state([1]).to_density_matrix()
-        a = propagate_schedule([Evolve(liou, 0.7)], rho0)
+        a = propagate_schedule([Evolve(liou, 0.7, lower + lower.dag())], rho0)
         b = propagate_rk4(liou, rho0, 0.7)
         assert trace_distance(a, b) <= 1e-7
 
@@ -415,6 +422,12 @@ class TestStateMonteCarlo:
     def evolve_for(self, duration):
         return [Evolve(Liouvillian(self.space), duration, self.offset)]
 
+    def run(self, schedule, noise, observable):
+        """Monte Carlo with each draw itself the coefficient of the offset."""
+        return monte_carlo_quasistatic(
+            schedule, noise, self.rho0, observable, coefficient=lambda draws: draws
+        )
+
     def test_zero_std_matches_deterministic_run(self):
         noise = QuasiStaticNoise(mean=0.7, std=0.0, label="detuning", sample_count=5, seed=3)
         direct = propagate_expm(self.model(0.7), self.rho0, 1.1)
@@ -422,7 +435,7 @@ class TestStateMonteCarlo:
         def distance(states):
             return [trace_distance(state, direct) for state in states]
 
-        stat = monte_carlo_quasistatic(self.evolve_for(1.1), noise, self.rho0, distance)
+        stat = self.run(self.evolve_for(1.1), noise, distance)
         assert np.max(stat.values) <= 1e-12
 
     def test_mean_state_dephases_like_gaussian(self):
@@ -437,15 +450,15 @@ class TestStateMonteCarlo:
 
         # ensemble-averaged coherence shrinks toward the Gaussian
         # free-induction value, populations untouched
-        stat = monte_carlo_quasistatic(self.evolve_for(t), noise, self.rho0, real_parts)
+        stat = self.run(self.evolve_for(t), noise, real_parts)
         exact = 0.5 * math.exp(-0.5 * sigma * sigma * t * t)
         assert stat.mean == pytest.approx(exact, abs=0.05)
-        pop = monte_carlo_quasistatic(self.evolve_for(t), noise, self.rho0, population)
+        pop = self.run(self.evolve_for(t), noise, population)
         assert pop.mean == pytest.approx(0.5, abs=1e-12)
 
     def test_observable_stats_recorded(self):
         noise = QuasiStaticNoise(mean=0.0, std=0.4, label="detuning", sample_count=32, seed=8)
-        stat = monte_carlo_quasistatic(self.evolve_for(1.0), noise, self.rho0, coherence)
+        stat = self.run(self.evolve_for(1.0), noise, coherence)
         assert stat.values.shape == (32,)
         assert stat.mean == pytest.approx(float(stat.values.mean()), rel=1e-12)
         assert stat.std_error == pytest.approx(float(stat.values.std(ddof=1)) / math.sqrt(32))
@@ -454,9 +467,7 @@ class TestStateMonteCarlo:
         noise = QuasiStaticNoise(mean=0.4, std=0.0, label="detuning", sample_count=2, seed=1)
         half = Evolve(Liouvillian(self.space), 0.5, self.offset)
         direct = propagate_expm(self.model(0.4), self.rho0, 1.0)
-        stat = monte_carlo_quasistatic(
-            [half, half], noise, self.rho0, lambda s: [trace_distance(x, direct) for x in s]
-        )
+        stat = self.run([half, half], noise, lambda s: [trace_distance(x, direct) for x in s])
         assert np.max(stat.values) <= 1e-12
 
     def test_coefficient_map_scales_the_shift(self):
@@ -475,7 +486,7 @@ class TestStateMonteCarlo:
         # a bare generator carries no duration: the schedule is rejected
         noise = QuasiStaticNoise(mean=0.0, std=0.0, label="tilt", sample_count=2, seed=1)
         with pytest.raises(TypeError, match="unknown schedule segment"):
-            monte_carlo_quasistatic([self.model(0.0)], noise, self.rho0, coherence)
+            self.run([self.model(0.0)], noise, coherence)
 
     def test_non_physical_sample_reported_by_index_and_value(self):
         noise = QuasiStaticNoise(mean=0.3, std=1.0, label="tilt", sample_count=40, seed=5)
@@ -496,9 +507,9 @@ class TestStateMonteCarlo:
         decay = (LindbladTerm(self.lower, 0.3),)
         schedule = [Evolve(Liouvillian(self.space, terms=decay), 2.0, self.offset)]
         noise = QuasiStaticNoise(mean=0.0, std=3.0, label="detuning", sample_count=8, seed=12)
-        whole = monte_carlo_quasistatic(schedule, noise, self.rho0, coherence)
+        whole = self.run(schedule, noise, coherence)
         monkeypatch.setattr(lindblad, "SAMPLE_BLOCK", 3)
-        split = monte_carlo_quasistatic(schedule, noise, self.rho0, coherence)
+        split = self.run(schedule, noise, coherence)
         assert np.array_equal(whole.values, split.values)
         assert whole.mean == split.mean
 

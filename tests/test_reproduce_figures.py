@@ -64,3 +64,13 @@ def test_grid_without_the_operating_point_is_reported(tmp_path):
     assert "Traceback" not in proc.stderr
     for name in ("transfer_error.csv", "cphase_error.csv", "detector_efficiency.csv"):
         assert (tmp_path / name).is_file()
+
+
+def test_outdir_that_cannot_be_created_exits_two(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    outdir = blocker / "figures"
+    proc = run_script(tmp_path, "--quick", "--outdir", str(outdir))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"config error: --outdir: cannot create {outdir}:")
+    assert "Traceback" not in proc.stderr
