@@ -21,6 +21,13 @@ from tlrsim.config import ConfigError, load_config
 from tlrsim.sweeps import run_cphase_sweep, run_detector_sweep, run_transfer_sweep, write_csv
 
 
+def write(result, path: Path) -> None:
+    try:
+        write_csv(result, path)
+    except OSError as exc:
+        raise ConfigError("--outdir", f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--config", help="JSON config file")
@@ -31,27 +38,29 @@ def main() -> int:
         "--quick", action="store_true", help="150 Monte Carlo samples instead of the configured count"
     )
     args = parser.parse_args()
-
     try:
-        config = load_config(args.config)
-        if args.seed is not None:
-            config["noise"]["seed"] = args.seed
-        if args.quick:
-            config["noise"]["samples"] = 150
-        config = load_config(config)  # range-checks the overridden leaves
+        run(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    return 0
+
+
+def run(args) -> None:
+    config = load_config(args.config)
+    if args.seed is not None:
+        config["noise"]["seed"] = args.seed
+    if args.quick:
+        config["noise"]["samples"] = 150
+    config = load_config(config)  # range-checks the overridden leaves
     outdir = Path(args.outdir)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        reason = exc.strerror or exc
-        print(f"config error: --outdir: cannot create {outdir}: {reason}", file=sys.stderr)
-        return 2
+        raise ConfigError("--outdir", f"cannot create {outdir}: {exc.strerror or exc}") from None
 
     transfer = run_transfer_sweep(config, jobs=args.jobs)
-    write_csv(transfer, outdir / "transfer_error.csv")
+    write(transfer, outdir / "transfer_error.csv")
     point = (config["noise"]["kappa_hz"], config["device"]["cbjj"]["dephasing_rate_hz"])
     at = f"kappa/2pi={point[0]:g} Hz, Gamma2/2pi={point[1]:g} Hz"
     row = next((r for r in transfer.rows if r[:2] == point), None)
@@ -61,17 +70,16 @@ def main() -> int:
         print(f"transfer error at {at}: {row[2]:.4e}")
 
     cphase = run_cphase_sweep(config, jobs=args.jobs)
-    write_csv(cphase, outdir / "cphase_error.csv")
+    write(cphase, outdir / "cphase_error.csv")
     for row in cphase.rows:
         print(f"controlled-phase error at speed ratio {row[0]:>5.0f}: {row[1]:.4e} +- {row[2]:.1e}")
 
     detector = run_detector_sweep(config, jobs=args.jobs)
-    write_csv(detector, outdir / "detector_efficiency.csv")
+    write(detector, outdir / "detector_efficiency.csv")
     best = detector.rows[-1]
     print(f"detector efficiency at ratio {best[0]:.0f}: {best[1]:.6f}")
 
     print(f"CSVs written to {outdir}/")
-    return 0
 
 
 if __name__ == "__main__":

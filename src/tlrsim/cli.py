@@ -16,9 +16,9 @@ from __future__ import annotations
 import os
 
 # One BLAS thread per process, set before anything imports numpy. The
-# engine's matrices are at most 81x81, where extra BLAS threads cost more
-# than they save and contend with the --jobs workers, which inherit this
-# setting. A value the user exported is kept.
+# engine's matrices are at most 36x36 (the detector's superoperator), where
+# extra BLAS threads cost more than they save and contend with the --jobs
+# workers, which inherit this setting. A value the user exported is kept.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 

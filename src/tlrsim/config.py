@@ -126,8 +126,8 @@ _NULLABLE = {"device.fjs.mutual_inductance_d_h"}
 _INTERVALS = {"validation.halving_ratio_band"}
 
 # Monte Carlo runs samples in blocks of lindblad.SAMPLE_BLOCK, at about
-# 0.05 ms per sample without loss and 0.7 ms with it, so this cap already
-# allows runs of minutes to hours per point; larger counts are typos or
+# 0.06 ms per controlled-phase sample with or without loss, so this cap
+# already allows runs of minutes per point; larger counts are typos or
 # cannot even be allocated
 MAX_SAMPLES = 10_000_000
 

@@ -12,6 +12,7 @@ Junction level order: 0 = ground, 1 = excited, 2 = latched.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +61,10 @@ class DetectorParams:
         )
         if any(r < 0 for r in rates):
             raise ValueError("detector rates must be nonnegative")
+        # a rate past the float range (1e308 Hz is inf rad/s) would reach the
+        # engine as a non-Hermitian Hamiltonian
+        if not all(map(math.isfinite, (*rates, self.detuning))):
+            raise ValueError("detector rate or detuning leaves the float range")
 
 
 @dataclass(frozen=True)

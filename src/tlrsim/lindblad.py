@@ -16,11 +16,8 @@ For density matrices a sample enters a schedule affinely: each segment's
 generator is G(x) = G0 + x G1, where G1 is the superoperator of one
 Hamiltonian term and x the sample's coefficient.
 :func:`monte_carlo_quasistatic` builds G0 t and G1 t once per distinct
-segment and splits them into the sectors they never couple, the
-connected components of their joint sparsity (a weak symmetry of the
-master equation: Buca and Prosen, New J. Phys. 14, 073007 (2012)).  Each
-block then runs one stacked Pade exponential per sector size, and every
-sample's state is validated after every segment.
+segment; each block then runs one stacked Pade exponential per segment,
+and every sample's state is validated after every segment.
 """
 
 from __future__ import annotations
@@ -389,20 +386,17 @@ def _check_schedule(segments: Sequence[Segment], space: HilbertSpace) -> None:
 def propagate_schedule(
     segments: Sequence[Segment],
     rho0: DensityMatrix,
-    coefficient: float = 0.0,
-    *,
-    built: dict[Evolve, np.ndarray] | None = None,
+    coefficient: float,
 ) -> DensityMatrix:
     """Run a pulse schedule segment by segment at one sample coefficient.
 
     Each :class:`Evolve` runs under its generator at ``coefficient``.  A
     segment object that occurs more than once in the schedule has its
     propagator built once and reused; every segment's output is still
-    validated as a state.  A caller that passes ``built`` gets each
-    segment's propagator in it, keyed by segment.
+    validated as a state.
     """
     _check_schedule(segments, rho0.space)
-    built = {} if built is None else built
+    built = {}
     state = rho0
     for segment in segments:
         if isinstance(segment, Apply):
@@ -477,63 +471,9 @@ class ObservableStat:
 
 
 # samples per Monte Carlo block: bounds the memory at any sample count
-# (larger blocks ran no faster on the 81-dim controlled-phase generators)
+# (larger blocks ran no faster on the 9-dim controlled-phase echo, whose
+# time goes to seeding the per-sample substreams)
 SAMPLE_BLOCK = 32
-
-
-def _sectors(pattern: np.ndarray) -> list[np.ndarray]:
-    """Index sets of the connected components of a square sparsity pattern.
-
-    Labels propagate: each index takes the lowest label among itself and
-    its neighbours until no label changes, which leaves every index
-    labelled with the first index of its component.  Sectors come ordered
-    by first index, members ascending.
-    """
-    n = len(pattern)
-    linked = pattern | pattern.T | np.eye(n, dtype=bool)
-    labels = np.arange(n)
-    while True:
-        lowest = np.where(linked, labels, n).min(axis=1)
-        if np.array_equal(lowest, labels):
-            break
-        labels = lowest
-    members = np.argsort(labels, kind="stable")
-    firsts = np.flatnonzero(labels == np.arange(n))
-    return np.split(members, np.searchsorted(labels[members], firsts[1:]))
-
-
-def _sector_stacks(g0: np.ndarray, g1: np.ndarray) -> list[tuple]:
-    """A segment's G0 t and G1 t cut into their sectors, stacked by size.
-
-    One (indices, g0, g1) triple per sector size m: the (k, m) superoperator
-    indices of the k sectors of that size, and their (k, m, m) blocks of
-    G0 t and of G1 t.
-    """
-    by_size: dict[int, list[np.ndarray]] = {}
-    for sector in _sectors((g0 != 0) | (g1 != 0)):
-        by_size.setdefault(sector.size, []).append(sector)
-    stacks = []
-    for sectors in by_size.values():
-        idx = np.array(sectors)
-        rows, cols = idx[:, :, None], idx[:, None, :]
-        stacks.append((idx, g0[rows, cols], g1[rows, cols]))
-    return stacks
-
-
-def _sector_propagators(stacks: list[tuple], coefficients: np.ndarray) -> list[tuple]:
-    """(indices, propagators) per sector size, the propagators (n, k, m, m)."""
-    scale = coefficients[:, None, None, None]
-    return [(idx, expm(g0 + scale * g1)) for idx, g0, g1 in stacks]
-
-
-def _apply_sectors(propagators: list[tuple], states: np.ndarray) -> np.ndarray:
-    """Map an (n, d, d) stack of states through sector propagators."""
-    n, d, _ = states.shape
-    vecs = states.swapaxes(1, 2).reshape(n, d * d)  # vec() of each state
-    out = np.empty_like(vecs)
-    for idx, props in propagators:
-        out[:, idx] = (props @ vecs[:, idx, None])[..., 0]
-    return out.reshape(n, d, d).swapaxes(1, 2)
 
 
 def monte_carlo_scalar(
@@ -578,7 +518,6 @@ def monte_carlo_quasistatic(
     observable: Callable[[np.ndarray], np.ndarray],
     *,
     coefficient: Callable[[np.ndarray], np.ndarray],
-    point_index: int = 0,
 ) -> ObservableStat:
     """Average an observable of a schedule's final states over quasi-static draws.
 
@@ -590,26 +529,25 @@ def monte_carlo_quasistatic(
     ``observable`` maps the (n, d, d) stack of final states to n values.
     """
     _check_schedule(schedule, rho0.space)
-    shifts = {}  # id of a distinct shift term -> its superoperator
-    stacks = {}  # distinct Evolve segment -> its sector stacks
+    generators = {}  # distinct Evolve segment -> its G0 t and G1 t
     for segment in schedule:
-        if isinstance(segment, Evolve) and segment.duration > 0 and segment not in stacks:
-            if id(segment.shift) not in shifts:
-                shifts[id(segment.shift)] = Liouvillian(rho0.space, segment.shift).matrix()
-            g0, g1 = segment.generator.matrix(), shifts[id(segment.shift)]
-            stacks[segment] = _sector_stacks(g0 * segment.duration, g1 * segment.duration)
+        if isinstance(segment, Evolve) and segment.duration > 0 and segment not in generators:
+            g0 = segment.generator.matrix()
+            g1 = Liouvillian(rho0.space, segment.shift).matrix()
+            generators[segment] = (g0 * segment.duration, g1 * segment.duration)
     d = rho0.space.dim
 
     def block(draws: np.ndarray) -> np.ndarray:
-        coefficients = np.asarray(coefficient(draws), float)
-        propagators = {seg: _sector_propagators(s, coefficients) for seg, s in stacks.items()}
+        scale = np.asarray(coefficient(draws), float)[:, None, None]
+        propagators = {seg: expm(g0 + scale * g1) for seg, (g0, g1) in generators.items()}
         states = np.broadcast_to(rho0.matrix, (draws.size, d, d))
         for segment in schedule:
             if isinstance(segment, Apply):
                 u = segment.unitary.matrix
                 states = u @ states @ u.conj().T
             elif segment.duration > 0:
-                states = _apply_sectors(propagators[segment], states)
+                vecs = states.swapaxes(1, 2).reshape(draws.size, d * d, 1)  # vec() of each state
+                states = (propagators[segment] @ vecs).reshape(draws.size, d, d).swapaxes(1, 2)
             else:
                 continue  # a zero-length segment leaves the states as they are
             states = 0.5 * (states + states.conj().swapaxes(1, 2))
@@ -618,7 +556,7 @@ def monte_carlo_quasistatic(
                 raise ValueError(defect[1])
         return observable(states)
 
-    return monte_carlo_scalar(block, noise, point_index=point_index)
+    return monte_carlo_scalar(block, noise)
 
 
 def quasistatic_sigma(g: float, delta: float, gamma2: float, t_gate: float) -> float:

@@ -30,7 +30,6 @@ __all__ = [
     "number",
     "projector",
     "embed",
-    "fidelity",
 ]
 
 TRACE_TOL = 1e-9
@@ -281,18 +280,3 @@ def embed(op: Operator, space: HilbertSpace, label: str) -> Operator:
         out = np.kron(out, factor)
     return Operator(space, out)
 
-
-def fidelity(rho: DensityMatrix | StateVector, target: StateVector) -> float:
-    """Overlap ``<target| rho |target>`` as a real number in [0, 1].
-
-    Raises if the imaginary part exceeds 1e-10, which would indicate a
-    non-Hermitian input.
-    """
-    if isinstance(rho, StateVector):
-        rho = rho.to_density_matrix()
-    if rho.space != target.space:
-        raise ValueError("state and target live on different spaces")
-    val = complex(np.vdot(target.amplitudes, rho.matrix @ target.amplitudes))
-    if abs(val.imag) > 1e-10:
-        raise ValueError(f"fidelity has imaginary part {val.imag}")
-    return float(val.real)

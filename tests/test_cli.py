@@ -296,11 +296,33 @@ class TestDerivedConditions:
         assert "error: transfer coupling squared leaves the float range" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize(
+        "command, override, message",
+        [
+            ("transfer-error", {"experiments": {"transfer": {"detuning_hz": 1e308}}}, "transfer"),
+            ("validate", {"experiments": {"transfer": {"detuning_hz": 1e308}}}, "transfer"),
+            ("validate", {"noise": {"kappa_hz": 1e308}}, "transfer"),
+            ("detector", {"device": {"detector": {"coupling_hz": 1e308}}}, "detector"),
+        ],
+    )
+    def test_rate_overflow_names_the_float_range(self, tmp_path, command, override, message):
+        # inside the accepted range, but 2 pi x 1e308 Hz overflows to inf rad/s
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(override))
+        proc = run_cli(command, "--config", str(path), "--no-timestamp")
+        assert proc.returncode == 1
+        assert f"error: {message} rate or detuning leaves the float range" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     @settings(max_examples=300, deadline=None)
     @given(single_leaf_overrides())
     def test_accepted_leaf_never_crashes_params(self, override):
         config = load_config(override)  # inside the range: no ConfigError
-        tlr_params(config), fjs_params(config), detector_params(config)
+        tlr_params(config), fjs_params(config)
+        try:
+            detector_params(config)
+        except ValueError as exc:  # a rate near 1e308 Hz overflows in angular units
+            assert str(exc) == "detector rate or detuning leaves the float range"
         stderr = io.StringIO()
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "config.json")

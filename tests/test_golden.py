@@ -29,12 +29,12 @@ SWEEPS = {
     "cphase-lossy": (
         LOSSY,
         ["cphase-error", "--samples", "2", "--quick"],
-        "cacc941b7df04153c99c44ac8dcc65fc",
+        "40afae9ccbc5f30ab2e9b3ee8ffabc65",
     ),
     "cphase-lossy-simulated-flips": (
         LOSSY_SIMULATED_FLIPS,
         ["cphase-error", "--samples", "2", "--quick"],
-        "4a6af91a99f4ee7941d85518d3693352",
+        "ca08ce49657f74a63c6eba877c1d4b66",
     ),
     "transfer-error": (None, ["transfer-error"], "a5dd0a39a68f5430e0e6c5b90cfa6ee5"),
     "detector": (None, ["detector"], "2d05596c2fca478b413ff50c603c19db"),
@@ -42,7 +42,7 @@ SWEEPS = {
 
 WHOLE_OUTPUTS = {
     "params": "c5152944a4363c91b1dedf1a60ab336a",
-    "validate": "b6900b1ccd3a1335e0384923a91f1a9f",
+    "validate": "b626486c1f0d5747b9fd195f0d6cd844",
 }
 
 

@@ -120,8 +120,6 @@ ROOT = PACKAGE.parents[1]
 # public functions that no other module, script or benchmark layer calls,
 # each kept on purpose
 TEST_ONLY_EXPORTS = {
-    "protocols.phase_gate_time": "the paper's single-qubit phase gate, listed in the README",
-    "protocols.phase_gate_report": "the paper's single-qubit phase gate, listed in the README",
     "sweeps.read_config_comment": "documented re-ingestion of a CSV's embedded config",
 }
 

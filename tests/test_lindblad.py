@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
-from scipy.sparse.csgraph import connected_components
 
 from tlrsim import lindblad
 from tlrsim.lindblad import (
@@ -287,7 +286,7 @@ class TestSchedule:
         rho0 = space.basis_state([0]).to_density_matrix()
         # the shift term (any Hermitian one) enters at coefficient 0
         final = propagate_schedule(
-            [Apply(x_gate), Evolve(liou, 0.7, x_gate), Apply(x_gate)], rho0
+            [Apply(x_gate), Evolve(liou, 0.7, x_gate), Apply(x_gate)], rho0, 0.0
         )
         # flip, decay, flip back: ground population is now exp(-1.4)
         assert final.population(0) == pytest.approx(math.exp(-1.4), abs=1e-12)
@@ -296,7 +295,7 @@ class TestSchedule:
         space, lower = qubit_tools()
         liou = Liouvillian(space, terms=(LindbladTerm(lower, 2.0),))
         rho0 = space.basis_state([1]).to_density_matrix()
-        a = propagate_schedule([Evolve(liou, 0.7, lower + lower.dag())], rho0)
+        a = propagate_schedule([Evolve(liou, 0.7, lower + lower.dag())], rho0, 0.0)
         b = propagate_rk4(liou, rho0, 0.7)
         assert trace_distance(a, b) <= 1e-7
 
@@ -603,21 +602,3 @@ def test_superoperator_is_the_kron_formula_bit_for_bit(dim, jumps, with_hamilton
     )
     liou = Liouvillian(space, hamiltonian=h, terms=terms)
     assert np.array_equal(liou.matrix(), kron_superoperator(liou))
-
-
-@settings(deadline=None, max_examples=80)
-@given(
-    n=st.integers(min_value=1, max_value=81),
-    density=st.floats(min_value=0.0, max_value=0.1),
-    seed=st.integers(min_value=0, max_value=2**31 - 1),
-)
-def test_sectors_are_the_connected_components(n, density, seed):
-    pattern = np.random.default_rng(seed).random((n, n)) < density
-    _, labels = connected_components(pattern, directed=True, connection="weak")
-    groups = [np.flatnonzero(labels == label) for label in np.unique(labels)]
-    expected = sorted((g.tolist() for g in groups), key=lambda g: g[0])
-    sectors = lindblad._sectors(pattern)
-    assert [s.tolist() for s in sectors] == expected
-    firsts = [s[0] for s in sectors]
-    assert firsts == sorted(firsts)
-    assert all(np.all(np.diff(s) > 0) for s in sectors)

@@ -1,5 +1,6 @@
-"""Gate protocol tests: transfer, full-model validation, phase, controlled-phase."""
+"""Gate protocol tests: transfer, full-model validation, controlled-phase."""
 
+import dataclasses
 import json
 import math
 import warnings
@@ -13,7 +14,9 @@ from tlrsim import lindblad, protocols
 from tlrsim.config import fjs_params, load_config, tlr_params
 from tlrsim.device import fjs_derive
 from tlrsim.lindblad import (
+    Apply,
     Evolve,
+    LindbladTerm,
     Liouvillian,
     QuasiStaticNoise,
     apply_propagator,
@@ -28,22 +31,18 @@ from tlrsim.protocols import (
     IDEAL_CZ_PHASES,
     LOGICAL_FLAT,
     CphaseSpec,
-    PhaseSpec,
     TransferSpec,
     build_transfer_liouvillian,
     cphase_ideal_leg_unitary,
-    cphase_schedule,
     cphase_space,
     cphase_spin_echo_error,
     logical_phase_extract,
-    phase_gate_report,
-    phase_gate_time,
     transfer_full_model_error,
     transfer_gate_error,
     transfer_operators,
     transfer_space,
 )
-from tlrsim.qcore import DensityMatrix, StateVector, fidelity
+from tlrsim.qcore import DensityMatrix, HilbertSpace, Operator, StateVector, embed, projector
 
 TWO_PI = 2.0 * math.pi
 
@@ -95,7 +94,8 @@ def swap_fidelities(spec):
     for label, amps in inputs.items():
         psi = StateVector(space, np.array(amps, dtype=complex))
         final = apply_propagator(superop, psi.to_density_matrix())
-        fids[label] = fidelity(final, StateVector(space, ideal_u @ psi.amplitudes))
+        target = ideal_u @ psi.amplitudes
+        fids[label] = np.vdot(target, final.matrix @ target).real
     return fids
 
 
@@ -233,35 +233,6 @@ class TestFullModelValidation:
     def test_discrepancy_magnitude(self):
         md = transfer_full_model_error(dispersive_spec(0.1))
         assert md["model_discrepancy"] == pytest.approx(0.2, rel=0.15)
-
-
-class TestPhaseGate:
-    def spec(self, phase):
-        shift = TWO_PI * 2e7
-        return PhaseSpec(
-            coupling=math.sqrt(shift * DELTA_OP), detuning=DELTA_OP, phase=phase
-        )
-
-    def test_pi_gate_time(self):
-        assert phase_gate_time(self.spec(math.pi)) == pytest.approx(25e-9, rel=1e-9)
-
-    def test_zero_phase_zero_time(self):
-        assert phase_gate_time(self.spec(0.0)) == 0.0
-
-    def test_sign_constraint(self):
-        with pytest.raises(ValueError):
-            self.spec(-math.pi)
-
-    def test_pi_flips_coherence_sign(self):
-        rep = phase_gate_report(self.spec(math.pi))
-        assert rep["error"] < 1e-9
-        assert math.cos(rep["relative_phase"]) == pytest.approx(-1.0, abs=1e-9)
-
-    def test_half_gates_compose(self):
-        half = phase_gate_report(self.spec(math.pi / 2))["relative_phase"]
-        full = phase_gate_report(self.spec(math.pi))["relative_phase"]
-        mismatch = np.angle(np.exp(1j * (2 * half - full)))
-        assert abs(mismatch) < 1e-10
 
 
 DERIVED = fjs_derive(fjs_params(load_config()), tlr_params(load_config()))
@@ -465,10 +436,10 @@ class TestCphaseError:
         assert json.loads(json.dumps(rep))["retention"] == list(rep["retention"])
 
     def test_loss_free_paths_agree(self):
-        # a vanishing loss rate must reproduce the pure-state fast path
-        fast = cphase_spin_echo_error(cz_spec(20.0, n=25))
-        dense = cphase_spin_echo_error(cz_spec(20.0, n=25, photon_loss_rate=1e-3))
-        assert dense["error"] == pytest.approx(fast["error"], abs=1e-6)
+        # a vanishing loss rate must reproduce the lossless error
+        lossless = cphase_spin_echo_error(cz_spec(20.0, n=25))
+        lossy = cphase_spin_echo_error(cz_spec(20.0, n=25, photon_loss_rate=1e-3))
+        assert lossy["error"] == pytest.approx(lossless["error"], abs=1e-6)
 
     def test_photon_loss_increases_error(self):
         lossless = cphase_spin_echo_error(cz_spec(20.0, n=25))
@@ -482,6 +453,19 @@ class TestCphaseError:
         floor = 1 - math.exp(-TWO_PI * 1e4 * duration)
         assert lossy["error"] > 0.5 * floor
 
+    @pytest.mark.parametrize("ideal_flips", [True, False])
+    def test_loss_scales_the_lossless_fidelity_by_both_photons_surviving(self, ideal_flips):
+        kappa = TWO_PI * 1e3
+        lossless = cphase_spin_echo_error(cz_spec(20.0, n=40, use_ideal_flips=ideal_flips))
+        spec = cz_spec(20.0, n=40, photon_loss_rate=kappa, use_ideal_flips=ideal_flips)
+        lossy = cphase_spin_echo_error(spec)
+        legs = 4 if ideal_flips else 6  # a simulated flip lasts one leg
+        survival = math.exp(-2.0 * kappa * 2.0 * (legs / 2 * spec.transfer_time + spec.wait_time))
+        assert lossy["error"] == pytest.approx(
+            1.0 - survival * (1.0 - lossless["error"]), rel=0, abs=1e-15
+        )
+        assert lossy["std_error"] == pytest.approx(survival * lossless["std_error"], rel=1e-12)
+
     def test_simulated_flips_supported(self):
         ideal = cphase_spin_echo_error(cz_spec(20.0, n=25))
         sim = cphase_spin_echo_error(cz_spec(20.0, n=25, use_ideal_flips=False))
@@ -493,46 +477,99 @@ class TestCphaseError:
         assert max(abs(r) for r in sim["calibration_residual"]) < 1e-12
 
 
-def _lossy_start():
-    psi = np.zeros(9, dtype=complex)
-    psi[list(LOGICAL_FLAT)] = 0.5
-    return DensityMatrix(cphase_space(), np.outer(psi, psi.conj()))
+@dataclasses.dataclass(frozen=True)
+class FrozenShiftSpec(CphaseSpec):
+    """A controlled-phase spec whose every draw sees one shift deviation."""
+
+    frozen_shift: float
+
+    def shift_deviation(self, phi):
+        return self.frozen_shift + 0.0 * phi
 
 
-def _distinct_evolutions(segments):
-    return list({id(s): s for s in segments if isinstance(s, Evolve)}.values())
+def frozen_shift_spec(spec, shift):
+    fields = {f.name: getattr(spec, f.name) for f in dataclasses.fields(CphaseSpec)}
+    return FrozenShiftSpec(**fields, frozen_shift=shift)
+
+
+VACUUM_SPACE = HilbertSpace([("rail1", 4), ("rail2", 4)])
+VACUUM_LOGICAL = (0, 1, 4, 5)  # logical 00, 01, 10, 11 with level 3 the vacuum
+
+
+def on_rails(single):
+    """A 3-level single-rail matrix, padded by the vacuum, summed over both rails."""
+    padded = np.zeros((4, 4), dtype=complex)
+    padded[:3, :3] = single
+    return np.kron(padded, np.eye(4)) + np.kron(np.eye(4), padded)
+
+
+def vacuum_schedule(spec):
+    """The lossy echo with a vacuum level per rail, rebuilt from the protocol description.
+
+    Each rail loses its photon to level 3 at ``photon_loss_rate`` from
+    every level; the cell shift is every evolution's shift term.
+    """
+    cell = np.diag([0.0, 0.0, 1.0, 0.0])
+    cross = Operator(VACUUM_SPACE, -spec.interaction_strength * np.kron(cell, cell))
+    hop = np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0]])
+    hop_logical = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
+    shift = Operator(VACUUM_SPACE, on_rails(cell[:3, :3]))
+    jumps = tuple(
+        LindbladTerm(embed(projector(3, level, 4, rail), VACUUM_SPACE, rail), spec.photon_loss_rate)
+        for rail in ("rail1", "rail2")
+        for level in (0, 1, 2)
+    )
+
+    def evolve(h, duration):
+        return Evolve(Liouvillian(VACUUM_SPACE, h, jumps), duration, shift)
+
+    g = spec.transfer_coupling
+    leg = evolve(Operator(VACUUM_SPACE, g * on_rails(hop)) + cross, spec.transfer_time)
+    wait = evolve(cross, spec.wait_time)
+    if spec.use_ideal_flips:
+        swap = np.array([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+        flip = Apply(Operator(VACUUM_SPACE, np.kron(swap, swap)))
+    else:
+        h_flip = Operator(VACUUM_SPACE, g * on_rails(hop_logical)) + cross
+        flip = evolve(h_flip, spec.transfer_time)
+    return [leg, wait, leg, flip] * 2
+
+
+def vacuum_start():
+    psi = np.zeros(16, dtype=complex)
+    psi[list(VACUUM_LOGICAL)] = 0.5
+    return DensityMatrix(VACUUM_SPACE, np.outer(psi, psi.conj()))
+
+
+def reported_target(report):
+    """The calibrated controlled-phase target rebuilt from a report's calibration phases."""
+    g, z1, z2 = (report[f"calibration_{k}"] for k in ("global_phase", "z_first", "z_second"))
+    local = np.array([g, g + z2, g + z1, g + z1 + z2])
+    target = np.zeros(16, dtype=complex)
+    target[list(VACUUM_LOGICAL)] = 0.5 * np.exp(1j * (np.array(IDEAL_CZ_PHASES) + local))
+    return target
 
 
 class TestLossySchedule:
+    @pytest.mark.parametrize("ideal_flips", [True, False])
+    @pytest.mark.parametrize("ratio", [5.0, 20.0])
+    @pytest.mark.parametrize("shift_in_std", [0.0, 0.7])
+    def test_closed_form_matches_vacuum_lindblad(self, ideal_flips, ratio, shift_in_std):
+        base = cz_spec(ratio, n=2, photon_loss_rate=TWO_PI * 1e4, use_ideal_flips=ideal_flips)
+        spec = frozen_shift_spec(base, shift_in_std * base.shift_std)
+        report = cphase_spin_echo_error(spec)
+        final = propagate_schedule(vacuum_schedule(spec), vacuum_start(), spec.frozen_shift)
+        target = reported_target(report)
+        fidelity = np.vdot(target, final.matrix @ target)
+        assert abs(fidelity.imag) < 1e-12
+        assert 1.0 - report["error"] == pytest.approx(fidelity.real, rel=0, abs=1e-12)
+        assert report["std_error"] == 0.0
+
     @pytest.mark.parametrize("ideal_flips, distinct", [(True, 2), (False, 3)])
     def test_each_distinct_propagator_built_once(self, monkeypatch, ideal_flips, distinct):
-        spec = cz_spec(20.0, n=5, photon_loss_rate=TWO_PI * 1e4, use_ideal_flips=ideal_flips)
-        segments = cphase_schedule(spec)
-        rho0 = _lossy_start()
+        spec = cz_spec(20.0, n=2, photon_loss_rate=TWO_PI * 1e4, use_ideal_flips=ideal_flips)
+        segments = vacuum_schedule(spec)
         assert len(segments) == 8
-        assert len(_distinct_evolutions(segments)) == distinct
-
-        generators = []
-        original_matrix = Liouvillian.matrix
-
-        def counting_matrix(liouvillian):
-            generators.append(liouvillian)
-            return original_matrix(liouvillian)
-
-        monkeypatch.setattr(Liouvillian, "matrix", counting_matrix)
-        finals = []
-
-        def record(states):
-            finals.extend(states.copy())
-            return states[:, 0, 0].real
-
-        p00 = monte_carlo_quasistatic(
-            segments, spec.phi_noise, rho0, record, coefficient=spec.shift_deviation
-        )
-        # G0 of each distinct evolution and G1 of their shared shift term,
-        # once for all five samples
-        assert len(generators) == distinct + 1
-
         built = []
         original = lindblad.propagator
 
@@ -541,56 +578,26 @@ class TestLossySchedule:
             return original(liouvillian, duration)
 
         monkeypatch.setattr(lindblad, "propagator", counting)
-        folded = []
-        for i in range(5):
-            x = spec.shift_deviation(spec.phi_noise.draw(0, i))
-            folded.append(propagate_schedule(segments, rho0, x))
-            assert trace_distance(finals[i], folded[-1]) <= 1e-12
-        assert len(built) == 5 * distinct
-        assert np.allclose(p00.values, [f.population(0) for f in folded], rtol=0, atol=1e-12)
+        x = 0.3 * spec.shift_std
+        folded = propagate_schedule(segments, vacuum_start(), x)
+        assert len(built) == distinct
+        # the stacked Monte Carlo engine runs the same schedule, kicks included
+        finals = []
+
+        def record(states):
+            finals.extend(states.copy())
+            return states[:, 0, 0].real
+
+        monte_carlo_quasistatic(
+            segments, spec.phi_noise, vacuum_start(), record, coefficient=lambda d: x + 0.0 * d
+        )
+        assert all(trace_distance(final, folded) <= 1e-12 for final in finals)
 
     def test_block_split_leaves_samples_unchanged(self, monkeypatch):
         spec = cz_spec(20.0, n=8, photon_loss_rate=TWO_PI * 1e4, use_ideal_flips=False)
-
-        def run():
-            return monte_carlo_quasistatic(
-                cphase_schedule(spec),
-                spec.phi_noise,
-                _lossy_start(),
-                lambda states: states[:, 0, 0].real,
-                coefficient=spec.shift_deviation,
-            )
-
-        whole = run()
+        whole = cphase_spin_echo_error(spec)
         monkeypatch.setattr(lindblad, "SAMPLE_BLOCK", 3)
-        split = run()
-        assert np.array_equal(whole.values, split.values)
-        assert whole.mean == split.mean
-
-
-class TestSectors:
-    # sectors: the leg 9 (largest 25), the wait 49 (largest 9), a
-    # simulated flip like the leg
-    @pytest.mark.parametrize("ideal_flips", [True, False])
-    def test_sector_blocks_reassemble_full_expm(self, ideal_flips):
-        spec = cz_spec(20.0, n=2, photon_loss_rate=TWO_PI * 1e4, use_ideal_flips=ideal_flips)
-        x = spec.shift_deviation(spec.phi_noise.draw(0, 0))
-        expected = [(9, 25), (49, 9)] + ([] if ideal_flips else [(9, 25)])
-        for segment, (count, largest) in zip(
-            _distinct_evolutions(cphase_schedule(spec)), expected
-        ):
-            shift = Liouvillian(segment.generator.space, segment.shift).matrix()
-            stacks = lindblad._sector_stacks(
-                segment.generator.matrix() * segment.duration, shift * segment.duration
-            )
-            sizes = [idx.shape[1] for idx, _, _ in stacks for _ in idx]
-            assert (len(sizes), max(sizes), sum(sizes)) == (count, largest, 81)
-            full = lindblad.expm(segment.at(x).matrix() * segment.duration)
-            blocks = np.zeros_like(full)
-            for idx, props in lindblad._sector_propagators(stacks, np.array([x])):
-                for k, sector in enumerate(idx):
-                    blocks[np.ix_(sector, sector)] = props[0, k]
-            assert np.max(np.abs(blocks - full)) <= 1e-12
+        assert cphase_spin_echo_error(spec) == whole
 
 
 class TestEchoCancellation:

@@ -10,7 +10,6 @@ from tlrsim.qcore import (
     annihilation,
     density_defect,
     embed,
-    fidelity,
     number,
     projector,
 )
@@ -166,35 +165,9 @@ class TestStates:
         assert np.trace(rho.matrix @ rho.matrix).real == pytest.approx(1.0 / 6.0)
 
 
-class TestFidelity:
-    def test_pure_state_projection(self):
-        space = HilbertSpace([("A", 2)])
-        plus = StateVector(space, np.array([1, 1]) / np.sqrt(2))
-        mixed = DensityMatrix(space, np.eye(2) / 2)
-        assert fidelity(mixed, plus) == pytest.approx(0.5)
-
-    def test_orthogonal_states(self):
-        space = HilbertSpace([("A", 2)])
-        zero = space.basis_state([0])
-        one = space.basis_state([1])
-        assert fidelity(zero.to_density_matrix(), one) == pytest.approx(0.0, abs=1e-15)
-
-    def test_space_mismatch_rejected(self):
-        rho = DensityMatrix(HilbertSpace([("A", 2)]), np.eye(2) / 2)
-        target = HilbertSpace([("B", 2)]).basis_state([0])
-        with pytest.raises(ValueError):
-            fidelity(rho, target)
-
-
 def random_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
     m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     return (m + m.conj().T) / 2
-
-
-def random_density(rng: np.random.Generator, d: int) -> np.ndarray:
-    m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    rho = m @ m.conj().T
-    return rho / np.trace(rho)
 
 
 @settings(deadline=None, max_examples=50)
@@ -218,15 +191,3 @@ def test_hermitian_self_commutator_vanishes(seed):
     h = random_hermitian(rng, 4)
     comm = h @ h - h @ h
     assert np.abs(comm).max() == 0.0
-
-
-@settings(deadline=None, max_examples=50)
-@given(st.integers(min_value=0, max_value=2**32 - 1))
-def test_fidelity_bounded(seed):
-    rng = np.random.default_rng(seed)
-    space = HilbertSpace([("A", 3)])
-    rho = DensityMatrix(space, random_density(rng, 3))
-    amps = rng.normal(size=3) + 1j * rng.normal(size=3)
-    target = StateVector(space, amps / np.linalg.norm(amps))
-    f = fidelity(rho, target)
-    assert -1e-12 <= f <= 1.0 + 1e-12

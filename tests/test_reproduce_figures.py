@@ -74,3 +74,13 @@ def test_outdir_that_cannot_be_created_exits_two(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith(f"config error: --outdir: cannot create {outdir}:")
     assert "Traceback" not in proc.stderr
+
+
+def test_csv_that_cannot_be_written_exits_two(tmp_path):
+    outdir = tmp_path / "figures"
+    blocker = outdir / "transfer_error.csv"
+    blocker.mkdir(parents=True)  # a directory where the CSV goes
+    proc = run_script(tmp_path, "--quick", "--outdir", str(outdir))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"config error: --outdir: cannot write {blocker}:")
+    assert "Traceback" not in proc.stderr
