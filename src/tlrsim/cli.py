@@ -55,25 +55,29 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Dual-rail microwave-photon qubit simulator",
     )
     parser.add_argument("--version", action="version", version=f"tlrsim {__version__}")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH", help="JSON config file")
-    common.add_argument("--out", metavar="PATH", help="output file (default stdout)")
-    common.add_argument("--seed", type=int, help="override the sampling seed")
-    common.add_argument("--samples", type=int, help="Monte Carlo samples per point")
-    common.add_argument(
-        "--quick", action="store_true", help="allow sample counts below the authoritative minimum"
-    )
-    common.add_argument(
+    # each subcommand takes only the flags it reads; each layer adds to the one before
+    base = argparse.ArgumentParser(add_help=False)
+    base.add_argument("--config", metavar="PATH", help="JSON config file")
+    base.add_argument("--out", metavar="PATH", help="output file (default stdout)")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[base])
+    seeded.add_argument("--seed", type=int, help="override the sampling seed")
+    sweep = argparse.ArgumentParser(add_help=False, parents=[seeded])
+    sweep.add_argument(
         "--no-timestamp", action="store_true", help="omit the timestamp metadata line"
     )
-    common.add_argument("--jobs", type=_positive_int, default=1, help="worker processes")
+    sweep.add_argument("--jobs", type=_positive_int, default=1, help="worker processes")
+    sampled = argparse.ArgumentParser(add_help=False, parents=[sweep])
+    sampled.add_argument("--samples", type=int, help="Monte Carlo samples per point")
+    sampled.add_argument(
+        "--quick", action="store_true", help="allow sample counts below the authoritative minimum"
+    )
 
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("params", parents=[common], help="print derived device quantities")
-    sub.add_parser("transfer-error", parents=[common], help="photon transfer error sweep")
-    sub.add_parser("cphase-error", parents=[common], help="controlled-phase error sweep")
-    sub.add_parser("detector", parents=[common], help="detection efficiency sweep")
-    sub.add_parser("validate", parents=[common], help="run the invariant suites")
+    sub.add_parser("params", parents=[base], help="print derived device quantities")
+    sub.add_parser("transfer-error", parents=[sweep], help="photon transfer error sweep")
+    sub.add_parser("cphase-error", parents=[sampled], help="controlled-phase error sweep")
+    sub.add_parser("detector", parents=[sweep], help="detection efficiency sweep")
+    sub.add_parser("validate", parents=[seeded], help="run the invariant suites")
     return parser
 
 
@@ -145,10 +149,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = load_config(args.config)
-        if args.seed is not None:
-            config["noise"]["seed"] = args.seed
-        if args.samples is not None:
-            config["noise"]["samples"] = args.samples
+        for key in ("seed", "samples"):  # params takes neither, validate no --samples
+            if getattr(args, key, None) is not None:
+                config["noise"][key] = getattr(args, key)
         config = load_config(config)  # range-checks the overridden leaves
 
         if args.command == "params":

@@ -32,6 +32,7 @@ __all__ = [
 CONVERGENCE_TOL = 1e-6
 T0_RATE_FACTOR = 10.0
 T_MAX_FACTOR = 1.0e3
+MAX_CHECKPOINTS = 52  # doublings from t0 to t_max: a double's mantissa
 
 GROUND, EXCITED, LATCHED = 0, 1, 2
 
@@ -149,31 +150,23 @@ def detection_efficiency(p: DetectorParams) -> DetectionResult:
             t_final=0.0,
         )
 
+    rates = (p.photon_loss_rate, p.escape_rate, p.intra_well_decay, p.dephasing_rate)
+    dissipative = [r for r in rates if r > 0]
+    fastest = max(p.coupling, *rates, abs(p.detuning))
+    spread = fastest / min(dissipative)
+    # each checkpoint squares the propagator and can double its roundoff: past
+    # MAX_CHECKPOINTS doublings from t0 to t_max, 2^k unit roundoffs reach order one
+    if not T0_RATE_FACTOR * T_MAX_FACTOR * spread <= 2.0**MAX_CHECKPOINTS:
+        raise ValueError(
+            f"detector rates span {spread:.3g}x: doubling checkpoints from t0 to "
+            f"t_max would take more than {MAX_CHECKPOINTS} squarings"
+        )
+    t0 = 1.0 / (T0_RATE_FACTOR * fastest)
+    t_max = T_MAX_FACTOR / min(dissipative)
+
     space = detector_space()
     rho0 = space.basis_state([1, GROUND]).to_density_matrix()
     liou = build_detector_liouvillian(p)
-
-    coherent_scales = (
-        p.coupling,
-        p.photon_loss_rate,
-        p.escape_rate,
-        p.intra_well_decay,
-        p.dephasing_rate,
-        abs(p.detuning),
-    )
-    t0 = 1.0 / (T0_RATE_FACTOR * max(coherent_scales))
-    dissipative = [
-        r
-        for r in (
-            p.photon_loss_rate,
-            p.escape_rate,
-            p.intra_well_decay,
-            p.dephasing_rate,
-        )
-        if r > 0
-    ]
-    t_max = T_MAX_FACTOR / min(dissipative)
-
     step = propagator(liou, t0)
     v = step @ vec(rho0.matrix)
     t = t0

@@ -6,18 +6,21 @@ can cross-check each other: a vectorized superoperator exponential
 classic fixed-step RK4 that evaluates the dissipator directly with matrix
 products, never touching the superoperator.  Jump rates are canonical:
 a term (op, rate) contributes rate * (O rho O+ - {O+O, rho}/2).
+:func:`expm` refuses a matrix that needs more than ``MAX_SQUARINGS``
+squarings, whose roundoff would pass the states' trace tolerance.
 
 Quasi-static noise is handled by one Monte Carlo loop,
 :func:`monte_carlo_scalar`, over per-sample RNG substreams keyed by
 (seed, point_index, sample_index) so results do not depend on execution
 order, worker count or block size.  It evaluates a vectorized model on
-blocks of draws, for pure-state backends and density matrices alike.
-For density matrices a sample enters a schedule affinely: each segment's
-generator is G(x) = G0 + x G1, where G1 is the superoperator of one
-Hamiltonian term and x the sample's coefficient.
-:func:`monte_carlo_quasistatic` builds G0 t and G1 t once per distinct
-segment; each block then runs one stacked Pade exponential per segment,
-and every sample's state is validated after every segment.
+blocks of draws, such as the controlled-phase echo on pure states, and
+keeps only the sample mean and its standard error.  For density
+matrices (:func:`monte_carlo_quasistatic`) a sample enters a schedule
+affinely: each segment's generator is G(x) = G0 + x G1, where G1 is the
+superoperator of one Hamiltonian term and x the sample's coefficient.
+G0 t and G1 t are built once per distinct segment; each block then runs
+one stacked Pade exponential per segment, and every sample's state is
+validated after every segment.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .qcore import DensityMatrix, HilbertSpace, Operator, density_defect
+from .qcore import TRACE_TOL, DensityMatrix, HilbertSpace, Operator, density_defect
 
 __all__ = [
     "IntegrationError",
@@ -176,6 +179,9 @@ _PADE_DEGREES = np.array([3, 5, 7, 9, 13])
 _PADE_THETA = np.array([1.495585217958292e-2, 2.539398330063230e-1,
                         9.504178996162932e-1, 2.097847961257068e0])
 _THETA_13 = 5.371920351148152e0
+# each squaring can double the roundoff: 2^23 unit roundoffs (2^-30 = 9.3e-10)
+# stay within the states' TRACE_TOL, 2^24 do not
+MAX_SQUARINGS = 23
 
 
 def _pade(a: np.ndarray, m: int) -> np.ndarray:
@@ -216,7 +222,9 @@ def expm(a: np.ndarray) -> np.ndarray:
     scaled by 2^-s into the degree-13 range and the result squared s
     times.  The degree and s depend on that matrix alone, so its result
     does not depend on the stack it comes in; the matrices that share
-    both are computed together.  1x1 matrices take ``np.exp`` instead.
+    both are computed together.  A matrix that needs more than
+    ``MAX_SQUARINGS`` squarings raises ValueError before any work.  1x1
+    matrices take ``np.exp`` instead.
     """
     a = np.asarray(a)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
@@ -224,6 +232,11 @@ def expm(a: np.ndarray) -> np.ndarray:
     if a.shape[-1] == 1:
         return np.exp(a)
     norms = np.linalg.norm(a, 1, axis=(-2, -1))
+    if np.any(norms > _THETA_13 * 2.0**MAX_SQUARINGS):
+        raise ValueError(
+            f"matrix exponential of 1-norm {norms.max():.3g} needs more than "
+            f"{MAX_SQUARINGS} squarings, whose roundoff would pass the {TRACE_TOL:g} trace tolerance"
+        )
     degrees = _PADE_DEGREES[np.searchsorted(_PADE_THETA, norms)]
     frac, s = np.frexp(norms / _THETA_13)
     # ceil(log2(norm / theta_13)), for the degree-13 matrices only
@@ -458,16 +471,10 @@ class QuasiStaticNoise:
 
 @dataclass(frozen=True)
 class ObservableStat:
-    """Sample statistics of one scalar observable over the trajectories."""
+    """Sample mean of one scalar observable over the trajectories, and its standard error."""
 
     mean: float
     std_error: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        frozen = np.array(self.values, dtype=float)
-        frozen.setflags(write=False)
-        object.__setattr__(self, "values", frozen)
 
 
 # samples per Monte Carlo block: bounds the memory at any sample count
@@ -508,7 +515,7 @@ def monte_carlo_scalar(
                     ) from exc
             raise
     std_error = float(values.std(ddof=1) / math.sqrt(count))
-    return ObservableStat(mean=float(values.mean()), std_error=std_error, values=values)
+    return ObservableStat(mean=float(values.mean()), std_error=std_error)
 
 
 def monte_carlo_quasistatic(

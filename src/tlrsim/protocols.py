@@ -218,7 +218,8 @@ _HOP_LOGICAL = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=float)
 _FLIP = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=float)
 _EYE3 = np.eye(3)
 
-_SHIFT_DIAG = np.diag(np.kron(_N_CELL, _EYE3) + np.kron(_EYE3, _N_CELL)).copy()
+_SHIFT_PAIR = np.kron(_N_CELL, _EYE3) + np.kron(_EYE3, _N_CELL)
+_SHIFT_DIAG = np.diag(_SHIFT_PAIR).copy()
 _CROSS_DIAG = np.diag(np.kron(_N_CELL, _N_CELL)).copy()
 _HOP_PAIR = np.kron(_HOP_CELL, _EYE3) + np.kron(_EYE3, _HOP_CELL)
 _HOP_LOGICAL_PAIR = np.kron(_HOP_LOGICAL, _EYE3) + np.kron(_EYE3, _HOP_LOGICAL)
@@ -270,10 +271,9 @@ class CphaseSpec:
         return _solve_wait(self)
 
     @cached_property
-    def _noiseless_half(self) -> tuple[list, list]:
-        """One echo half at wait 0 and its segment unitaries at zero shift deviation."""
-        half = _echo_half(self, 0.0)
-        return half, _segment_unitaries(half, np.zeros(1))
+    def _zero_shift_legs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Leg and flip at zero shift deviation, shared by the wait solve and the calibration."""
+        return _leg_unitaries(self, np.zeros(1))
 
     @property
     def transfer_time(self) -> float:
@@ -331,84 +331,42 @@ def cphase_space() -> HilbertSpace:
     return HilbertSpace([("rail1", 3), ("rail2", 3)])
 
 
-def _echo_half(
-    spec: CphaseSpec, wait: float, instant_legs: bool = False
-) -> list[tuple[np.ndarray, float | None]]:
-    """One echo half at zero shift deviation as (generator, duration) pairs.
+def _leg_unitaries(spec: CphaseSpec, shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Leg and flip unitaries at each shift deviation of ``shifts``.
 
-    The order is leg, wait, leg, flip; the echo runs the half twice.  A
-    generator is a Hamiltonian matrix, except that the wait, whose
-    Hamiltonian is diagonal, gives its diagonal, and a kick (duration
-    None) gives its unitary: the ideal flip, or with ``instant_legs`` the
-    exact swap that replaces both legs.  A frozen shift deviation x adds
-    x * ``_SHIFT_DIAG`` to every timed segment.  Both legs are one
-    object, so a backend can build each distinct segment once.
+    A leg hops both photons between resonator and cell for one transfer
+    time; a simulated flip hops them between the two resonators.  Each
+    Hamiltonian, (g hop + cross) + x shift, is Hermitian, so a stack of n
+    deviations takes one batched ``eigh`` and gives an (n, 9, 9) stack.
+    The ideal flip is the constant kick.
+    """
+    x = np.asarray(shifts, dtype=float)[:, None, None]
+    cross = np.diag(-spec.interaction_strength * _CROSS_DIAG)
+
+    def evolve(hop: np.ndarray) -> np.ndarray:
+        evals, evecs = np.linalg.eigh(spec.transfer_coupling * hop + cross + x * _SHIFT_PAIR)
+        phases = np.exp(-1j * evals * spec.transfer_time)[:, None, :]
+        return (evecs * phases) @ evecs.conj().swapaxes(1, 2)
+
+    return evolve(_HOP_PAIR), _FLIP_PAIR if spec.use_ideal_flips else evolve(_HOP_LOGICAL_PAIR)
+
+
+def _echo(spec: CphaseSpec, leg, flip, shifts, waits) -> np.ndarray:
+    """The echo protocol, leg, wait, leg, flip, run twice: (n, 9, 9).
+
+    ``leg`` and ``flip`` are unitaries or (n, 9, 9) stacks of them;
+    ``shifts`` and ``waits`` are shift deviations and wait durations, as
+    scalars or (n,) arrays.  The wait's Hamiltonian is diagonal, so it
+    is a phase per basis state.
     """
     # cross term when both cells are occupied; a wait of w gives |22> the
     # phase interaction * w, and the echo adds it in both halves, so the
     # conditional phase is 2 * interaction * w plus what the finite legs
     # pick up
-    diag = -spec.interaction_strength * _CROSS_DIAG
-    if instant_legs:
-        return [(_SWAP_PAIR, None), (diag, wait), (_SWAP_PAIR, None), (_FLIP_PAIR, None)]
-    leg = (spec.transfer_coupling * _HOP_PAIR + np.diag(diag), spec.transfer_time)
-    if spec.use_ideal_flips:
-        flip = (_FLIP_PAIR, None)
-    else:
-        flip = (spec.transfer_coupling * _HOP_LOGICAL_PAIR + np.diag(diag), spec.transfer_time)
-    return [leg, (diag, wait), leg, flip]
-
-
-def _segment_unitaries(half, shifts: np.ndarray) -> list[np.ndarray]:
-    """Each segment's unitary at every shift deviation in ``shifts``.
-
-    A kick is one (9, 9) unitary.  The generators are Hermitian, so a
-    timed segment gives an (n, 9, 9) stack from one batched ``eigh``; the
-    diagonal wait needs only an elementwise exponential and gives an
-    (n, 9) stack of phases.  Each distinct segment is built once.
-    """
-    x = np.asarray(shifts, dtype=float)[:, None]
-    built = {}
-    for gen, t in half:
-        if id(gen) in built:
-            continue
-        if t is None:
-            built[id(gen)] = gen
-        elif gen.ndim == 1:
-            built[id(gen)] = np.exp(-1j * (x * _SHIFT_DIAG + gen) * t)
-        else:
-            evals, evecs = np.linalg.eigh(gen + x[:, :, None] * np.diag(_SHIFT_DIAG))
-            phases = np.exp(-1j * evals * t)[:, None, :]
-            built[id(gen)] = (evecs * phases) @ evecs.conj().swapaxes(1, 2)
-    return [built[id(gen)] for gen, _ in half]
-
-
-def _echo_unitary(half, steps: list[np.ndarray]) -> np.ndarray:
-    """Both echo halves from one half's segment unitaries, (n, 9, 9)."""
-    u = None
-    for (gen, _), step in zip(half, steps):
-        if gen.ndim == 1:  # the wait, told by its description: a phase per basis state
-            u = step[..., None] * u
-        else:
-            u = step if u is None else step @ u
+    cross = -spec.interaction_strength * _CROSS_DIAG
+    x, w = np.asarray(shifts)[..., None], np.asarray(waits)[..., None]
+    u = flip @ (leg @ (np.exp(-1j * (x * _SHIFT_DIAG + cross) * w)[..., None] * leg))
     return u @ u
-
-
-def _protocol_unitaries(spec: CphaseSpec, shifts: np.ndarray) -> np.ndarray:
-    """Full two-phase echo protocol for each frozen shift deviation, (n, 9, 9)."""
-    half = _echo_half(spec, spec.wait_time)
-    return _echo_unitary(half, _segment_unitaries(half, shifts))
-
-
-def _noiseless_unitaries(spec: CphaseSpec, waits: np.ndarray) -> np.ndarray:
-    """Noiseless echo protocol at each wait of ``waits``, (n, 9, 9).
-
-    Only the wait's phases depend on it; the legs and flip are built once
-    per spec and shared by the wait solve and the calibration.
-    """
-    half, steps = spec._noiseless_half
-    wait = np.exp(-1j * half[1][0] * waits[:, None])
-    return _echo_unitary(half, [steps[0], wait, *steps[2:]])
 
 
 def _instant_leg_wait(spec: CphaseSpec) -> float:
@@ -434,7 +392,7 @@ def _solve_wait(spec: CphaseSpec) -> float:
     psi = equal_superposition()
 
     def misses_at(waits: np.ndarray) -> list[float]:
-        outs = _noiseless_unitaries(spec, waits) @ psi
+        outs = _echo(spec, *spec._zero_shift_legs, 0.0, waits) @ psi
         return [float(_wrap_phase(_conditional_phase(out) - math.pi)) for out in outs]
 
     w_instant = _instant_leg_wait(spec)
@@ -477,8 +435,7 @@ def cphase_ideal_leg_unitary(spec: CphaseSpec, shift_dev: float) -> np.ndarray:
     conditional-phase-pi condition; used to check that the echo cancels
     a static shift deviation exactly.
     """
-    half = _echo_half(spec, _instant_leg_wait(spec), instant_legs=True)
-    return _echo_unitary(half, _segment_unitaries(half, np.array([shift_dev])))[0]
+    return _echo(spec, _SWAP_PAIR, _FLIP_PAIR, np.array([shift_dev]), _instant_leg_wait(spec))[0]
 
 
 def equal_superposition() -> np.ndarray:
@@ -548,14 +505,17 @@ def cphase_spin_echo_error(spec: CphaseSpec, point_index: int = 0) -> dict:
     support there, so each draw's fidelity is the lossless one times the
     chance that both photons survive the protocol, exp(-2 kappa T).
     """
-    u_cal = _noiseless_unitaries(spec, np.array([spec.wait_time]))[0]
+    u_cal = _echo(spec, *spec._zero_shift_legs, 0.0, np.array([spec.wait_time]))[0]
     target, cal_info = _calibrated_target(u_cal)
     psi_in = equal_superposition()
-    duration = 2.0 * sum(t for _, t in _echo_half(spec, spec.wait_time) if t is not None)
+    t_leg = spec.transfer_time
+    flip_time = () if spec.use_ideal_flips else (t_leg,)  # a simulated flip lasts one leg
+    duration = 2.0 * sum((t_leg, spec.wait_time, t_leg, *flip_time))
     survival = math.exp(-2.0 * spec.photon_loss_rate * duration)  # exactly 1.0 without loss
 
     def fidelities(phis: np.ndarray) -> np.ndarray:
-        outs = _protocol_unitaries(spec, spec.shift_deviation(phis)) @ psi_in
+        shifts = spec.shift_deviation(phis)
+        outs = _echo(spec, *_leg_unitaries(spec, shifts), shifts, spec.wait_time) @ psi_in
         # one np.vdot per state: a matmul reduction rounds the last digit differently
         return survival * np.array([_clip01(abs(np.vdot(target, out)) ** 2) for out in outs])
 

@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import json
 import math
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,9 +29,9 @@ CMD = [sys.executable, "-m", "tlrsim"]
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def run_cli(*args, **kwargs):
+def run_cli(*args, timeout=300, **kwargs):
     return subprocess.run(
-        CMD + list(args), capture_output=True, text=True, timeout=300, **kwargs
+        CMD + list(args), capture_output=True, text=True, timeout=timeout, **kwargs
     )
 
 
@@ -66,6 +68,51 @@ class TestParams:
         assert proc.returncode == 2
         assert f"config error: --out: cannot write {dest}:" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+def benchmark_command_lines():
+    """Each command line of perfbench/workloads.py, at one and two jobs, and each set-up call."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclass resolves annotations through here
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    lines = []
+    for workload in workloads.WORKLOAD_CONFIGS:
+        lines.append(workloads.setup_invocation(workload).argv)
+        for jobs in (1, 2):
+            lines += [inv.argv for inv in workloads.invocations(workload, 7, jobs=jobs)]
+    return lines
+
+
+# the flags each subcommand does not read
+REMOVED_FLAGS = {
+    "params": (("--seed", "1"), ("--samples", "2"), ("--quick",), ("--no-timestamp",), ("--jobs", "1")),
+    "validate": (("--samples", "2"), ("--quick",), ("--no-timestamp",), ("--jobs", "1")),
+    "transfer-error": (("--samples", "2"), ("--quick",)),
+    "detector": (("--samples", "2"), ("--quick",)),
+}
+
+
+class TestFlags:
+    def test_benchmark_command_lines_parse(self, tmp_path):
+        lines = benchmark_command_lines()
+        assert {argv[0] for argv in lines} == {*REMOVED_FLAGS, "cphase-error"}
+        for argv in lines:
+            args = cli._build_parser().parse_args([*argv, "--out", str(tmp_path / "out")])
+            assert args.command == argv[0]
+
+    @pytest.mark.parametrize(
+        "command, flag", [(c, f) for c, flags in REMOVED_FLAGS.items() for f in flags]
+    )
+    def test_flag_a_subcommand_does_not_read_exits_two(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            cli._build_parser().parse_args([command, *flag])
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 class TestConfigErrors:
@@ -152,7 +199,7 @@ class TestConfigErrors:
     def test_device_leaf_out_of_range_exits_two_with_path(self, tmp_path, command, text, key):
         path = tmp_path / "bad.json"
         path.write_text(text)
-        proc = run_cli(command, "--config", str(path), "--no-timestamp")
+        proc = run_cli(command, "--config", str(path))
         assert proc.returncode == 2
         assert f"config error: {key}: must be" in proc.stderr
         assert "Traceback" not in proc.stderr
@@ -258,6 +305,10 @@ def single_leaf_overrides(draw):
     return override
 
 
+DETECTOR_SPREAD = "detector rates span"
+EXPM_SQUARINGS = "needs more than 23 squarings"
+
+
 class TestDerivedConditions:
     @pytest.mark.parametrize("command", ["params", "transfer-error", "validate"])
     def test_lc_underflow_exits_one_without_traceback(self, tmp_path, command):
@@ -265,7 +316,7 @@ class TestDerivedConditions:
         path.write_text(
             json.dumps({"device": {"tlr": {"inductance_h": 1e-200, "capacitance_f": 1e-200}}})
         )
-        proc = run_cli(command, "--config", str(path), "--no-timestamp")
+        proc = run_cli(command, "--config", str(path))
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert "error: resonator L * C = 0.0 leaves the float range" in proc.stderr
@@ -291,7 +342,7 @@ class TestDerivedConditions:
         # inside the accepted range, but g is 2.8e-301 and g^2 underflows
         path = tmp_path / "underflow.json"
         path.write_text(json.dumps({"device": {"coupler": {"coupling_capacitance_f": 5e-324}}}))
-        proc = run_cli(command, "--config", str(path), "--no-timestamp")
+        proc = run_cli(command, "--config", str(path))
         assert proc.returncode == 1
         assert "error: transfer coupling squared leaves the float range" in proc.stderr
         assert "Traceback" not in proc.stderr
@@ -309,9 +360,37 @@ class TestDerivedConditions:
         # inside the accepted range, but 2 pi x 1e308 Hz overflows to inf rad/s
         path = tmp_path / "overflow.json"
         path.write_text(json.dumps(override))
-        proc = run_cli(command, "--config", str(path), "--no-timestamp")
+        proc = run_cli(command, "--config", str(path))
         assert proc.returncode == 1
         assert f"error: {message} rate or detuning leaves the float range" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "command, override, message",
+        [
+            *(
+                (command, {"device": {"detector": {"coupling_hz": hz}}}, DETECTOR_SPREAD)
+                for hz in (1e20, 1e50, 1e100, 1e307)  # 1e307 ran for minutes before
+                for command in ("detector", "validate")
+            ),
+            *(
+                (command, {"experiments": {"transfer": {"detuning_hz": hz}}}, EXPM_SQUARINGS)
+                for command, hz in (
+                    ("transfer-error", 1e19), ("transfer-error", 1e300), ("validate", 1e300)
+                )
+            ),
+            ("validate", {"noise": {"kappa_hz": 1e300}}, EXPM_SQUARINGS),
+            ("transfer-error", {"experiments": {"transfer": {"kappa_grid_hz": [1e300]}}}, EXPM_SQUARINGS),
+        ],
+    )
+    def test_squaring_past_roundoff_is_refused_by_name(self, tmp_path, command, override, message):
+        # in the accepted range, but repeated squaring would compound roundoff
+        # past the state checks: refused up front, so well inside the timeout
+        path = tmp_path / "spread.json"
+        path.write_text(json.dumps(override))
+        proc = run_cli(command, "--config", str(path), timeout=30)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and message in proc.stderr
         assert "Traceback" not in proc.stderr
 
     @settings(max_examples=300, deadline=None)

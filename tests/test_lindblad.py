@@ -42,6 +42,23 @@ def plus_state(space):
     return DensityMatrix(space, np.full((2, 2), 0.5, dtype=complex))
 
 
+def recording(fn):
+    """``fn`` wrapped to keep what it returns, and the list it keeps it in."""
+    seen = []
+
+    def wrapper(arg):
+        seen.append(np.asarray(fn(arg), dtype=float))
+        return seen[-1]
+
+    return wrapper, seen
+
+
+def scalar_run(model, noise, **kwargs):
+    """``monte_carlo_scalar``'s result and every value ``model`` returned, in order."""
+    recorded, seen = recording(model)
+    return monte_carlo_scalar(recorded, noise, **kwargs), np.concatenate(seen)
+
+
 class TestVectorization:
     def test_column_stacking_order(self):
         m = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -115,6 +132,17 @@ class TestExpm:
         for i in range(6):
             assert np.array_equal(stacked[i], expm(a[i]))
         assert np.array_equal(expm(a[3]), expm(a[3][None])[0])
+
+    def test_refuses_more_squarings_than_the_trace_tolerance_allows(self):
+        # 2^23 unit roundoffs stay within the 1e-9 trace tolerance, 2^24 do not
+        rotation = np.diag([1j, -1j])  # unitary exponential: no overflow at any norm
+        limit = lindblad._THETA_13 * 2.0**lindblad.MAX_SQUARINGS
+        u = expm(rotation * limit)
+        assert np.allclose(u @ u.conj().T, np.eye(2), rtol=0, atol=1e-8)
+        overflowed = np.array([[np.inf, 0.0], [0.0, 0.0]])
+        for a in (rotation * 1.01 * limit, np.stack([rotation, rotation * 2.0 * limit]), overflowed):
+            with pytest.raises(ValueError, match="more than 23 squarings"):
+                expm(a)
 
     def test_one_by_one_is_the_scalar_exponential(self):
         a = np.array([0.0, -3.5 + 40.0j, 1e-3j, -700.0 + 2.0j]).reshape(4, 1, 1)
@@ -331,28 +359,29 @@ class TestSubstreams:
 class TestScalarMonteCarlo:
     def test_bitwise_reproducible(self):
         noise = QuasiStaticNoise(mean=0.0, std=1.0, label="detuning", sample_count=64, seed=11)
-        r1 = monte_carlo_scalar(np.cos, noise, point_index=2)
-        r2 = monte_carlo_scalar(np.cos, noise, point_index=2)
-        assert np.array_equal(r1.values, r2.values)
+        r1, v1 = scalar_run(np.cos, noise, point_index=2)
+        r2, v2 = scalar_run(np.cos, noise, point_index=2)
+        assert np.array_equal(v1, v2)
         assert r1.mean == r2.mean
-        r3 = monte_carlo_scalar(np.cos, noise, point_index=3)
-        assert not np.array_equal(r1.values, r3.values)
+        _, v3 = scalar_run(np.cos, noise, point_index=3)
+        assert not np.array_equal(v1, v3)
 
     def test_sample_prefix_stable_under_count(self):
         # growing the sample budget must not reshuffle earlier draws
-        small = monte_carlo_scalar(
+        _, small = scalar_run(
             np.cos, QuasiStaticNoise(0.0, 1.0, "detuning", sample_count=16, seed=5)
         )
-        large = monte_carlo_scalar(
+        _, large = scalar_run(
             np.cos, QuasiStaticNoise(0.0, 1.0, "detuning", sample_count=40, seed=5)
         )
-        assert np.array_equal(large.values[:16], small.values)
+        assert np.array_equal(large[:16], small)
 
     def test_values_are_the_model_at_each_draw(self):
         noise = QuasiStaticNoise(mean=0.2, std=1.5, label="detuning", sample_count=70, seed=4)
-        result = monte_carlo_scalar(np.cos, noise, point_index=1)
+        result, values = scalar_run(np.cos, noise, point_index=1)
         draws = [noise.draw(1, i) for i in range(70)]
-        assert np.array_equal(result.values, [math.cos(x) for x in draws])
+        assert np.array_equal(values, [math.cos(x) for x in draws])
+        assert result.mean == float(values.mean())
 
     def test_gaussian_dephasing_against_analytic(self):
         # E[cos(delta t)] over delta ~ N(0, sigma^2) is exp(-sigma^2 t^2 / 2).
@@ -363,13 +392,6 @@ class TestScalarMonteCarlo:
         result = monte_carlo_scalar(lambda d: np.cos(d * t), noise)
         exact = math.exp(-0.5 * sigma * sigma * t * t)
         assert abs(result.mean - exact) <= 3.0 * result.std_error
-
-    def test_values_frozen(self):
-        result = monte_carlo_scalar(
-            np.cos, QuasiStaticNoise(0.0, 1.0, "detuning", sample_count=4, seed=1)
-        )
-        with pytest.raises(ValueError):
-            result.values[0] = 99.0
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -422,10 +444,15 @@ class TestStateMonteCarlo:
         return [Evolve(Liouvillian(self.space), duration, self.offset)]
 
     def run(self, schedule, noise, observable):
-        """Monte Carlo with each draw itself the coefficient of the offset."""
-        return monte_carlo_quasistatic(
-            schedule, noise, self.rho0, observable, coefficient=lambda draws: draws
+        """Monte Carlo with each draw itself the coefficient of the offset.
+
+        Returns the result and every value ``observable`` returned, in order.
+        """
+        recorded, seen = recording(observable)
+        stat = monte_carlo_quasistatic(
+            schedule, noise, self.rho0, recorded, coefficient=lambda draws: draws
         )
+        return stat, np.concatenate(seen)
 
     def test_zero_std_matches_deterministic_run(self):
         noise = QuasiStaticNoise(mean=0.7, std=0.0, label="detuning", sample_count=5, seed=3)
@@ -434,8 +461,8 @@ class TestStateMonteCarlo:
         def distance(states):
             return [trace_distance(state, direct) for state in states]
 
-        stat = self.run(self.evolve_for(1.1), noise, distance)
-        assert np.max(stat.values) <= 1e-12
+        _, values = self.run(self.evolve_for(1.1), noise, distance)
+        assert np.max(values) <= 1e-12
 
     def test_mean_state_dephases_like_gaussian(self):
         sigma, t = 0.9, 1.3
@@ -449,37 +476,34 @@ class TestStateMonteCarlo:
 
         # ensemble-averaged coherence shrinks toward the Gaussian
         # free-induction value, populations untouched
-        stat = self.run(self.evolve_for(t), noise, real_parts)
+        stat, _ = self.run(self.evolve_for(t), noise, real_parts)
         exact = 0.5 * math.exp(-0.5 * sigma * sigma * t * t)
         assert stat.mean == pytest.approx(exact, abs=0.05)
-        pop = self.run(self.evolve_for(t), noise, population)
+        pop, _ = self.run(self.evolve_for(t), noise, population)
         assert pop.mean == pytest.approx(0.5, abs=1e-12)
 
     def test_observable_stats_recorded(self):
         noise = QuasiStaticNoise(mean=0.0, std=0.4, label="detuning", sample_count=32, seed=8)
-        stat = self.run(self.evolve_for(1.0), noise, coherence)
-        assert stat.values.shape == (32,)
-        assert stat.mean == pytest.approx(float(stat.values.mean()), rel=1e-12)
-        assert stat.std_error == pytest.approx(float(stat.values.std(ddof=1)) / math.sqrt(32))
+        stat, values = self.run(self.evolve_for(1.0), noise, coherence)
+        assert values.shape == (32,)
+        assert stat.mean == pytest.approx(float(values.mean()), rel=1e-12)
+        assert stat.std_error == pytest.approx(float(values.std(ddof=1)) / math.sqrt(32))
 
     def test_schedule_model_supported(self):
         noise = QuasiStaticNoise(mean=0.4, std=0.0, label="detuning", sample_count=2, seed=1)
         half = Evolve(Liouvillian(self.space), 0.5, self.offset)
         direct = propagate_expm(self.model(0.4), self.rho0, 1.0)
-        stat = self.run([half, half], noise, lambda s: [trace_distance(x, direct) for x in s])
-        assert np.max(stat.values) <= 1e-12
+        _, values = self.run([half, half], noise, lambda s: [trace_distance(x, direct) for x in s])
+        assert np.max(values) <= 1e-12
 
     def test_coefficient_map_scales_the_shift(self):
         noise = QuasiStaticNoise(mean=0.4, std=0.0, label="detuning", sample_count=3, seed=1)
         direct = propagate_expm(self.model(-1.0), self.rho0, 1.0)
-        stat = monte_carlo_quasistatic(
-            self.evolve_for(1.0),
-            noise,
-            self.rho0,
-            lambda s: [trace_distance(x, direct) for x in s],
-            coefficient=lambda x: -2.5 * x,
+        observable, seen = recording(lambda s: [trace_distance(x, direct) for x in s])
+        monte_carlo_quasistatic(
+            self.evolve_for(1.0), noise, self.rho0, observable, coefficient=lambda x: -2.5 * x
         )
-        assert np.max(stat.values) <= 1e-12
+        assert np.max(np.concatenate(seen)) <= 1e-12
 
     def test_missing_duration_reported(self):
         # a bare generator carries no duration: the schedule is rejected
@@ -506,10 +530,10 @@ class TestStateMonteCarlo:
         decay = (LindbladTerm(self.lower, 0.3),)
         schedule = [Evolve(Liouvillian(self.space, terms=decay), 2.0, self.offset)]
         noise = QuasiStaticNoise(mean=0.0, std=3.0, label="detuning", sample_count=8, seed=12)
-        whole = self.run(schedule, noise, coherence)
+        whole, whole_values = self.run(schedule, noise, coherence)
         monkeypatch.setattr(lindblad, "SAMPLE_BLOCK", 3)
-        split = self.run(schedule, noise, coherence)
-        assert np.array_equal(whole.values, split.values)
+        split, split_values = self.run(schedule, noise, coherence)
+        assert np.array_equal(whole_values, split_values)
         assert whole.mean == split.mean
 
 

@@ -381,12 +381,18 @@ class TestCphaseError:
     @pytest.mark.parametrize("ideal_flips", [True, False])
     def test_lossless_block_split_leaves_samples_unchanged(self, monkeypatch, ideal_flips):
         # a block of 9 stacks (9, 9) wait phases next to the (9, 9) kicks
-        stats = []
+        runs = []  # per call: the fidelities the model returned, and the result
         original = protocols.monte_carlo_scalar
 
-        def recording(*args, **kwargs):
-            stats.append(original(*args, **kwargs))
-            return stats[-1]
+        def recording(model, *args, **kwargs):
+            seen = []
+
+            def recorded(draws):
+                seen.append(model(draws))
+                return seen[-1]
+
+            runs.append((seen, original(recorded, *args, **kwargs)))
+            return runs[-1][1]
 
         monkeypatch.setattr(protocols, "monte_carlo_scalar", recording)
         spec = cz_spec(20.0, n=20, use_ideal_flips=ideal_flips)
@@ -394,10 +400,27 @@ class TestCphaseError:
         for block in (lindblad.SAMPLE_BLOCK, 3, 9):
             monkeypatch.setattr(lindblad, "SAMPLE_BLOCK", block)
             reports.append(cphase_spin_echo_error(spec))
-        for stat, report in zip(stats[1:], reports[1:]):
-            assert np.array_equal(stat.values, stats[0].values)
-            assert stat.mean == stats[0].mean
+        values = [np.concatenate(seen) for seen, _ in runs]
+        for (_, stat), vals, report in zip(runs[1:], values[1:], reports[1:]):
+            assert np.array_equal(vals, values[0])
+            assert stat.mean == runs[0][1].mean
             assert report["error"] == reports[0]["error"]
+
+    @pytest.mark.parametrize("ideal_flips, builds", [(True, 2), (False, 4)])
+    def test_echo_built_once(self, monkeypatch, ideal_flips, builds):
+        # one zero-shift leg (and simulated flip) shared by the wait solve and
+        # the calibration, and one per Monte Carlo block
+        calls = []
+        original = np.linalg.eigh
+
+        def counting(a):
+            calls.append(a.shape)
+            return original(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        cphase_spin_echo_error(cz_spec(20.0, n=2, use_ideal_flips=ideal_flips))
+        assert len(calls) == builds
+        assert calls[-1] == (2, 9, 9)  # the block's two draws in one batched call
 
     def test_deterministic_given_seed(self):
         a = cphase_spin_echo_error(cz_spec(20.0, n=200))
