@@ -100,19 +100,6 @@ DEFAULT_CONFIG = {
             "gamma_over_kappa": [10.0, 100.0, 1000.0, 2000.0, 10000.0],
         },
     },
-    "validation": {
-        "trace_tol": 1.0e-9,
-        "hermiticity_tol": 1.0e-9,
-        "pre_hermitize_tol": 1.0e-7,
-        "positivity_tol": 1.0e-8,
-        "cross_integrator_tol": 1.0e-6,
-        "excitation_tol": 1.0e-9,
-        "rabi_return_tol": 1.0e-9,
-        "echo_tol": 1.0e-9,
-        "mc_sigma": 3.0,
-        "mc_samples": 1000,
-        "halving_ratio_band": [1.5, 3.0],
-    },
 }
 
 _ENUMS = {
@@ -121,9 +108,6 @@ _ENUMS = {
 
 # leaves where None is a meaningful value (auto-derived)
 _NULLABLE = {"device.fjs.mutual_inductance_d_h"}
-
-# list leaves that hold one [low, high] interval
-_INTERVALS = {"validation.halving_ratio_band"}
 
 # Monte Carlo runs samples in blocks of lindblad.SAMPLE_BLOCK, at about
 # 0.06 ms per controlled-phase sample with or without loss, so this cap
@@ -170,7 +154,6 @@ _RANGES = {
     "experiments.cphase.speed_ratios": _POSITIVE,
     "experiments.cphase.kappa_hz": _NONNEGATIVE,
     "experiments.detector.gamma_over_kappa": _POSITIVE,
-    "validation.mc_samples": (2, MAX_SAMPLES, False),  # a standard error needs two
 }
 
 
@@ -204,12 +187,8 @@ def _check_leaf(path: str, default, value):
         if path in _NULLABLE:
             return None
         raise ConfigError(path, "null is not allowed here")
-    if isinstance(default, bool) or isinstance(value, bool):
+    if isinstance(value, bool):
         raise ConfigError(path, "boolean values are not used in this schema")
-    if isinstance(default, str):
-        if not isinstance(value, str):
-            raise ConfigError(path, f"expected string, got {type(value).__name__}")
-        return value
     if isinstance(default, list):
         if not isinstance(value, list) or not value:
             raise ConfigError(path, "expected a nonempty list of numbers")
@@ -220,20 +199,17 @@ def _check_leaf(path: str, default, value):
                 raise ConfigError(item_path, "expected a number")
             out.append(_finite(item_path, item))
             _check_range(item_path, item, _RANGES.get(path, _UNBOUNDED))
-        if path in _INTERVALS and (len(out) != 2 or out[0] > out[1]):
-            raise ConfigError(path, f"expected [low, high] with low <= high, got {value!r}")
         return out
-    if default is None or isinstance(default, (int, float)):
-        if not isinstance(value, (int, float)):
-            raise ConfigError(path, f"expected a number, got {type(value).__name__}")
-        number = _finite(path, value)
-        if isinstance(default, int) and not isinstance(default, bool):
-            if value != int(value):  # not number: it rounds ints past 2**53
-                raise ConfigError(path, "expected an integer")
-            number = int(value)
-        _check_range(path, value, _RANGES.get(path, _UNBOUNDED))
-        return number
-    raise ConfigError(path, "unsupported schema leaf")
+    # every other leaf is a number (a nullable one defaults to None)
+    if not isinstance(value, (int, float)):
+        raise ConfigError(path, f"expected a number, got {type(value).__name__}")
+    number = _finite(path, value)
+    if isinstance(default, int):
+        if value != int(value):  # not number: it rounds ints past 2**53
+            raise ConfigError(path, "expected an integer")
+        number = int(value)
+    _check_range(path, value, _RANGES.get(path, _UNBOUNDED))
+    return number
 
 
 def _merge(defaults: dict, overrides: dict, prefix: str = "") -> dict:

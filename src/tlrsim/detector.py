@@ -186,7 +186,11 @@ def detection_efficiency(p: DetectorParams) -> DetectionResult:
         step = step @ step
         v = step @ v
         t *= 2.0
-        rho = DensityMatrix(space, unvec(v))
+        try:
+            rho = DensityMatrix(space, unvec(v))
+        except ValueError as exc:  # the squarings compounded roundoff past the state checks
+            k = len(series) - 1
+            raise ValueError(f"detector checkpoint {k} failed after {k} repeated squarings: {exc}")
         p_g, p_e, p_f, photon = _populations(rho.matrix)
         series.append((t, p_g, p_e, p_f, photon))
 

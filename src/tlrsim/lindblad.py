@@ -57,7 +57,6 @@ __all__ = [
     "quasistatic_sigma",
 ]
 
-TRACE_DRIFT_TOL = 1e-9
 MAX_HALVINGS = 20
 MAX_STEPS = 2_000_000
 
@@ -290,7 +289,7 @@ def propagate_rk4(
 
     The generator preserves trace exactly in exact arithmetic, so any
     trace drift flags numerical trouble; the step is halved until the
-    drift stays below ``TRACE_DRIFT_TOL`` or ``MAX_HALVINGS`` is exhausted.
+    drift stays below ``TRACE_TOL`` or ``MAX_HALVINGS`` is exhausted.
     """
     if rho0.space != liouvillian.space:
         raise ValueError("state lives on a different space")
@@ -314,7 +313,7 @@ def propagate_rk4(
                 pass  # not a valid state at this resolution: halve and retry
         steps *= 2
     raise IntegrationError(
-        f"no valid state within trace drift {TRACE_DRIFT_TOL} after {MAX_HALVINGS} step halvings"
+        f"no valid state within trace drift {TRACE_TOL} after {MAX_HALVINGS} step halvings"
     )
 
 
@@ -336,7 +335,7 @@ def _rk4_run(
         drift = abs(np.trace(rho).real - 1.0) + abs(np.trace(rho).imag)
         # nan-safe: only verified small drift and bounded norm may continue
         # (physical states have Frobenius norm <= 1; blowup means instability)
-        if not (drift < TRACE_DRIFT_TOL and np.linalg.norm(rho) < 4.0):
+        if not (drift < TRACE_TOL and np.linalg.norm(rho) < 4.0):
             return None
     return rho
 

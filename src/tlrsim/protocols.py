@@ -93,11 +93,16 @@ class TransferSpec:
         values = (self.coupling, self.detuning, self.photon_loss_rate, self.dephasing_rate)
         if not all(map(math.isfinite, values)):
             raise ValueError("transfer rate or detuning leaves the float range")
+        if self.coupling == 0:  # a coupling derived from positive inputs underflowed
+            raise ValueError("transfer coupling 0.0 leaves the float range")
         _validate_dispersive(self.coupling, self.detuning)
         # g^2 sets the gate time and the exchange rate: a square that under-
-        # or overflows would surface as a division by zero or a non-finite generator
+        # or overflows, or a gate time pi |Delta| / (2 g^2) that overflows,
+        # would surface as a division by zero or a non-finite generator
         if not sys.float_info.min <= self.coupling * self.coupling < math.inf:
             raise ValueError("transfer coupling squared leaves the float range")
+        if self.gate_time == math.inf:
+            raise ValueError("transfer gate time leaves the float range")
         if self.photon_loss_rate < 0 or self.dephasing_rate < 0:
             raise ValueError("rates must be nonnegative")
 

@@ -2,9 +2,9 @@
 
 Each check measures one conserved quantity or regression bound on a
 representative evolution and reports id, status, measured value, and
-bound. Tolerances come from the ``validation`` config block so the
-harness itself can be exercised: tightening a bound past the floating
-point floor must produce a controlled failure, not a crash.
+bound. The bounds are the module constants below, one per row, so no
+config can loosen the judge; a test that tightens one past the floating
+point floor gets a controlled failure, not a crash.
 
 Status semantics: ``fail`` means a violated invariant and flips the exit
 code; ``warn`` flags advisory conditions (operating outside the safe
@@ -51,6 +51,21 @@ from .qcore import DensityMatrix, StateVector
 
 __all__ = ["CheckResult", "run_validation", "render_report", "has_failure"]
 
+# The report's bounds.  They are written out, not imported from the engines'
+# tolerances, so loosening an engine tolerance cannot loosen the check on it.
+TRACE_BOUND = 1.0e-9
+HERMITICITY_BOUND = 1.0e-9
+PRE_HERMITIZE_BOUND = 1.0e-7
+POSITIVITY_BOUND = 1.0e-8
+CROSS_INTEGRATOR_BOUND = 1.0e-6
+EXCITATION_BOUND = 1.0e-9
+RABI_RETURN_BOUND = 1.0e-9
+ECHO_BOUND = 1.0e-9
+MC_SIGMA = 3.0
+MC_SAMPLES = 1000
+HALVING_BAND = (1.5, 3.0)  # full/effective discrepancy ratio when g/|detuning| halves
+THERMAL_OCCUPANCY_BOUND = 1.0e-10
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -66,9 +81,9 @@ class CheckResult:
             raise ValueError(f"unknown status {self.status!r}")
 
 
-def _leq(check_id: str, measured: float, tol: float) -> CheckResult:
-    status = "pass" if measured <= tol else "fail"
-    return CheckResult(check_id, status, measured, f"<= {tol:.3e}")
+def _leq(check_id: str, measured: float, bound: float) -> CheckResult:
+    status = "pass" if measured <= bound else "fail"
+    return CheckResult(check_id, status, measured, f"<= {bound:.3e}")
 
 
 def _operating_transfer(config: dict) -> TransferSpec:
@@ -111,7 +126,7 @@ def _final_states(config: dict, spec: TransferSpec, rho0: DensityMatrix):
 
 
 def _check_excitation(
-    exchange_only: Liouvillian, rho0: DensityMatrix, gate_time: float, tol: float
+    exchange_only: Liouvillian, rho0: DensityMatrix, gate_time: float
 ) -> CheckResult:
     # lossless exchange: total photon number is an exact constant
     n_total = np.diag([0.0, 1.0, 1.0, 2.0])
@@ -119,10 +134,10 @@ def _check_excitation(
     for frac in (0.25, 0.5, 0.75, 1.0):
         fin = propagate_expm(exchange_only, rho0, frac * gate_time)
         worst = max(worst, abs(float(np.trace(fin.matrix @ n_total).real) - 1.0))
-    return _leq("excitation-conservation", worst, tol)
+    return _leq("excitation-conservation", worst, EXCITATION_BOUND)
 
 
-def _check_rabi(tol: float) -> CheckResult:
+def _check_rabi() -> CheckResult:
     g = to_angular(1.0e8)
     params = DetectorParams(
         coupling=g,
@@ -137,10 +152,10 @@ def _check_rabi(tol: float) -> CheckResult:
     rho0 = space.basis_state([1, 0]).to_density_matrix()
     final = propagate_expm(liou, rho0, math.pi / g)  # resonant lossless revival
     miss = 1.0 - final.population(3)
-    return _leq("rabi-return", miss, tol)
+    return _leq("rabi-return", miss, RABI_RETURN_BOUND)
 
 
-def _check_echo(spec: CphaseSpec, tol: float) -> CheckResult:
+def _check_echo(spec: CphaseSpec) -> CheckResult:
     # a static level shift under instantaneous legs: photon loss never enters
     psi = equal_superposition()
     space = cphase_space()
@@ -149,13 +164,12 @@ def _check_echo(spec: CphaseSpec, tol: float) -> CheckResult:
         out = cphase_ideal_leg_unitary(spec, shift) @ psi
         phase_sets.append(logical_phase_extract(StateVector(space, out)))
     worst = max(abs(a - b) for a, b in zip(*phase_sets))
-    return _leq("echo-independence", worst, tol)
+    return _leq("echo-independence", worst, ECHO_BOUND)
 
 
 def _check_mc_agreement(
-    spec: TransferSpec, exchange_only: Liouvillian, rho0: DensityMatrix, tol: dict, seed: int
+    spec: TransferSpec, exchange_only: Liouvillian, rho0: DensityMatrix, seed: int
 ) -> CheckResult:
-    samples, sigma_bound = tol["mc_samples"], tol["mc_sigma"]
     lossless = replace(spec, photon_loss_rate=0.0)
     t = lossless.gate_time
     sigma = quasistatic_sigma(
@@ -168,7 +182,7 @@ def _check_mc_agreement(
         mean=0.0,
         std=sigma,
         label="exchange_detuning",
-        sample_count=samples,
+        sample_count=MC_SAMPLES,
         seed=seed,
     )
     stat = monte_carlo_quasistatic(
@@ -183,13 +197,13 @@ def _check_mc_agreement(
     if stat.std_error == 0.0:
         # no dephasing: every draw is the same lossless exchange, so both
         # sides run one evolution through the same exponential
-        return _leq("mc-lindblad-agreement", difference, tol["cross_integrator_tol"])
+        return _leq("mc-lindblad-agreement", difference, CROSS_INTEGRATOR_BOUND)
     pull = difference / stat.std_error
-    status = "pass" if pull <= sigma_bound else "fail"
-    return CheckResult("mc-lindblad-agreement", status, pull, f"<= {sigma_bound:.1f} sigma")
+    status = "pass" if pull <= MC_SIGMA else "fail"
+    return CheckResult("mc-lindblad-agreement", status, pull, f"<= {MC_SIGMA:.1f} sigma")
 
 
-def _check_dispersive(g: float, band: tuple[float, float]) -> list[CheckResult]:
+def _check_dispersive(g: float) -> list[CheckResult]:
     models = {
         x: transfer_full_model_error(TransferSpec(coupling=g, detuning=g / x)) for x in (0.1, 0.05)
     }
@@ -199,7 +213,7 @@ def _check_dispersive(g: float, band: tuple[float, float]) -> list[CheckResult]:
     status = "pass" if peak <= bound * (1 + 1e-9) else "fail"
     peak_check = CheckResult("dispersive-peak", status, peak, f"<= {bound:.3e}")
     # full/effective discrepancy contraction under g/|detuning| halving
-    lo, hi = band
+    lo, hi = HALVING_BAND
     ratio = models[0.1]["model_discrepancy"] / models[0.05]["model_discrepancy"]
     status = "pass" if lo <= ratio <= hi else "fail"
     ratio_check = CheckResult("dispersive-halving", status, ratio, f"in [{lo:g}, {hi:g}]")
@@ -216,7 +230,6 @@ def _check_regime(config: dict, coupling: float) -> CheckResult:
 
 def run_validation(config: dict) -> list[CheckResult]:
     """Run every invariant suite and return one result per check."""
-    tol = config["validation"]
     results: list[CheckResult] = []
     transfer = _operating_transfer(config)
     rho_left = transfer_space().basis_state([1, 0]).to_density_matrix()  # photon in the left rail
@@ -233,37 +246,31 @@ def run_validation(config: dict) -> list[CheckResult]:
     raw_asym, drifts, fin_expm, fin_rk4 = _final_states(config, transfer, rho_left)
     finals = (fin_expm, fin_rk4)
     # worst |tr - 1| across the transfer and detector runs
-    results.append(_leq("trace-preservation", max(drifts), tol["trace_tol"]))
+    results.append(_leq("trace-preservation", max(drifts), TRACE_BOUND))
     post_asym = max(float(np.max(np.abs(f.matrix - f.matrix.conj().T))) for f in finals)
-    results.append(_leq("hermiticity", post_asym, tol["hermiticity_tol"]))
+    results.append(_leq("hermiticity", post_asym, HERMITICITY_BOUND))
     # bare propagator output, before symmetrization
-    results.append(_leq("hermiticity-raw", raw_asym, tol["pre_hermitize_tol"]))
+    results.append(_leq("hermiticity-raw", raw_asym, PRE_HERMITIZE_BOUND))
     min_eig = min(float(np.linalg.eigvalsh(f.matrix).min()) for f in finals)
-    status = "pass" if min_eig >= -tol["positivity_tol"] else "fail"
-    results.append(
-        CheckResult("positivity", status, min_eig, f">= {-tol['positivity_tol']:.3e}")
-    )
+    status = "pass" if min_eig >= -POSITIVITY_BOUND else "fail"
+    results.append(CheckResult("positivity", status, min_eig, f">= {-POSITIVITY_BOUND:.3e}"))
     # expm against RK4 at the transfer operating point
     results.append(
-        _leq("cross-integrator", trace_distance(fin_expm, fin_rk4), tol["cross_integrator_tol"])
+        _leq("cross-integrator", trace_distance(fin_expm, fin_rk4), CROSS_INTEGRATOR_BOUND)
     )
 
-    results.append(
-        _check_excitation(exchange_only, rho_left, transfer.gate_time, tol["excitation_tol"])
-    )
-    results.append(_check_rabi(tol["rabi_return_tol"]))
-    results.append(_check_echo(cz, tol["echo_tol"]))
-    results.append(
-        _check_mc_agreement(transfer, exchange_only, rho_left, tol, config["noise"]["seed"])
-    )
-    results.extend(_check_dispersive(transfer.coupling, tuple(tol["halving_ratio_band"])))
+    results.append(_check_excitation(exchange_only, rho_left, transfer.gate_time))
+    results.append(_check_rabi())
+    results.append(_check_echo(cz))
+    results.append(_check_mc_agreement(transfer, exchange_only, rho_left, config["noise"]["seed"]))
+    results.extend(_check_dispersive(transfer.coupling))
     results.append(_check_regime(config, transfer.coupling))
 
     occupancy = thermal_occupancy(
         config["device"]["temperature_k"], mode_frequency(tlr_params(config))
     )
     # equilibrium photons at the operating point
-    results.append(_leq("thermal-occupancy", occupancy, 1.0e-10))
+    results.append(_leq("thermal-occupancy", occupancy, THERMAL_OCCUPANCY_BOUND))
     return results
 
 

@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 
 from tlrsim import cli
 from tlrsim.config import (
-    _INTERVALS,
     _RANGES,
     _UNBOUNDED,
     DEFAULT_CONFIG,
@@ -157,7 +156,6 @@ class TestConfigErrors:
         [
             ('{"noise": {"seed": -3}}', "noise.seed"),
             ('{"noise": {"samples": 1e300}}', "noise.samples"),
-            ('{"validation": {"mc_samples": 1}}', "validation.mc_samples"),
             ('{"experiments": {"cphase": {"kappa_hz": -1}}}', "experiments.cphase.kappa_hz"),
             ('{"device": {"tlr": {"mode_index": 0}}}', "device.tlr.mode_index"),
             ('{"device": {"temperature_k": -1}}', "device.temperature_k"),
@@ -291,8 +289,6 @@ def accepted_values(path, default):
         allow_infinity=False,
     )
     values = st.one_of(st.sampled_from(accepted), floats)
-    if ".".join(path) in _INTERVALS:
-        return st.lists(values, min_size=2, max_size=2).map(sorted)
     return st.lists(values, min_size=1, max_size=1) if isinstance(default, list) else values
 
 
@@ -307,6 +303,33 @@ def single_leaf_overrides(draw):
 
 DETECTOR_SPREAD = "detector rates span"
 EXPM_SQUARINGS = "needs more than 23 squarings"
+CHECKPOINT_SQUARINGS = "repeated squarings: trace"
+MAX = sys.float_info.max
+
+# what the engine commands may also exit 1 with, on a config the ranges accept
+ENGINE_EXIT_ONE_CONDITIONS = (
+    *EXIT_ONE_CONDITIONS,
+    EXPM_SQUARINGS,
+    CHECKPOINT_SQUARINGS,
+    DETECTOR_SPREAD,
+    "leaves the float range",
+    "dispersive construction invalid",  # a detuning under the dispersive floor
+    "generator too stiff",
+)
+
+
+def run_in_process(command, override):
+    """Exit code, stdout and stderr of ``cli.main`` on a one-file config."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as handle:
+            json.dump(override, handle)
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                code = cli.main([command, "--config", path])
+    return code, stdout.getvalue(), stderr.getvalue()
 
 
 class TestDerivedConditions:
@@ -338,13 +361,25 @@ class TestDerivedConditions:
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("command", ["transfer-error", "validate"])
-    def test_coupling_square_underflow_names_the_float_range(self, tmp_path, command):
-        # inside the accepted range, but g is 2.8e-301 and g^2 underflows
-        path = tmp_path / "underflow.json"
-        path.write_text(json.dumps({"device": {"coupler": {"coupling_capacitance_f": 5e-324}}}))
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            # g is 2.8e-301 and g^2 underflows
+            ({"coupler": {"coupling_capacitance_f": 5e-324}}, "transfer coupling squared"),
+            # g^2 is a normal float, but pi |detuning| / (2 g^2) overflows to inf
+            ({"cbjj": {"junction_capacitance_f": MAX}}, "transfer gate time"),
+            # every input is positive, but the derived g underflows to 0
+            ({"tlr": {"capacitance_f": MAX}}, "transfer coupling 0.0"),
+        ],
+    )
+    def test_derived_transfer_quantity_names_the_float_range(
+        self, tmp_path, command, override, message
+    ):
+        path = tmp_path / "extreme.json"
+        path.write_text(json.dumps({"device": override}))
         proc = run_cli(command, "--config", str(path))
         assert proc.returncode == 1
-        assert "error: transfer coupling squared leaves the float range" in proc.stderr
+        assert f"error: {message} leaves the float range" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize(
@@ -380,6 +415,8 @@ class TestDerivedConditions:
                 )
             ),
             ("validate", {"noise": {"kappa_hz": 1e300}}, EXPM_SQUARINGS),
+            # under the doubling bound, but roundoff breaks a checkpoint state
+            ("detector", {"device": {"detector": {"coupling_hz": 1e12}}}, CHECKPOINT_SQUARINGS),
             ("transfer-error", {"experiments": {"transfer": {"kappa_grid_hz": [1e300]}}}, EXPM_SQUARINGS),
         ],
     )
@@ -402,20 +439,27 @@ class TestDerivedConditions:
             detector_params(config)
         except ValueError as exc:  # a rate near 1e308 Hz overflows in angular units
             assert str(exc) == "detector rate or detuning leaves the float range"
-        stderr = io.StringIO()
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "config.json")
-            with open(path, "w") as handle:
-                json.dump(override, handle)
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    code = cli.main(["params", "--config", path])
+        code, _, stderr = run_in_process("params", override)
         assert code in (0, 1)  # the config loaded, so never 2
         if code == 1:
-            assert any(f"error: {c}" in stderr.getvalue() for c in EXIT_ONE_CONDITIONS), (
-                stderr.getvalue()
-            )
+            assert any(f"error: {c}" in stderr for c in EXIT_ONE_CONDITIONS), stderr
+
+    # examples per engine command, at about 18, 13 and 127 ms per in-process run
+    @pytest.mark.parametrize(
+        "command, examples", [("transfer-error", 150), ("detector", 150), ("validate", 80)]
+    )
+    def test_accepted_leaf_never_crashes_engines(self, command, examples):
+        @settings(max_examples=examples, deadline=None)
+        @given(single_leaf_overrides())
+        def check(override):
+            code, stdout, stderr = run_in_process(command, override)
+            assert code in (0, 1), stderr
+            if code == 1 and not (command == "validate" and not stderr and ",fail," in stdout):
+                # not a device the judge fails: a named derived condition
+                assert stderr.startswith("error: "), stderr
+                assert any(c in stderr for c in ENGINE_EXIT_ONE_CONDITIONS), stderr
+
+        check()
 
 
 class TestCsvCommands:
@@ -490,12 +534,21 @@ class TestValidateCommand:
         assert "trace-preservation,pass" in proc.stdout
         assert ",fail," not in proc.stdout
 
-    def test_tampered_bound_exits_one(self, tmp_path):
-        path = tmp_path / "tampered.json"
-        path.write_text(json.dumps({"validation": {"trace_tol": 1e-15}}))
+    def test_failing_device_exits_one(self, tmp_path):
+        # a warmer resonator holds more thermal photons than the fixed bound allows
+        path = tmp_path / "warm.json"
+        path.write_text(json.dumps({"device": {"temperature_k": 0.05}}))
         proc = run_cli("validate", "--config", str(path))
         assert proc.returncode == 1
-        assert "trace-preservation,fail" in proc.stdout
+        assert "thermal-occupancy,fail,4.60109151e-09" in proc.stdout
+
+    def test_config_cannot_loosen_a_bound(self, tmp_path):
+        path = tmp_path / "loose.json"
+        path.write_text(json.dumps({"validation": {"trace_tol": 1e300}}))
+        proc = run_cli("validate", "--config", str(path))
+        assert proc.returncode == 2
+        assert "config error: validation: unknown key" in proc.stderr
+        assert proc.stdout == ""
 
     def test_low_detuning_warn_row(self, tmp_path):
         path = tmp_path / "close.json"

@@ -2,6 +2,7 @@
 and each subcommand imports only what it runs."""
 
 import ast
+import copy
 import importlib
 import json
 import re
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import tlrsim
+from tlrsim.config import DEFAULT_CONFIG
 
 PACKAGE = Path(tlrsim.__file__).parent
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
@@ -310,3 +312,61 @@ def test_default_device_records_declare_no_field_defaults():
     modules = package_sources()[0]
     defaulted = {callee for source in modules.values() for callee, *_ in defaulted_options(source)}
     assert defaulted & NO_DEFAULT_FIELDS == set()
+
+
+def config_leaves(tree: dict, prefix: tuple = ()):
+    """Key path of each leaf of a config tree."""
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from config_leaves(value, (*prefix, key))
+        else:
+            yield (*prefix, key)
+
+
+def string_literals(source: str, skip: str = "DEFAULT_CONFIG") -> set[str]:
+    """String constants of ``source``, except inside a top-level assignment to ``skip``."""
+    tree = ast.parse(source)
+    skipped = {
+        id(inner)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(getattr(t, "id", None) == skip for t in node.targets)
+        for inner in ast.walk(node)
+    }
+    return {
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and id(node) not in skipped
+    }
+
+
+def unread_leaves(defaults: dict, sources: list[str]) -> list[str]:
+    """Dotted path of each leaf whose key and section no one source names.
+
+    A read names both, as ``config["noise"]["seed"]`` or ``sec =
+    config["device"]["tlr"]; sec["inductance_h"]`` do; the defaults'
+    own definition and dotted range paths such as ``"noise.seed"`` do not.
+    """
+    names = [string_literals(source) for source in sources]
+    return [
+        ".".join(path)
+        for path in config_leaves(defaults)
+        if not any(set(path[-2:]) <= found for found in names)
+    ]
+
+
+def config_readers() -> list[str]:
+    paths = [*PACKAGE.glob("*.py"), *(ROOT / "scripts").glob("*.py")]
+    return [path.read_text() for path in paths]
+
+
+def test_unread_leaf_check_flags_a_planted_knob():
+    defaults = copy.deepcopy(DEFAULT_CONFIG)
+    defaults["noise"]["planted_knob_hz"] = 1.0
+    assert unread_leaves(defaults, config_readers()) == ["noise.planted_knob_hz"]
+
+
+def test_every_config_leaf_is_read():
+    assert unread_leaves(DEFAULT_CONFIG, config_readers()) == []

@@ -66,8 +66,9 @@ class TestDefaultSuite:
 
 
 class TestNegativeControls:
-    def test_tampered_trace_bound_fails_controlled(self):
-        results = run_validation(load_config({"validation": {"trace_tol": 1e-15}}))
+    def test_tampered_trace_bound_fails_controlled(self, monkeypatch):
+        monkeypatch.setattr(validate, "TRACE_BOUND", 1e-15)
+        results = run_validation(load_config())
         row = next(r for r in results if r.id == "trace-preservation")
         assert row.status == "fail"
         assert row.measured > 1e-15
@@ -111,10 +112,11 @@ class TestZeroDephasing:
         assert not has_failure(results)
         assert render_report(results).count("\n") == len(EXPECTED_IDS) + 1
 
-    def test_zero_spread_still_fails_past_the_tolerance(self):
+    def test_zero_spread_still_fails_past_the_tolerance(self, monkeypatch):
         # both sides run the same exponential and agree exactly, so the
         # floating point floor is 0 and a bound past it is negative
-        row, _ = self.mc_row({**self.CONFIG, "validation": {"cross_integrator_tol": -1e-30}})
+        monkeypatch.setattr(validate, "CROSS_INTEGRATOR_BOUND", -1e-30)
+        row, _ = self.mc_row(self.CONFIG)
         assert row.status == "fail"
 
 
