@@ -319,7 +319,7 @@ ENGINE_EXIT_ONE_CONDITIONS = (
 
 
 def run_in_process(command, override):
-    """Exit code, stdout and stderr of ``cli.main`` on a one-file config."""
+    """Exit code, stdout and stderr of ``cli.main`` on a config file holding ``override``."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "config.json")

@@ -323,14 +323,14 @@ def config_leaves(tree: dict, prefix: tuple = ()):
             yield (*prefix, key)
 
 
-def string_literals(source: str, skip: str = "DEFAULT_CONFIG") -> set[str]:
-    """String constants of ``source``, except inside a top-level assignment to ``skip``."""
+def string_literals(source: str) -> set[str]:
+    """String constants of ``source``, except inside the definition of ``DEFAULT_CONFIG``."""
     tree = ast.parse(source)
     skipped = {
         id(inner)
         for node in tree.body
         if isinstance(node, ast.Assign)
-        and any(getattr(t, "id", None) == skip for t in node.targets)
+        and any(getattr(t, "id", None) == "DEFAULT_CONFIG" for t in node.targets)
         for inner in ast.walk(node)
     }
     return {
