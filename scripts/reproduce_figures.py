@@ -5,7 +5,8 @@ Writes transfer_error.csv, cphase_error.csv, detector_efficiency.csv
 into --outdir (default ./figures) and prints the operating-point numbers
 the CSVs hinge on; the transfer operating point is the config's
 noise.kappa_hz and device.cbjj.dephasing_rate_hz. Pass --quick for a
-fast low-sample pass.
+fast low-sample pass. Exits 0 on success, 1 when the simulation fails
+(as the tlrsim CLI does) and 2 on a bad option, config key or output path.
 """
 
 import argparse
@@ -38,11 +39,16 @@ def main() -> int:
         "--quick", action="store_true", help="150 Monte Carlo samples instead of the configured count"
     )
     args = parser.parse_args()
+    if args.jobs < 1:  # the tlrsim CLI's rule, with its exit code 2
+        parser.error("argument --jobs: must be a positive integer")
     try:
         run(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except (ValueError, RuntimeError, ArithmeticError) as exc:  # as the tlrsim CLI reports them
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

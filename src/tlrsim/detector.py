@@ -165,7 +165,7 @@ def detection_efficiency(p: DetectorParams) -> DetectionResult:
     t_max = T_MAX_FACTOR / min(dissipative)
 
     space = detector_space()
-    rho0 = space.basis_state([1, GROUND]).to_density_matrix()
+    rho0 = space.basis_state([1, GROUND])
     liou = build_detector_liouvillian(p)
     step = propagator(liou, t0)
     v = step @ vec(rho0.matrix)

@@ -125,7 +125,6 @@ class FjsDerived:
     """
 
     phi0: float
-    alpha: float
     sigma_phi: float
     chi_c: float
     chi_d: float
@@ -133,7 +132,6 @@ class FjsDerived:
     omega_s: float
     delta_omega_s: float
     delta_omega_int_rel: float
-    mutual_inductance_d: float
 
 
 def mode_frequency(tlr: TlrParams) -> float:
@@ -176,6 +174,8 @@ def coupling_strength(
             stacklevel=2,
         )
     denom = math.sqrt(2.0 * tlr_capacitance * (junction_capacitance + 2.0 * coupling_capacitance))
+    if denom == 0.0:  # the capacitance product underflowed
+        raise ValueError("tap coupling leaves the float range")
     return omega * coupling_capacitance / denom
 
 
@@ -315,7 +315,6 @@ def fjs_derive(fjs: FjsParams, tlr: TlrParams) -> FjsDerived:
 
     return FjsDerived(
         phi0=phi0,
-        alpha=alpha,
         sigma_phi=sigma_phi,
         chi_c=chi_c,
         chi_d=chi_d,
@@ -323,5 +322,4 @@ def fjs_derive(fjs: FjsParams, tlr: TlrParams) -> FjsDerived:
         omega_s=omega_s,
         delta_omega_s=delta_omega_s,
         delta_omega_int_rel=delta_omega_int_rel,
-        mutual_inductance_d=m_d,
     )

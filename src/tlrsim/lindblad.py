@@ -15,12 +15,12 @@ Quasi-static noise is handled by one Monte Carlo loop,
 order, worker count or block size.  It evaluates a vectorized model on
 blocks of draws, such as the controlled-phase echo on pure states, and
 keeps only the sample mean and its standard error.  For density
-matrices (:func:`monte_carlo_quasistatic`) a sample enters a schedule
-affinely: each segment's generator is G(x) = G0 + x G1, where G1 is the
-superoperator of one Hamiltonian term and x the sample's coefficient.
-G0 t and G1 t are built once per distinct segment; each block then runs
-one stacked Pade exponential per segment, and every sample's state is
-validated after every segment.
+matrices (:func:`monte_carlo_quasistatic`) a sample enters one evolution
+affinely, G(x) = G0 + x G1 with G1 the superoperator of one Hamiltonian
+term: each block runs one stacked Pade exponential of G0 t + x G1 t and
+validates every final state.  Schedules with unitary kicks run one
+coefficient at a time (:func:`propagate_schedule`), the reference for
+the closed-form lossy echo.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ __all__ = [
     "expm",
     "propagator",
     "apply_propagator",
+    "squaring_roundoff",
     "propagate_expm",
     "propagate_rk4",
     "Evolve",
@@ -58,7 +59,7 @@ __all__ = [
 ]
 
 MAX_HALVINGS = 20
-MAX_STEPS = 2_000_000
+MAX_STEPS = 10_000  # at _STEP_FRACTION: a decay exponent near 200, run in seconds
 
 # RK4 target for dt * (spectral scale); keeps the global error comfortably
 # below the 1e-6 cross-check budget for the times this package integrates.
@@ -204,6 +205,14 @@ def _pade(a: np.ndarray, m: int) -> np.ndarray:
     return np.linalg.solve(v - u, v + u)
 
 
+def _plan(norms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pade degree and squaring count of each matrix, from its 1-norm."""
+    degrees = _PADE_DEGREES[np.searchsorted(_PADE_THETA, norms)]
+    frac, s = np.frexp(norms / _THETA_13)
+    # ceil(log2(norm / theta_13)), for the degree-13 matrices only
+    return degrees, np.where(degrees == 13, np.maximum(0, s - (frac == 0.5)), 0)
+
+
 def _scaled_pade(a: np.ndarray, m: int, s: int) -> np.ndarray:
     if m < 13:
         return _pade(a, m)
@@ -236,10 +245,7 @@ def expm(a: np.ndarray) -> np.ndarray:
             f"matrix exponential of 1-norm {norms.max():.3g} needs more than "
             f"{MAX_SQUARINGS} squarings, whose roundoff would pass the {TRACE_TOL:g} trace tolerance"
         )
-    degrees = _PADE_DEGREES[np.searchsorted(_PADE_THETA, norms)]
-    frac, s = np.frexp(norms / _THETA_13)
-    # ceil(log2(norm / theta_13)), for the degree-13 matrices only
-    s = np.where(degrees == 13, np.maximum(0, s - (frac == 0.5)), 0)
+    degrees, s = _plan(norms)
     plans = (degrees * 4096 + s).ravel()  # s <= 1024, so (degree, s) packs in one int
     if plans.size and (plans == plans[0]).all():
         return _scaled_pade(a, int(degrees.flat[0]), int(s.flat[0]))
@@ -271,6 +277,12 @@ def apply_propagator(superop: np.ndarray, rho0: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(rho0.space, final)
 
 
+def squaring_roundoff(liouvillian: Liouvillian, duration: float, exc: ValueError) -> ValueError:
+    """``exc`` from a state of ``propagator(liouvillian, duration)``, naming its squarings."""
+    s = int(_plan(np.linalg.norm(liouvillian.matrix() * duration, 1))[1])
+    return ValueError(f"state failed after {s} squarings of the propagator: {exc}")
+
+
 def propagate_expm(
     liouvillian: Liouvillian, rho0: DensityMatrix, duration: float
 ) -> DensityMatrix:
@@ -279,7 +291,11 @@ def propagate_expm(
         raise ValueError("state lives on a different space")
     if duration == 0:
         return rho0
-    return apply_propagator(propagator(liouvillian, duration), rho0)
+    superop = propagator(liouvillian, duration)
+    try:
+        return apply_propagator(superop, rho0)
+    except ValueError as exc:
+        raise squaring_roundoff(liouvillian, duration, exc) from exc
 
 
 def propagate_rk4(
@@ -427,8 +443,7 @@ def trace_distance(
     """Half the trace norm of the difference of two Hermitian matrices."""
     ma = a.matrix if isinstance(a, DensityMatrix) else np.asarray(a)
     mb = b.matrix if isinstance(b, DensityMatrix) else np.asarray(b)
-    diff = ma - mb
-    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
+    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(ma - mb))))
 
 
 def substream_rng(seed: int, *key: int) -> np.random.Generator:
@@ -518,48 +533,35 @@ def monte_carlo_scalar(
 
 
 def monte_carlo_quasistatic(
-    schedule: Sequence[Segment],
+    segment: Evolve,
     noise: QuasiStaticNoise,
     rho0: DensityMatrix,
     observable: Callable[[np.ndarray], np.ndarray],
     *,
     coefficient: Callable[[np.ndarray], np.ndarray],
 ) -> ObservableStat:
-    """Average an observable of a schedule's final states over quasi-static draws.
+    """Average an observable of one evolution's final states over quasi-static draws.
 
     ``coefficient`` maps an array of drawn values to the coefficients of
-    each :class:`Evolve` segment's shift term.  Each block of
-    :func:`monte_carlo_scalar` runs the schedule on a stack of states;
-    after every segment each state is Hermitized and checked against the
+    the segment's shift term.  Each block of :func:`monte_carlo_scalar`
+    takes one stacked exponential of G0 t + x G1 t and applies it to
+    vec(rho0); each final state is Hermitized and checked against the
     :class:`DensityMatrix` tolerances.
     ``observable`` maps the (n, d, d) stack of final states to n values.
     """
-    _check_schedule(schedule, rho0.space)
-    generators = {}  # distinct Evolve segment -> its G0 t and G1 t
-    for segment in schedule:
-        if isinstance(segment, Evolve) and segment.duration > 0 and segment not in generators:
-            g0 = segment.generator.matrix()
-            g1 = Liouvillian(rho0.space, segment.shift).matrix()
-            generators[segment] = (g0 * segment.duration, g1 * segment.duration)
+    _check_schedule([segment], rho0.space)
+    g0 = segment.generator.matrix() * segment.duration
+    g1 = Liouvillian(rho0.space, segment.shift).matrix() * segment.duration
     d = rho0.space.dim
 
     def block(draws: np.ndarray) -> np.ndarray:
         scale = np.asarray(coefficient(draws), float)[:, None, None]
-        propagators = {seg: expm(g0 + scale * g1) for seg, (g0, g1) in generators.items()}
-        states = np.broadcast_to(rho0.matrix, (draws.size, d, d))
-        for segment in schedule:
-            if isinstance(segment, Apply):
-                u = segment.unitary.matrix
-                states = u @ states @ u.conj().T
-            elif segment.duration > 0:
-                vecs = states.swapaxes(1, 2).reshape(draws.size, d * d, 1)  # vec() of each state
-                states = (propagators[segment] @ vecs).reshape(draws.size, d, d).swapaxes(1, 2)
-            else:
-                continue  # a zero-length segment leaves the states as they are
-            states = 0.5 * (states + states.conj().swapaxes(1, 2))
-            defect = density_defect(states)
-            if defect is not None:
-                raise ValueError(defect[1])
+        states = (expm(g0 + scale * g1) @ vec(rho0.matrix)).reshape(draws.size, d, d)
+        states = states.swapaxes(1, 2)  # unvec() of each state
+        states = 0.5 * (states + states.conj().swapaxes(1, 2))
+        defect = density_defect(states)
+        if defect is not None:
+            raise ValueError(defect[1])
         return observable(states)
 
     return monte_carlo_scalar(block, noise)

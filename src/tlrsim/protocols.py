@@ -31,7 +31,7 @@ from .lindblad import (
     monte_carlo_scalar,
     propagate_expm,
 )
-from .qcore import HilbertSpace, StateVector, annihilation, embed, projector
+from .qcore import NORM_TOL, HilbertSpace, annihilation, embed, projector
 
 __all__ = [
     "TransferSpec",
@@ -41,7 +41,6 @@ __all__ = [
     "build_transfer_liouvillian",
     "transfer_gate_error",
     "transfer_full_model_error",
-    "cphase_space",
     "cphase_spin_echo_error",
     "cphase_ideal_leg_unitary",
     "logical_phase_extract",
@@ -154,7 +153,7 @@ def transfer_gate_error(spec: TransferSpec) -> float:
     The photon starts in the left resonator; the error is one minus the
     right-resonator population after the full swap.
     """
-    rho0 = transfer_space().basis_state([1, 0]).to_density_matrix()
+    rho0 = transfer_space().basis_state([1, 0])
     final = propagate_expm(build_transfer_liouvillian(spec), rho0, spec.gate_time)
     return _clip01(1.0 - final.population(1))
 
@@ -330,10 +329,6 @@ class CphaseSpec:
             return 0.0 * phi
         mean_sq = mean * mean + std * std
         return -(self.shift_std / spread) * (phi * phi - mean_sq)
-
-
-def cphase_space() -> HilbertSpace:
-    return HilbertSpace([("rail1", 3), ("rail2", 3)])
 
 
 def _leg_unitaries(spec: CphaseSpec, shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -534,13 +529,16 @@ def cphase_spin_echo_error(spec: CphaseSpec, point_index: int = 0) -> dict:
     }
 
 
-def logical_phase_extract(state: StateVector) -> tuple[float, ...]:
-    """Phases of the four logical amplitudes relative to the second (|01>).
+def logical_phase_extract(output: np.ndarray) -> tuple[float, ...]:
+    """Phases of a 9-dim pure state's logical amplitudes relative to the second (|01>).
 
-    Raises ValueError when more than 1% of the population left the
-    logical subspace.
+    Raises ValueError on a norm off 1 by more than ``NORM_TOL``, or when
+    more than 1% of the population left the logical subspace.
     """
-    amps = state.amplitudes[list(LOGICAL_FLAT)]
+    norm = float(np.linalg.norm(output))
+    if abs(norm - 1.0) > NORM_TOL:
+        raise ValueError(f"state vector norm {norm} deviates from 1 by more than {NORM_TOL}")
+    amps = output[list(LOGICAL_FLAT)]
     logical_population = float(np.sum(np.abs(amps) ** 2))
     leakage = 1.0 - logical_population
     if leakage > 0.01:

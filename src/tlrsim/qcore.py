@@ -9,12 +9,14 @@ Conventions used throughout the package:
 * Everything is a dense complex ``numpy`` array.  The largest space the
   package ever builds is a few tens of dimensions, so sparsity would buy
   nothing.
+* The one state type is :class:`DensityMatrix`; pure states are arrays.
 * Values are immutable after construction; matrices are defensively
   copied and marked read-only.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -23,7 +25,6 @@ import numpy as np
 __all__ = [
     "HilbertSpace",
     "Operator",
-    "StateVector",
     "DensityMatrix",
     "density_defect",
     "annihilation",
@@ -36,14 +37,6 @@ TRACE_TOL = 1e-9
 HERMITICITY_TOL = 1e-10
 POSITIVITY_TOL = 1e-8
 NORM_TOL = 1e-10
-
-
-def _frozen_array(values, shape_check=None) -> np.ndarray:
-    arr = np.array(values, dtype=complex)
-    if shape_check is not None and arr.shape != shape_check:
-        raise ValueError(f"expected array of shape {shape_check}, got {arr.shape}")
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True)
@@ -81,10 +74,7 @@ class HilbertSpace:
 
     @property
     def dim(self) -> int:
-        out = 1
-        for d in self.dims:
-            out *= d
-        return out
+        return math.prod(self.dims)
 
     def index(self, label: str) -> int:
         """Position of ``label`` in the subsystem ordering."""
@@ -93,8 +83,8 @@ class HilbertSpace:
                 return i
         raise KeyError(f"no subsystem labeled {label!r} in {self.labels}")
 
-    def basis_state(self, occupations: Sequence[int]) -> "StateVector":
-        """Product basis state ``|n_0, n_1, ...>`` with one index per subsystem."""
+    def basis_state(self, occupations: Sequence[int]) -> "DensityMatrix":
+        """Density matrix of the basis state ``|n_0, n_1, ...>``, one index per subsystem."""
         if len(occupations) != len(self.subsystems):
             raise ValueError("need one basis index per subsystem")
         amps = np.zeros(self.dim, dtype=complex)
@@ -104,7 +94,7 @@ class HilbertSpace:
                 raise ValueError(f"basis index {n} out of range for dimension {d}")
             flat = flat * d + n
         amps[flat] = 1.0
-        return StateVector(self, amps)
+        return DensityMatrix(self, np.outer(amps, amps.conj()))
 
 
 @dataclass(frozen=True)
@@ -115,7 +105,10 @@ class Operator:
     matrix: np.ndarray
 
     def __init__(self, space: HilbertSpace, matrix):
-        mat = _frozen_array(matrix, shape_check=(space.dim, space.dim))
+        mat = np.array(matrix, dtype=complex)
+        if mat.shape != (space.dim, space.dim):
+            raise ValueError(f"operator shape {mat.shape} does not match dim {space.dim}")
+        mat.setflags(write=False)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "matrix", mat)
 
@@ -144,35 +137,9 @@ class Operator:
     def __mul__(self, scalar: complex) -> "Operator":
         return Operator(self.space, self.matrix * scalar)
 
-    __rmul__ = __mul__
-
     def __matmul__(self, other: "Operator") -> "Operator":
         self._require_same_space(other)
         return Operator(self.space, self.matrix @ other.matrix)
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """Normalized pure state; norm must be within 1e-10 of one."""
-
-    space: HilbertSpace
-    amplitudes: np.ndarray
-
-    def __init__(self, space: HilbertSpace, amplitudes):
-        amps = np.array(amplitudes, dtype=complex).reshape(-1)
-        if amps.shape != (space.dim,):
-            raise ValueError(
-                f"amplitude vector has length {amps.shape[0]}, space dimension is {space.dim}"
-            )
-        norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > NORM_TOL:
-            raise ValueError(f"state vector norm {norm} deviates from 1 by more than {NORM_TOL}")
-        amps.setflags(write=False)
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "amplitudes", amps)
-
-    def to_density_matrix(self) -> "DensityMatrix":
-        return DensityMatrix(self.space, np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
 @dataclass(frozen=True)

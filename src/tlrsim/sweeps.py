@@ -179,8 +179,6 @@ def run_detector_sweep(config: dict, jobs: int = 1) -> SweepResult:
 
 
 def _format_cell(value) -> str:
-    if isinstance(value, bool):
-        return str(int(value))
     if isinstance(value, int):
         return str(value)
     return f"{float(value):.8e}"

@@ -259,6 +259,7 @@ EXIT_ONE_CONDITIONS = (
     "resonator L * C = ",  # L * C under- or overflows: inductance_h, capacitance_f
     "resonator mode frequency overflows the float range",  # mode_index near 1e308
     "SQUID operating point leaves the float range",  # a derived quantity under- or overflows
+    "tap coupling leaves the float range",  # C (C_J + 2 C_c) underflows: a subnormal capacitance_f
     "detuning must be nonzero",  # experiments.transfer.detuning_hz of 0
 )
 
@@ -303,7 +304,9 @@ def single_leaf_overrides(draw):
 
 DETECTOR_SPREAD = "detector rates span"
 EXPM_SQUARINGS = "needs more than 23 squarings"
-CHECKPOINT_SQUARINGS = "repeated squarings: trace"
+CHECKPOINT_SQUARINGS = "repeated squarings: "  # then the state check's reason
+PROPAGATOR_SQUARINGS = "squarings of the propagator: "
+STIFF = "generator too stiff"
 MAX = sys.float_info.max
 
 # what the engine commands may also exit 1 with, on a config the ranges accept
@@ -311,10 +314,11 @@ ENGINE_EXIT_ONE_CONDITIONS = (
     *EXIT_ONE_CONDITIONS,
     EXPM_SQUARINGS,
     CHECKPOINT_SQUARINGS,
+    PROPAGATOR_SQUARINGS,
     DETECTOR_SPREAD,
     "leaves the float range",
     "dispersive construction invalid",  # a detuning under the dispersive floor
-    "generator too stiff",
+    STIFF,
 )
 
 
@@ -370,6 +374,8 @@ class TestDerivedConditions:
             ({"cbjj": {"junction_capacitance_f": MAX}}, "transfer gate time"),
             # every input is positive, but the derived g underflows to 0
             ({"tlr": {"capacitance_f": MAX}}, "transfer coupling 0.0"),
+            # a subnormal resonator capacitance: the coupling's denominator underflows to 0
+            ({"tlr": {"capacitance_f": 2.2250738585e-313}}, "tap coupling"),
         ],
     )
     def test_derived_transfer_quantity_names_the_float_range(
@@ -416,8 +422,24 @@ class TestDerivedConditions:
             ),
             ("validate", {"noise": {"kappa_hz": 1e300}}, EXPM_SQUARINGS),
             # under the doubling bound, but roundoff breaks a checkpoint state
-            ("detector", {"device": {"detector": {"coupling_hz": 1e12}}}, CHECKPOINT_SQUARINGS),
+            ("detector", {"device": {"detector": {"coupling_hz": 1e12}}}, f"{CHECKPOINT_SQUARINGS}trace"),
+            (
+                "detector",
+                {"device": {"detector": {"coupling_hz": 8921720245250.0}}},
+                f"{CHECKPOINT_SQUARINGS}Hermiticity",
+            ),
             ("transfer-error", {"experiments": {"transfer": {"kappa_grid_hz": [1e300]}}}, EXPM_SQUARINGS),
+            # under MAX_SQUARINGS, but roundoff breaks the propagated state
+            (
+                "transfer-error",
+                {"experiments": {"transfer": {"gamma2_grid_hz": [2286582656260911.0]}}},
+                "after 21 squarings of the propagator: trace",
+            ),
+            (
+                "validate",
+                {"device": {"cbjj": {"dephasing_rate_hz": 1e16}}},
+                "after 23 squarings of the propagator: trace",
+            ),
         ],
     )
     def test_squaring_past_roundoff_is_refused_by_name(self, tmp_path, command, override, message):
@@ -428,6 +450,23 @@ class TestDerivedConditions:
         proc = run_cli(command, "--config", str(path), timeout=30)
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ") and message in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            # a drawn detuning whose transfer asked for 1,939,651 RK4 steps
+            {"experiments": {"transfer": {"detuning_hz": 4.78529833874339e16}}},
+            {"noise": {"kappa_hz": 1e10}},  # 81,143 steps
+        ],
+    )
+    def test_stiff_transfer_is_refused_by_name(self, tmp_path, override):
+        # the RK4 cross-check refuses up front what would run for minutes
+        path = tmp_path / "stiff.json"
+        path.write_text(json.dumps(override))
+        proc = run_cli("validate", "--config", str(path), timeout=30)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"error: {STIFF}")
         assert "Traceback" not in proc.stderr
 
     @settings(max_examples=300, deadline=None)

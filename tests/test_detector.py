@@ -14,7 +14,7 @@ from tlrsim.detector import (
 )
 from tlrsim.device import TWO_PI
 from tlrsim.lindblad import propagate_expm, vec
-from tlrsim.qcore import DensityMatrix, StateVector
+from tlrsim.qcore import DensityMatrix
 
 
 # the default detector of the shipped config
@@ -53,7 +53,7 @@ class TestCoherentLimit:
         g = TWO_PI * 1.0e8
         liou = build_detector_liouvillian(bare_params(coupling=g))
         space = detector_space()
-        rho0 = space.basis_state([1, 0]).to_density_matrix()
+        rho0 = space.basis_state([1, 0])
         final = propagate_expm(liou, rho0, math.pi / g)
         assert final.population(3) >= 1.0 - 1e-9
 
@@ -61,7 +61,7 @@ class TestCoherentLimit:
         g = TWO_PI * 1.0e8
         liou = build_detector_liouvillian(bare_params(coupling=g))
         space = detector_space()
-        rho0 = space.basis_state([1, 0]).to_density_matrix()
+        rho0 = space.basis_state([1, 0])
         final = propagate_expm(liou, rho0, math.pi / (2 * g))
         assert final.population(1) == pytest.approx(1.0, abs=1e-9)
 
@@ -74,7 +74,7 @@ class TestDephasingOnly:
         amps = np.zeros(6, dtype=complex)
         amps[3] = 1.0 / math.sqrt(2)  # photon present, junction ground
         amps[1] = 1.0 / math.sqrt(2)  # photon absorbed, junction excited
-        rho0 = StateVector(space, amps).to_density_matrix()
+        rho0 = DensityMatrix(space, np.outer(amps, amps.conj()))
         t = 3.0e-7
         final = propagate_expm(liou, rho0, t)
         expected = 0.5 * math.exp(-gamma_phi * t)
@@ -93,7 +93,7 @@ class TestUnreachableClick:
             )
         )
         space = detector_space()
-        rho0 = space.basis_state([1, 0]).to_density_matrix()
+        rho0 = space.basis_state([1, 0])
         final = propagate_expm(liou, rho0, 2.0e-7)
         assert final.population(2) <= 1e-12
         assert final.population(5) <= 1e-12

@@ -25,7 +25,6 @@ from tlrsim.lindblad import (
     propagate_schedule,
     propagator,
     quasistatic_sigma,
-    trace_distance,
 )
 from tlrsim.protocols import (
     IDEAL_CZ_PHASES,
@@ -34,7 +33,6 @@ from tlrsim.protocols import (
     TransferSpec,
     build_transfer_liouvillian,
     cphase_ideal_leg_unitary,
-    cphase_space,
     cphase_spin_echo_error,
     logical_phase_extract,
     transfer_full_model_error,
@@ -42,7 +40,7 @@ from tlrsim.protocols import (
     transfer_operators,
     transfer_space,
 )
-from tlrsim.qcore import DensityMatrix, HilbertSpace, Operator, StateVector, embed, projector
+from tlrsim.qcore import NORM_TOL, DensityMatrix, HilbertSpace, Operator, embed, projector
 
 TWO_PI = 2.0 * math.pi
 
@@ -92,9 +90,9 @@ def swap_fidelities(spec):
     }
     fids = {}
     for label, amps in inputs.items():
-        psi = StateVector(space, np.array(amps, dtype=complex))
-        final = apply_propagator(superop, psi.to_density_matrix())
-        target = ideal_u @ psi.amplitudes
+        psi = np.array(amps, dtype=complex)
+        final = apply_propagator(superop, DensityMatrix(space, np.outer(psi, psi.conj())))
+        target = ideal_u @ psi
         fids[label] = np.vdot(target, final.matrix @ target).real
     return fids
 
@@ -174,7 +172,7 @@ class TestTransferGateError:
         error = transfer_gate_error(spec)
         assert calls == ["expm", "apply_propagator"]
         assert type(error) is float
-        left = transfer_space().basis_state([1, 0]).to_density_matrix()
+        left = transfer_space().basis_state([1, 0])
         superop = propagator(build_transfer_liouvillian(spec), spec.gate_time)
         assert error == 1.0 - apply_propagator(superop, left).population(1)
 
@@ -267,7 +265,7 @@ def noiseless_echo_phases(spec, wait):
     half = np.kron(flip, flip) @ leg @ expm(-1j * cross * wait) @ leg
     psi = np.zeros(9, dtype=complex)
     psi[list(LOGICAL_FLAT)] = 0.5
-    return logical_phase_extract(StateVector(cphase_space(), half @ half @ psi))
+    return logical_phase_extract(half @ half @ psi)
 
 
 class TestCphaseSpec:
@@ -602,19 +600,8 @@ class TestLossySchedule:
 
         monkeypatch.setattr(lindblad, "propagator", counting)
         x = 0.3 * spec.shift_std
-        folded = propagate_schedule(segments, vacuum_start(), x)
+        propagate_schedule(segments, vacuum_start(), x)
         assert len(built) == distinct
-        # the stacked Monte Carlo engine runs the same schedule, kicks included
-        finals = []
-
-        def record(states):
-            finals.extend(states.copy())
-            return states[:, 0, 0].real
-
-        monte_carlo_quasistatic(
-            segments, spec.phi_noise, vacuum_start(), record, coefficient=lambda d: x + 0.0 * d
-        )
-        assert all(trace_distance(final, folded) <= 1e-12 for final in finals)
 
     def test_block_split_leaves_samples_unchanged(self, monkeypatch):
         spec = cz_spec(20.0, n=8, photon_loss_rate=TWO_PI * 1e4, use_ideal_flips=False)
@@ -628,11 +615,10 @@ class TestEchoCancellation:
         spec = cz_spec(20.0, n=10, seed=1)
         psi = np.zeros(9, dtype=complex)
         psi[list(LOGICAL_FLAT)] = 0.5
-        space = cphase_space()
         extracted = []
         for shift in (0.0, 3.2 * abs(DERIVED.delta_omega_s)):
             out = cphase_ideal_leg_unitary(spec, shift) @ psi
-            extracted.append(logical_phase_extract(StateVector(space, out)))
+            extracted.append(logical_phase_extract(out))
         for a, b in zip(*extracted):
             assert abs(a - b) < 1e-9
 
@@ -641,7 +627,7 @@ class TestEchoCancellation:
         psi = np.zeros(9, dtype=complex)
         psi[list(LOGICAL_FLAT)] = 0.5
         out = cphase_ideal_leg_unitary(spec, 0.0) @ psi
-        phases = logical_phase_extract(StateVector(cphase_space(), out))
+        phases = logical_phase_extract(out)
         for got, want in zip(phases, IDEAL_CZ_PHASES):
             assert abs(np.angle(np.exp(1j * (got - want)))) < 1e-9
         # entangling: a conditional phase of pi, not a product of local Z
@@ -652,7 +638,7 @@ class TestLogicalPhaseExtract:
     def test_identity_gives_zero_phases(self):
         psi = np.zeros(9, dtype=complex)
         psi[list(LOGICAL_FLAT)] = 0.5
-        phases = logical_phase_extract(StateVector(cphase_space(), psi))
+        phases = logical_phase_extract(psi)
         assert all(abs(p) < 1e-12 for p in phases)
 
     def test_z_rotation_pattern(self):
@@ -661,7 +647,7 @@ class TestLogicalPhaseExtract:
         for k, flat in enumerate(LOGICAL_FLAT):
             first_bit = k // 2
             psi[flat] = 0.5 * np.exp(1j * theta * (1 - first_bit))
-        phases = logical_phase_extract(StateVector(cphase_space(), psi))
+        phases = logical_phase_extract(psi)
         # relative pattern: first-qubit-0 states share one phase, the
         # rest share another, separated by theta
         assert abs(phases[0] - phases[1]) < 1e-12
@@ -673,13 +659,19 @@ class TestLogicalPhaseExtract:
         psi[list(LOGICAL_FLAT)] = math.sqrt(0.9 / 4)
         psi[2] = math.sqrt(0.1)
         with pytest.raises(ValueError, match="population"):
-            logical_phase_extract(StateVector(cphase_space(), psi))
+            logical_phase_extract(psi)
+
+    def test_norm_enforced(self):
+        psi = np.zeros(9, dtype=complex)
+        psi[list(LOGICAL_FLAT)] = 0.5 + 2 * NORM_TOL
+        with pytest.raises(ValueError, match="norm"):
+            logical_phase_extract(psi)
 
     def test_vanishing_reference_rejected(self):
         psi = np.zeros(9, dtype=complex)
         psi[0] = 1.0
         with pytest.raises(ValueError, match="reference"):
-            logical_phase_extract(StateVector(cphase_space(), psi))
+            logical_phase_extract(psi)
 
 
 class TestQuasiStaticEquivalence:
@@ -692,15 +684,13 @@ class TestQuasiStaticEquivalence:
         space, _, _, exchange = transfer_operators()
         weight = (spec.coupling / spec.detuning) ** 2
         # a sample's exchange rate is g^2/Delta - weight * delta
-        schedule = [
-            Evolve(Liouvillian(space, hamiltonian=exchange * spec.exchange_rate), t, exchange)
-        ]
+        segment = Evolve(Liouvillian(space, hamiltonian=exchange * spec.exchange_rate), t, exchange)
         noise = QuasiStaticNoise(
             mean=0.0, std=sigma, label="exchange_detuning", sample_count=1000, seed=11
         )
         rho0 = _left_photon_state(space)
         stat = monte_carlo_quasistatic(
-            schedule,
+            segment,
             noise,
             rho0,
             lambda states: states[:, 1, 1].real,
@@ -715,7 +705,7 @@ class TestQuasiStaticEquivalence:
 def _left_photon_state(space):
     amps = np.zeros(4, dtype=complex)
     amps[2] = 1.0
-    return StateVector(space, amps).to_density_matrix()
+    return DensityMatrix(space, np.outer(amps, amps.conj()))
 
 
 @settings(max_examples=20, deadline=None)
@@ -739,6 +729,6 @@ def test_transfer_error_stays_physical(kappa, gamma2):
 def test_phase_extract_wraps_into_principal_branch(theta):
     psi = np.zeros(9, dtype=complex)
     psi[list(LOGICAL_FLAT)] = 0.5 * np.exp(1j * np.array([theta, 0.0, 2 * theta, -theta]))
-    phases = logical_phase_extract(StateVector(cphase_space(), psi))
+    phases = logical_phase_extract(psi)
     assert all(-math.pi - 1e-12 <= p <= math.pi + 1e-12 for p in phases)
     assert phases[1] == 0.0

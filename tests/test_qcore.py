@@ -6,7 +6,6 @@ from tlrsim.qcore import (
     DensityMatrix,
     HilbertSpace,
     Operator,
-    StateVector,
     annihilation,
     density_defect,
     embed,
@@ -41,10 +40,10 @@ class TestHilbertSpace:
 
     def test_basis_state_flat_index(self):
         # First subsystem is the slow Kronecker index: |1, 2> sits at 1*3 + 2.
-        psi = two_by_three().basis_state([1, 2])
-        expected = np.zeros(6)
-        expected[5] = 1.0
-        assert np.array_equal(psi.amplitudes, expected)
+        rho = two_by_three().basis_state([1, 2])
+        expected = np.zeros((6, 6))
+        expected[5, 5] = 1.0
+        assert np.array_equal(rho.matrix, expected)
 
 
 class TestKroneckerConvention:
@@ -129,11 +128,6 @@ class TestEmbedAlgebra:
 
 
 class TestStates:
-    def test_norm_enforced(self):
-        space = HilbertSpace([("A", 2)])
-        with pytest.raises(ValueError):
-            StateVector(space, [1.0, 1.0])
-
     def test_density_matrix_checks(self):
         space = HilbertSpace([("A", 2)])
         with pytest.raises(ValueError):

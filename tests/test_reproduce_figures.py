@@ -84,3 +84,19 @@ def test_csv_that_cannot_be_written_exits_two(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith(f"config error: --outdir: cannot write {blocker}:")
     assert "Traceback" not in proc.stderr
+
+
+def test_simulation_failure_exits_one_without_traceback(tmp_path):
+    overrides = json.loads(json.dumps(SMALL))
+    overrides["device"] = {"tlr": {"inductance_h": 1e-200, "capacitance_f": 1e-200}}
+    proc = run_script(tmp_path, "--quick", overrides=overrides)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: resonator L * C = 0.0 leaves the float range")
+    assert "Traceback" not in proc.stderr
+
+
+def test_non_positive_jobs_exits_two_naming_the_flag(tmp_path):
+    proc = run_script(tmp_path, "--jobs", "-3")
+    assert proc.returncode == 2
+    assert "argument --jobs: must be a positive integer" in proc.stderr
+    assert "Traceback" not in proc.stderr
