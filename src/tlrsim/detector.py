@@ -99,14 +99,14 @@ def build_detector_liouvillian(p: DetectorParams) -> Liouvillian:
     rate; pure g/e dephasing via the two level projectors.
     """
     space = detector_space()
-    a = embed(annihilation(2, "photon"), space, "photon")
-    n_photon = embed(number(2, "photon"), space, "photon")
-    lower = embed(projector(GROUND, EXCITED, 3, "junction"), space, "junction")
-    escape = embed(projector(LATCHED, EXCITED, 3, "junction"), space, "junction")
-    p_ground = embed(projector(GROUND, GROUND, 3, "junction"), space, "junction")
-    p_excited = embed(projector(EXCITED, EXCITED, 3, "junction"), space, "junction")
+    a = embed(annihilation(2), space, "photon")
+    n_photon = embed(number(2), space, "photon")
+    lower = embed(projector(GROUND, EXCITED, 3), space, "junction")
+    escape = embed(projector(LATCHED, EXCITED, 3), space, "junction")
+    p_ground = embed(projector(GROUND, GROUND, 3), space, "junction")
+    p_excited = embed(projector(EXCITED, EXCITED, 3), space, "junction")
 
-    h = n_photon * p.detuning + (a.dag() @ lower + a @ lower.dag()) * p.coupling
+    h = n_photon * p.detuning + (a.conj().T @ lower + a @ lower.conj().T) * p.coupling
 
     terms = []
     if p.photon_loss_rate > 0:

@@ -31,7 +31,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .qcore import TRACE_TOL, DensityMatrix, HilbertSpace, Operator, density_defect
+from .qcore import NORM_TOL, TRACE_TOL, DensityMatrix, HilbertSpace, density_defect, is_hermitian
 
 __all__ = [
     "IntegrationError",
@@ -76,9 +76,9 @@ class MonteCarloError(RuntimeError):
 
 @dataclass(frozen=True)
 class LindbladTerm:
-    """One jump operator with its canonical rate."""
+    """One jump operator (a (d, d) array) with its canonical rate."""
 
-    operator: Operator
+    operator: np.ndarray
     rate: float
 
     def __post_init__(self):
@@ -88,21 +88,21 @@ class LindbladTerm:
 
 @dataclass(frozen=True)
 class Liouvillian:
-    """Hamiltonian plus jump terms on one Hilbert space."""
+    """Hamiltonian plus jump terms on one Hilbert space, as (d, d) arrays."""
 
     space: HilbertSpace
-    hamiltonian: Operator | None = None
+    hamiltonian: np.ndarray | None = None
     terms: tuple[LindbladTerm, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
         if self.hamiltonian is not None:
-            if self.hamiltonian.space != self.space:
+            if not _on_space(self.hamiltonian, self.space):
                 raise ValueError("hamiltonian lives on a different space")
-            if not self.hamiltonian.is_hermitian():
+            if not is_hermitian(self.hamiltonian):
                 raise ValueError("hamiltonian must be Hermitian")
         for term in self.terms:
-            if term.operator.space != self.space:
+            if not _on_space(term.operator, self.space):
                 raise ValueError("jump operator lives on a different space")
 
     def matrix(self) -> np.ndarray:
@@ -117,10 +117,10 @@ class Liouvillian:
         outer = np.multiply.outer
         sup = np.zeros((d, d, d, d), dtype=complex)
         if self.hamiltonian is not None:
-            h = self.hamiltonian.matrix
+            h = self.hamiltonian
             sup += -1j * (outer(eye, h) - outer(h.T, eye))
         for term in self.terms:
-            l = term.operator.matrix
+            l = term.operator
             ldl = l.conj().T @ l
             sup += term.rate * (
                 outer(l.conj(), l) - 0.5 * outer(eye, ldl) - 0.5 * outer(ldl.T, eye)
@@ -131,10 +131,10 @@ class Liouvillian:
         """Right-hand side d(rho)/dt evaluated with plain matrix products."""
         out = np.zeros_like(rho, dtype=complex)
         if self.hamiltonian is not None:
-            h = self.hamiltonian.matrix
+            h = self.hamiltonian
             out += -1j * (h @ rho - rho @ h)
         for term in self.terms:
-            l = term.operator.matrix
+            l = term.operator
             ldl = l.conj().T @ l
             out += term.rate * (l @ rho @ l.conj().T - 0.5 * (ldl @ rho + rho @ ldl))
         return out
@@ -143,10 +143,14 @@ class Liouvillian:
         """Rough magnitude of the fastest rate, for step-size heuristics."""
         scale = 0.0
         if self.hamiltonian is not None:
-            scale += float(np.linalg.norm(self.hamiltonian.matrix, 2))
+            scale += float(np.linalg.norm(self.hamiltonian, 2))
         for term in self.terms:
-            scale += term.rate * float(np.linalg.norm(term.operator.matrix, 2)) ** 2
+            scale += term.rate * float(np.linalg.norm(term.operator, 2)) ** 2
         return scale
+
+
+def _on_space(op: np.ndarray, space: HilbertSpace) -> bool:
+    return np.shape(op) == (space.dim, space.dim)
 
 
 def vec(matrix: np.ndarray) -> np.ndarray:
@@ -368,14 +372,14 @@ class Evolve:
 
     generator: Liouvillian
     duration: float
-    shift: Operator
+    shift: np.ndarray
 
     def __post_init__(self):
         if self.duration < 0:
             raise ValueError("duration must be nonnegative")
-        if self.shift.space != self.generator.space:
+        if not _on_space(self.shift, self.generator.space):
             raise ValueError("shift term lives on a different space")
-        if not self.shift.is_hermitian():
+        if not is_hermitian(self.shift):
             raise ValueError("shift term must be Hermitian")
 
     def at(self, coefficient: float) -> Liouvillian:
@@ -389,10 +393,11 @@ class Evolve:
 class Apply:
     """Schedule segment: instantaneous unitary kick."""
 
-    unitary: Operator
+    unitary: np.ndarray
 
     def __post_init__(self):
-        if not self.unitary.is_unitary():
+        u = self.unitary  # U U+ within NORM_TOL of the identity, elementwise
+        if not np.abs(u @ u.conj().T - np.eye(len(u))).max() <= NORM_TOL:
             raise ValueError("Apply segment needs a unitary operator")
 
 
@@ -402,7 +407,7 @@ Segment = Union[Evolve, Apply]
 def _check_schedule(segments: Sequence[Segment], space: HilbertSpace) -> None:
     for segment in segments:
         if isinstance(segment, Apply):
-            if segment.unitary.space != space:
+            if not _on_space(segment.unitary, space):
                 raise ValueError("unitary lives on a different space")
         elif isinstance(segment, Evolve):
             if segment.generator.space != space:
@@ -429,7 +434,7 @@ def propagate_schedule(
     for segment in segments:
         if isinstance(segment, Apply):
             u = segment.unitary
-            state = DensityMatrix(state.space, u.matrix @ state.matrix @ u.dag().matrix)
+            state = DensityMatrix(state.space, u @ state.matrix @ u.conj().T)
         elif segment.duration > 0:  # a zero-length segment leaves the state as it is
             if segment not in built:
                 built[segment] = propagator(segment.at(coefficient), segment.duration)

@@ -128,9 +128,9 @@ def transfer_space() -> HilbertSpace:
 def transfer_operators():
     """Transfer space, both rails' annihilators and the exchange operator."""
     space = transfer_space()
-    a = embed(annihilation(2, "left"), space, "left")
-    b = embed(annihilation(2, "right"), space, "right")
-    exchange = a.dag() @ b + b.dag() @ a
+    a = embed(annihilation(2), space, "left")
+    b = embed(annihilation(2), space, "right")
+    exchange = a.conj().T @ b + b.conj().T @ a
     return space, a, b, exchange
 
 
@@ -175,13 +175,12 @@ def transfer_full_model_error(spec: TransferSpec) -> dict:
     """
     g, delta = spec.coupling, spec.detuning
     space = HilbertSpace([("left", 2), ("right", 2), ("junction", 2)])
-    a = embed(annihilation(2, "left"), space, "left")
-    b = embed(annihilation(2, "right"), space, "right")
-    raise_j = embed(projector(1, 0, 2, "junction"), space, "junction")
-    p_excited = embed(projector(1, 1, 2, "junction"), space, "junction")
-    h = p_excited * delta + ((a + b) @ raise_j + (a + b).dag() @ raise_j.dag()) * g
+    rails = embed(annihilation(2), space, "left") + embed(annihilation(2), space, "right")
+    raise_j = embed(projector(1, 0, 2), space, "junction")
+    p_excited = embed(projector(1, 1, 2), space, "junction")
+    h = p_excited * delta + (rails @ raise_j + rails.conj().T @ raise_j.conj().T) * g
 
-    evals, evecs = np.linalg.eigh(h.matrix)
+    evals, evecs = np.linalg.eigh(h)
     psi0 = np.zeros(8, dtype=complex)
     psi0[4] = 1.0  # photon left, junction ground
     c0 = evecs.conj().T @ psi0

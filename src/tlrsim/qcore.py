@@ -9,9 +9,9 @@ Conventions used throughout the package:
 * Everything is a dense complex ``numpy`` array.  The largest space the
   package ever builds is a few tens of dimensions, so sparsity would buy
   nothing.
-* The one state type is :class:`DensityMatrix`; pure states are arrays.
-* Values are immutable after construction; matrices are defensively
-  copied and marked read-only.
+* An operator is a plain (d, d) complex array and a pure state an
+  amplitude array.  The one state type, :class:`DensityMatrix`, is checked
+  on construction, and its matrix is copied and marked read-only.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ import numpy as np
 
 __all__ = [
     "HilbertSpace",
-    "Operator",
     "DensityMatrix",
     "density_defect",
+    "is_hermitian",
     "annihilation",
     "number",
     "projector",
@@ -98,51 +98,6 @@ class HilbertSpace:
 
 
 @dataclass(frozen=True)
-class Operator:
-    """Square matrix attached to a :class:`HilbertSpace`."""
-
-    space: HilbertSpace
-    matrix: np.ndarray
-
-    def __init__(self, space: HilbertSpace, matrix):
-        mat = np.array(matrix, dtype=complex)
-        if mat.shape != (space.dim, space.dim):
-            raise ValueError(f"operator shape {mat.shape} does not match dim {space.dim}")
-        mat.setflags(write=False)
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "matrix", mat)
-
-    def dag(self) -> "Operator":
-        return Operator(self.space, self.matrix.conj().T)
-
-    def is_hermitian(self) -> bool:
-        """Hermiticity within ``HERMITICITY_TOL`` relative to the largest element."""
-        scale = max(1.0, float(np.abs(self.matrix).max()))
-        deviation = float(np.abs(self.matrix - self.matrix.conj().T).max())
-        return deviation <= HERMITICITY_TOL * scale
-
-    def is_unitary(self) -> bool:
-        """U U^dagger within ``NORM_TOL`` of the identity, elementwise."""
-        d = self.space.dim
-        return float(np.abs(self.matrix @ self.matrix.conj().T - np.eye(d)).max()) <= NORM_TOL
-
-    def _require_same_space(self, other: "Operator") -> None:
-        if self.space != other.space:
-            raise ValueError("operators live on different spaces")
-
-    def __add__(self, other: "Operator") -> "Operator":
-        self._require_same_space(other)
-        return Operator(self.space, self.matrix + other.matrix)
-
-    def __mul__(self, scalar: complex) -> "Operator":
-        return Operator(self.space, self.matrix * scalar)
-
-    def __matmul__(self, other: "Operator") -> "Operator":
-        self._require_same_space(other)
-        return Operator(self.space, self.matrix @ other.matrix)
-
-
-@dataclass(frozen=True)
 class DensityMatrix:
     """Trace-one positive-semidefinite Hermitian matrix.
 
@@ -194,28 +149,27 @@ def density_defect(matrices: np.ndarray) -> tuple[int, str] | None:
     return i, f"negative eigenvalue {float(lowest[i])} below -{POSITIVITY_TOL}"
 
 
-def annihilation(dimension: int, label: str = "mode") -> Operator:
-    """Truncated bosonic annihilation operator ``a|n> = sqrt(n)|n-1>``.
+def is_hermitian(matrix: np.ndarray) -> bool:
+    """Hermiticity within ``HERMITICITY_TOL`` relative to the largest element."""
+    scale = max(1.0, float(np.abs(matrix).max()))
+    return float(np.abs(matrix - matrix.conj().T).max()) <= HERMITICITY_TOL * scale
 
-    The operator lives on a fresh single-subsystem space so it can be fed
-    to :func:`embed` unchanged.
-    """
+
+def annihilation(dimension: int) -> np.ndarray:
+    """Truncated bosonic annihilation operator ``a|n> = sqrt(n)|n-1>``."""
     if dimension < 2:
         raise ValueError(f"annihilation needs dimension >= 2, got {dimension}")
-    mat = np.zeros((dimension, dimension), dtype=complex)
-    for n in range(1, dimension):
-        mat[n - 1, n] = np.sqrt(n)
-    return Operator(HilbertSpace([(label, dimension)]), mat)
+    return np.diag(np.sqrt(np.arange(1, dimension)), 1).astype(complex)
 
 
-def number(dimension: int, label: str = "mode") -> Operator:
+def number(dimension: int) -> np.ndarray:
     """Occupation-number operator ``diag(0, 1, ..., dimension - 1)``."""
     if dimension < 2:
         raise ValueError(f"number needs dimension >= 2, got {dimension}")
-    return Operator(HilbertSpace([(label, dimension)]), np.diag(np.arange(dimension, dtype=complex)))
+    return np.diag(np.arange(dimension, dtype=complex))
 
 
-def projector(i: int, j: int, dimension: int, label: str = "level") -> Operator:
+def projector(i: int, j: int, dimension: int) -> np.ndarray:
     """Matrix unit ``|i><j|`` on a single subsystem of the given dimension."""
     if dimension < 1:
         raise ValueError("dimension must be positive")
@@ -223,27 +177,21 @@ def projector(i: int, j: int, dimension: int, label: str = "level") -> Operator:
         raise ValueError(f"indices ({i}, {j}) out of range for dimension {dimension}")
     mat = np.zeros((dimension, dimension), dtype=complex)
     mat[i, j] = 1.0
-    return Operator(HilbertSpace([(label, dimension)]), mat)
+    return mat
 
 
-def embed(op: Operator, space: HilbertSpace, label: str) -> Operator:
+def embed(op: np.ndarray, space: HilbertSpace, label: str) -> np.ndarray:
     """Tensor ``op`` with identities so it acts on subsystem ``label`` of ``space``.
 
-    ``op`` must be a single-subsystem operator whose dimension matches the
-    labeled subsystem.  The first subsystem of ``space`` is the slowest
-    Kronecker index.
+    ``op`` must be square with the dimension of the labeled subsystem.
+    The first subsystem of ``space`` is the slowest Kronecker index.
     """
-    target = space.index(label)
-    if len(op.space.subsystems) != 1:
-        raise ValueError("embed expects a single-subsystem operator")
-    if op.space.dim != space.dims[target]:
+    d = space.dims[space.index(label)]
+    if np.shape(op) != (d, d):
         raise ValueError(
-            f"operator dimension {op.space.dim} does not match subsystem "
-            f"{label!r} of dimension {space.dims[target]}"
+            f"operator shape {np.shape(op)} does not match subsystem {label!r} of dimension {d}"
         )
     out = np.array([[1.0 + 0.0j]])
-    for pos, (_, d) in enumerate(space.subsystems):
-        factor = op.matrix if pos == target else np.eye(d)
-        out = np.kron(out, factor)
-    return Operator(space, out)
-
+    for name, dim in space.subsystems:
+        out = np.kron(out, op if name == label else np.eye(dim))
+    return out

@@ -42,6 +42,8 @@ __all__ = [
     "read_config_comment",
 ]
 
+AUTHORITATIVE_SAMPLES = 100  # Monte Carlo samples per point below which a run is quick
+
 
 @dataclass(frozen=True)
 class SweepResult:
@@ -122,13 +124,15 @@ def run_cphase_sweep(config: dict, jobs: int = 1, quick: bool = False) -> SweepR
     """Controlled-phase error versus transfer speed ratio.
 
     Sample count and seed are ``noise.samples`` and ``noise.seed``.
-    Authoritative results need at least 100 samples per point; smaller
-    counts are only allowed with ``quick``, which marks the output.
+    Authoritative results need at least ``AUTHORITATIVE_SAMPLES`` samples
+    per point; smaller counts are only allowed with ``quick``, and the
+    output is marked.
     """
     n = config["noise"]["samples"]
-    if n < 100 and not quick:
+    if n < AUTHORITATIVE_SAMPLES and not quick:
         raise ConfigError(
-            "noise.samples", f"{n} samples below the authoritative minimum of 100; pass --quick"
+            "noise.samples",
+            f"{n} samples below the authoritative minimum of {AUTHORITATIVE_SAMPLES}; pass --quick",
         )
     derived = fjs_derive(fjs_params(config), tlr_params(config))
     kappa = to_angular(config["experiments"]["cphase"]["kappa_hz"])
@@ -143,7 +147,7 @@ def run_cphase_sweep(config: dict, jobs: int = 1, quick: bool = False) -> SweepR
         columns=("ratio", "error", "std_err", "n_samples", "seed"),
         rows=tuple(rows),
         config=config,
-        quick=quick,
+        quick=n < AUTHORITATIVE_SAMPLES,
     )
 
 
@@ -166,6 +170,8 @@ def run_detector_sweep(config: dict, jobs: int = 1) -> SweepResult:
     """Detector efficiency versus escape-to-loss ratio at fixed loss."""
     base = detector_params(config)
     ratios = config["experiments"]["detector"]["gamma_over_kappa"]
+    if any(r * base.photon_loss_rate == 0 for r in ratios):  # no escape: every row would be 0
+        raise ValueError("detector sweep escape rate gamma_over_kappa x photon loss rate is 0")
     rows = _map_points(_detector_point, [(base, r) for r in ratios], jobs)
     return SweepResult(
         experiment="detector",

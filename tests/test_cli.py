@@ -34,6 +34,16 @@ def run_cli(*args, timeout=300, **kwargs):
     )
 
 
+def run_argv(argv):
+    """Exit code, stdout and stderr of ``cli.main`` on ``argv``, in this process."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = cli.main(list(argv))
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
 def strip_timestamp(text):
     return "\n".join(l for l in text.splitlines() if not l.startswith("# timestamp"))
 
@@ -69,8 +79,8 @@ class TestParams:
         assert "Traceback" not in proc.stderr
 
 
-def benchmark_command_lines():
-    """Each command line of perfbench/workloads.py, at one and two jobs, and each set-up call."""
+def benchmark_invocations():
+    """Each invocation of perfbench/workloads.py, at one and two jobs, and each set-up call."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
@@ -79,12 +89,24 @@ def benchmark_command_lines():
         spec.loader.exec_module(workloads)
     finally:
         del sys.modules[spec.name]
-    lines = []
+    found = []
     for workload in workloads.WORKLOAD_CONFIGS:
-        lines.append(workloads.setup_invocation(workload).argv)
+        found.append(workloads.setup_invocation(workload))
         for jobs in (1, 2):
-            lines += [inv.argv for inv in workloads.invocations(workload, 7, jobs=jobs)]
-    return lines
+            found += workloads.invocations(workload, 7, jobs=jobs)
+    return found
+
+
+def benchmark_command_lines():
+    return [inv.argv for inv in benchmark_invocations()]
+
+
+def sweep_rows(text):
+    """Data rows of a sweep CSV by column name; output that is no sweep CSV has none."""
+    if not text.startswith("# tool: tlrsim"):
+        return []
+    header, *rows = [line for line in text.splitlines() if line and not line.startswith("#")]
+    return [dict(zip(header.split(","), row.split(","))) for row in rows]
 
 
 # the flags each subcommand does not read
@@ -112,6 +134,23 @@ class TestFlags:
             cli._build_parser().parse_args([command, *flag])
         assert exit_.value.code == 2
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+class TestBenchmarkWorkCounts:
+    def test_declared_counts_are_the_work_done(self):
+        # points_per_s and trajectories_per_s divide these declared counts by wall time
+        from tlrsim.validate import MC_SAMPLES
+
+        for inv in dict.fromkeys(benchmark_invocations()):
+            code, stdout, stderr = run_argv(inv.argv)
+            assert code == 0, (inv.argv, stderr)
+            rows = sweep_rows(stdout)
+            assert inv.points == len(rows), inv.argv
+            if inv.argv[0] == "cphase-error":
+                done = sum(int(row["n_samples"]) for row in rows)
+            else:
+                done = MC_SAMPLES if inv.argv[0] == "validate" else 0
+            assert inv.trajectories == done, inv.argv
 
 
 class TestConfigErrors:
@@ -303,6 +342,7 @@ def single_leaf_overrides(draw):
 
 
 DETECTOR_SPREAD = "detector rates span"
+ZERO_ESCAPE = "escape rate gamma_over_kappa x photon loss rate is 0"
 EXPM_SQUARINGS = "needs more than 23 squarings"
 CHECKPOINT_SQUARINGS = "repeated squarings: "  # then the state check's reason
 PROPAGATOR_SQUARINGS = "squarings of the propagator: "
@@ -316,6 +356,7 @@ ENGINE_EXIT_ONE_CONDITIONS = (
     CHECKPOINT_SQUARINGS,
     PROPAGATOR_SQUARINGS,
     DETECTOR_SPREAD,
+    ZERO_ESCAPE,  # the detector sweep at zero photon loss
     "leaves the float range",
     "dispersive construction invalid",  # a detuning under the dispersive floor
     STIFF,
@@ -324,19 +365,25 @@ ENGINE_EXIT_ONE_CONDITIONS = (
 
 def run_in_process(command, override):
     """Exit code, stdout and stderr of ``cli.main`` on a config file holding ``override``."""
-    stdout, stderr = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "config.json")
         with open(path, "w") as handle:
             json.dump(override, handle)
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                code = cli.main([command, "--config", path])
-    return code, stdout.getvalue(), stderr.getvalue()
+        return run_argv([command, "--config", path])
 
 
 class TestDerivedConditions:
+    def test_detector_sweep_at_zero_photon_loss_exits_one(self):
+        # each escape rate is gamma_over_kappa x the loss: 0 would fill every row with 0
+        override = {"device": {"detector": {"photon_loss_rate_hz": 0}}}
+        code, stdout, stderr = run_in_process("detector", override)
+        assert code == 1
+        assert stdout == ""
+        assert stderr.startswith(f"error: detector sweep {ZERO_ESCAPE}")
+        code, stdout, _ = run_in_process("validate", override)  # no sweep: every row passes
+        assert code == 0
+        assert ",fail," not in stdout and ",warn," not in stdout
+
     @pytest.mark.parametrize("command", ["params", "transfer-error", "validate"])
     def test_lc_underflow_exits_one_without_traceback(self, tmp_path, command):
         path = tmp_path / "underflow.json"

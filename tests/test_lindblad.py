@@ -29,13 +29,11 @@ from tlrsim.lindblad import (
     unvec,
     vec,
 )
-from tlrsim.qcore import DensityMatrix, HilbertSpace, Operator, annihilation, embed
+from tlrsim.qcore import DensityMatrix, HilbertSpace, annihilation, embed
 
 
 def qubit_tools():
-    lower = annihilation(2, "q")
-    space = lower.space
-    return space, lower
+    return HilbertSpace([("q", 2)]), annihilation(2)
 
 
 def plus_state(space):
@@ -188,8 +186,8 @@ class TestPureDephasing:
         # Jumps |0><0| and |1><1| at rate gamma each: coherence decays at
         # exactly gamma while populations stay put.
         space, _ = qubit_tools()
-        p0 = Operator(space, np.diag([1.0, 0.0]).astype(complex))
-        p1 = Operator(space, np.diag([0.0, 1.0]).astype(complex))
+        p0 = np.diag([1.0, 0.0]).astype(complex)
+        p1 = np.diag([0.0, 1.0]).astype(complex)
         gamma = 3.0
         liou = Liouvillian(
             space, terms=(LindbladTerm(p0, gamma), LindbladTerm(p1, gamma))
@@ -204,7 +202,7 @@ class TestUnitaryLimit:
     def test_rabi_oscillation(self):
         space, lower = qubit_tools()
         g = 1.3
-        h = (lower + lower.dag()) * g
+        h = (lower + lower.conj().T) * g
         liou = Liouvillian(space, hamiltonian=h)
         rho0 = space.basis_state([0])
         t = 0.3 / g
@@ -216,15 +214,14 @@ class TestUnitaryLimit:
 
 def transfer_like_generator():
     """Two coupled rails with loss and collective dephasing, real scales."""
-    lower = annihilation(2, "a")
     space = HilbertSpace([("a", 2), ("b", 2)])
-    a = embed(lower, space, "a")
-    b = embed(annihilation(2, "b"), space, "b")
+    a = embed(annihilation(2), space, "a")
+    b = embed(annihilation(2), space, "b")
     j_ex = 1.217e8
-    h = (a.dag() @ b + b.dag() @ a) * j_ex
+    h = (a.conj().T @ b + b.conj().T @ a) * j_ex
     kappa = 6.283e4
     gamma_c = 7.75e4
-    cross = a.dag() @ b + a @ b.dag()
+    cross = a.conj().T @ b + a @ b.conj().T
     terms = (
         LindbladTerm(a, kappa),
         LindbladTerm(b, kappa),
@@ -290,13 +287,15 @@ class TestRk4StepControl:
 class TestLiouvillianValidation:
     def test_non_hermitian_hamiltonian_rejected(self):
         space, lower = qubit_tools()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^hamiltonian must be Hermitian$"):
             Liouvillian(space, hamiltonian=lower)
 
     def test_space_mismatch_rejected(self):
         space, _ = qubit_tools()
-        other = annihilation(2, "r")
-        with pytest.raises(ValueError):
+        other = annihilation(3)
+        with pytest.raises(ValueError, match="^hamiltonian lives on a different space$"):
+            Liouvillian(space, hamiltonian=other + other.conj().T)
+        with pytest.raises(ValueError, match="^jump operator lives on a different space$"):
             Liouvillian(space, terms=(LindbladTerm(other, 1.0),))
 
     def test_negative_rate_rejected(self):
@@ -308,7 +307,7 @@ class TestLiouvillianValidation:
 class TestSchedule:
     def test_apply_then_evolve_matches_manual(self):
         space, lower = qubit_tools()
-        x_gate = Operator(space, np.array([[0, 1], [1, 0]], dtype=complex))
+        x_gate = np.array([[0, 1], [1, 0]], dtype=complex)
         liou = Liouvillian(space, terms=(LindbladTerm(lower, 2.0),))
         rho0 = space.basis_state([0])
         # the shift term (any Hermitian one) enters at coefficient 0
@@ -322,14 +321,29 @@ class TestSchedule:
         space, lower = qubit_tools()
         liou = Liouvillian(space, terms=(LindbladTerm(lower, 2.0),))
         rho0 = space.basis_state([1])
-        a = propagate_schedule([Evolve(liou, 0.7, lower + lower.dag())], rho0, 0.0)
+        a = propagate_schedule([Evolve(liou, 0.7, lower + lower.conj().T)], rho0, 0.0)
         b = propagate_rk4(liou, rho0, 0.7)
         assert trace_distance(a, b) <= 1e-7
 
     def test_non_unitary_apply_rejected(self):
         _, lower = qubit_tools()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^Apply segment needs a unitary operator$"):
             Apply(lower)
+        with pytest.raises(ValueError, match="unitary"):
+            Apply(np.diag([1.0, 1.0 + 1e-9]))  # off the identity by 2e-9 > NORM_TOL
+
+    def test_wrong_shape_unitary_rejected(self):
+        space, _ = qubit_tools()
+        with pytest.raises(ValueError, match="^unitary lives on a different space$"):
+            propagate_schedule([Apply(np.eye(3))], space.basis_state([0]), 0.0)
+
+    def test_evolve_rejects_wrong_shape_or_non_hermitian_shift(self):
+        space, lower = qubit_tools()
+        liou = Liouvillian(space, terms=(LindbladTerm(lower, 2.0),))
+        with pytest.raises(ValueError, match="^shift term lives on a different space$"):
+            Evolve(liou, 0.7, np.eye(3))
+        with pytest.raises(ValueError, match="^shift term must be Hermitian$"):
+            Evolve(liou, 0.7, lower)
 
 
 class TestTraceDistance:
@@ -434,7 +448,7 @@ class TestStateMonteCarlo:
         self.space, self.lower = qubit_tools()
         self.rho0 = plus_state(self.space)
         # quasi-static frequency offset rotating the qubit coherence
-        self.offset = Operator(self.space, np.diag([0.0, 1.0]).astype(complex))
+        self.offset = np.diag([0.0, 1.0]).astype(complex)
 
     def model(self, detuning):
         return Liouvillian(self.space, hamiltonian=self.offset * detuning)
@@ -555,8 +569,8 @@ def random_liouvillian_and_state(draw):
     rng = np.random.default_rng(seed)
     space = HilbertSpace([("s", dim)])
     raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    h = Operator(space, 0.5 * (raw + raw.conj().T))
-    jump = Operator(space, rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    h = 0.5 * (raw + raw.conj().T)
+    jump = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rate = draw(st.floats(min_value=0.0, max_value=2.0))
     liou = Liouvillian(space, hamiltonian=h, terms=(LindbladTerm(jump, rate),))
     amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
@@ -592,10 +606,10 @@ def kron_superoperator(liou):
     eye = np.eye(d)
     sup = np.zeros((d * d, d * d), dtype=complex)
     if liou.hamiltonian is not None:
-        h = liou.hamiltonian.matrix
+        h = liou.hamiltonian
         sup += -1j * (np.kron(eye, h) - np.kron(h.T, eye))
     for term in liou.terms:
-        l = term.operator.matrix
+        l = term.operator
         ldl = l.conj().T @ l
         sup += term.rate * (
             np.kron(l.conj(), l) - 0.5 * np.kron(eye, ldl) - 0.5 * np.kron(ldl.T, eye)
@@ -614,10 +628,10 @@ def test_superoperator_is_the_kron_formula_bit_for_bit(dim, jumps, with_hamilton
     rng = np.random.default_rng(seed)
     space = HilbertSpace([("s", dim)])
     raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    h = Operator(space, 0.5 * (raw + raw.conj().T)) if with_hamiltonian else None
+    h = 0.5 * (raw + raw.conj().T) if with_hamiltonian else None
     terms = tuple(
         LindbladTerm(
-            Operator(space, rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))),
+            rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)),
             float(rng.uniform(0.0, 3.0)),
         )
         for _ in range(jumps)

@@ -40,7 +40,7 @@ from tlrsim.protocols import (
     transfer_operators,
     transfer_space,
 )
-from tlrsim.qcore import NORM_TOL, DensityMatrix, HilbertSpace, Operator, embed, projector
+from tlrsim.qcore import NORM_TOL, DensityMatrix, HilbertSpace, embed, projector
 
 TWO_PI = 2.0 * math.pi
 
@@ -79,7 +79,7 @@ def swap_fidelities(spec):
     """
     space, _, _, exchange = transfer_operators()
     t = spec.gate_time
-    ideal_u = expm(-1j * exchange.matrix * spec.exchange_rate * t)
+    ideal_u = expm(-1j * exchange * spec.exchange_rate * t)
     superop = propagator(build_transfer_liouvillian(spec), t)
     root2 = math.sqrt(0.5)
     inputs = {
@@ -531,12 +531,12 @@ def vacuum_schedule(spec):
     every level; the cell shift is every evolution's shift term.
     """
     cell = np.diag([0.0, 0.0, 1.0, 0.0])
-    cross = Operator(VACUUM_SPACE, -spec.interaction_strength * np.kron(cell, cell))
+    cross = -spec.interaction_strength * np.kron(cell, cell)
     hop = np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0]])
     hop_logical = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
-    shift = Operator(VACUUM_SPACE, on_rails(cell[:3, :3]))
+    shift = on_rails(cell[:3, :3])
     jumps = tuple(
-        LindbladTerm(embed(projector(3, level, 4, rail), VACUUM_SPACE, rail), spec.photon_loss_rate)
+        LindbladTerm(embed(projector(3, level, 4), VACUUM_SPACE, rail), spec.photon_loss_rate)
         for rail in ("rail1", "rail2")
         for level in (0, 1, 2)
     )
@@ -545,13 +545,13 @@ def vacuum_schedule(spec):
         return Evolve(Liouvillian(VACUUM_SPACE, h, jumps), duration, shift)
 
     g = spec.transfer_coupling
-    leg = evolve(Operator(VACUUM_SPACE, g * on_rails(hop)) + cross, spec.transfer_time)
+    leg = evolve(g * on_rails(hop) + cross, spec.transfer_time)
     wait = evolve(cross, spec.wait_time)
     if spec.use_ideal_flips:
         swap = np.array([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-        flip = Apply(Operator(VACUUM_SPACE, np.kron(swap, swap)))
+        flip = Apply(np.kron(swap, swap))
     else:
-        h_flip = Operator(VACUUM_SPACE, g * on_rails(hop_logical)) + cross
+        h_flip = g * on_rails(hop_logical) + cross
         flip = evolve(h_flip, spec.transfer_time)
     return [leg, wait, leg, flip] * 2
 

@@ -5,10 +5,10 @@ from hypothesis import given, settings, strategies as st
 from tlrsim.qcore import (
     DensityMatrix,
     HilbertSpace,
-    Operator,
     annihilation,
     density_defect,
     embed,
+    is_hermitian,
     number,
     projector,
 )
@@ -49,32 +49,42 @@ class TestHilbertSpace:
 class TestKroneckerConvention:
     def test_embed_first_factor_is_kron_left(self):
         space = two_by_three()
-        x = Operator(HilbertSpace([("A", 2)]), np.array([[0, 1], [1, 0]]))
+        x = np.array([[0, 1], [1, 0]])
         embedded = embed(x, space, "A")
-        assert np.allclose(embedded.matrix, np.kron(x.matrix, np.eye(3)))
+        assert embedded.dtype == complex
+        assert np.array_equal(embedded, np.kron(x, np.eye(3)))
 
     def test_embed_second_factor_is_kron_right(self):
         space = two_by_three()
-        n = number(3, label="B")
+        n = number(3)
         embedded = embed(n, space, "B")
-        assert np.allclose(embedded.matrix, np.kron(np.eye(2), n.matrix))
+        assert np.array_equal(embedded, np.kron(np.eye(2), n))
 
     def test_mismatched_dimension_rejected(self):
         space = two_by_three()
-        with pytest.raises(ValueError):
+        message = r"shape \(2, 2\) does not match subsystem 'B' of dimension 3"
+        with pytest.raises(ValueError, match=message):
             embed(number(2), space, "B")
+
+    @pytest.mark.parametrize("shape", [(3,), (3, 2), (1, 3, 3), (6, 6)])
+    def test_wrong_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match="does not match subsystem"):
+            embed(np.zeros(shape), two_by_three(), "B")
 
 
 class TestAnnihilation:
     def test_matrix_elements(self):
         a = annihilation(3)
-        expected = np.array([[0, 1, 0], [0, 0, np.sqrt(2)], [0, 0, 0]])
-        assert np.allclose(a.matrix, expected)
+        expected = np.array([[0, 1, 0], [0, 0, np.sqrt(2)], [0, 0, 0]], dtype=complex)
+        assert a.dtype == complex
+        assert np.array_equal(a, expected)
 
     def test_number_from_ladder(self):
         a = annihilation(4)
-        n = a.dag() @ a
-        assert np.allclose(n.matrix, np.diag([0, 1, 2, 3]))
+        n = number(4)
+        assert n.dtype == complex
+        assert np.array_equal(n, np.diag([0, 1, 2, 3]).astype(complex))
+        assert np.allclose(a.conj().T @ a, n)
 
     def test_dimension_below_two_rejected(self):
         with pytest.raises(ValueError):
@@ -84,7 +94,7 @@ class TestAnnihilation:
         # [a, a+] = 1 except in the top truncated level.
         d = 5
         a = annihilation(d)
-        comm = (a @ a.dag()).matrix - (a.dag() @ a).matrix
+        comm = a @ a.conj().T - a.conj().T @ a
         expected = np.eye(d)
         expected[d - 1, d - 1] = -(d - 1)
         assert np.allclose(comm, expected)
@@ -93,10 +103,11 @@ class TestAnnihilation:
 class TestProjector:
     def test_matrix_unit(self):
         p = projector(0, 1, 2)
-        assert np.allclose(p.matrix, [[0, 1], [0, 0]])
+        assert p.dtype == complex
+        assert np.array_equal(p, [[0, 1], [0, 0]])
 
     def test_pauli_z_assembly(self):
-        z = projector(0, 0, 2).matrix - projector(1, 1, 2).matrix
+        z = projector(0, 0, 2) - projector(1, 1, 2)
         assert np.allclose(z, np.diag([1, -1]))
 
     def test_out_of_range_rejected(self):
@@ -107,24 +118,36 @@ class TestProjector:
 class TestEmbedAlgebra:
     def test_identity_embeds_to_identity(self):
         space = two_by_three()
-        ident = Operator(HilbertSpace([("B", 3)]), np.eye(3))
-        assert np.allclose(embed(ident, space, "B").matrix, np.eye(6))
+        assert np.array_equal(embed(np.eye(3), space, "B"), np.eye(6))
 
     def test_disjoint_embeddings_commute(self):
         space = two_by_three()
         oa = embed(annihilation(2), space, "A")
         ob = embed(number(3), space, "B")
-        comm = oa.matrix @ ob.matrix - ob.matrix @ oa.matrix
+        comm = oa @ ob - ob @ oa
         assert np.abs(comm).max() < 1e-14
 
     def test_ladder_product_trace(self):
         # Direct 4x4 product oracle: tr(a a+ (x) I_2) = 2 on a 2 (x) 2 space.
         space = HilbertSpace([("A", 2), ("B", 2)])
         a = embed(annihilation(2), space, "A")
-        prod = a @ a.dag()
+        prod = a @ a.conj().T
         oracle = np.kron(np.array([[0, 1], [0, 0]]) @ np.array([[0, 0], [1, 0]]), np.eye(2))
-        assert np.allclose(prod.matrix, oracle)
-        assert np.trace(prod.matrix) == pytest.approx(2.0)
+        assert np.allclose(prod, oracle)
+        assert np.trace(prod) == pytest.approx(2.0)
+
+
+class TestIsHermitian:
+    def test_hermitian_and_not(self):
+        assert is_hermitian(number(3))
+        assert is_hermitian(annihilation(3) + annihilation(3).conj().T)
+        assert not is_hermitian(annihilation(3))
+
+    def test_tolerance_is_relative_to_the_largest_element(self):
+        # the tolerance is HERMITICITY_TOL (1e-10) times the largest element, or times 1
+        assert not is_hermitian(np.array([[0.0, 1.0], [1.0 + 2e-10, 0.0]]))
+        assert is_hermitian(np.array([[1e3, 1.0], [1.0 + 2e-8, 0.0]]))
+        assert not is_hermitian(np.array([[0.0, 1e-3], [1e-3 + 2e-10, 0.0]]))
 
 
 class TestStates:
@@ -169,10 +192,10 @@ def random_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
 def test_embed_preserves_spectrum(seed, d):
     rng = np.random.default_rng(seed)
     space = HilbertSpace([("left", d), ("right", 3)])
-    op = Operator(HilbertSpace([("left", d)]), random_hermitian(rng, d))
+    op = random_hermitian(rng, d)
     big = embed(op, space, "left")
-    small_eigs = np.sort(np.linalg.eigvalsh(op.matrix))
-    big_eigs = np.sort(np.linalg.eigvalsh(big.matrix))
+    small_eigs = np.sort(np.linalg.eigvalsh(op))
+    big_eigs = np.sort(np.linalg.eigvalsh(big))
     # Each eigenvalue appears with multiplicity dim/d = 3.
     expected = np.sort(np.repeat(small_eigs, 3))
     assert np.allclose(big_eigs, expected, atol=1e-9)

@@ -7,6 +7,7 @@ import pytest
 from tlrsim.config import ConfigError, canonical_json, config_hash, load_config, tlr_params
 from tlrsim.device import coupling_strength, mode_frequency, to_angular
 from tlrsim.sweeps import (
+    AUTHORITATIVE_SAMPLES,
     read_config_comment,
     render_csv,
     run_cphase_sweep,
@@ -96,9 +97,14 @@ class TestCphaseSweep:
     def test_sample_floor_enforced(self):
         with pytest.raises(ConfigError, match="quick"):
             run_cphase_sweep(noise_config(samples=50))
-        result = run_cphase_sweep(noise_config(samples=50), quick=True)
+        result = run_cphase_sweep(noise_config(samples=AUTHORITATIVE_SAMPLES - 1), quick=True)
         assert result.quick
         assert "# quick:" in render_csv(result, timestamp=False)
+        # --quick at an authoritative count is not marked, and changes no byte
+        result = run_cphase_sweep(noise_config(samples=AUTHORITATIVE_SAMPLES), quick=True)
+        assert not result.quick
+        plain = run_cphase_sweep(noise_config(samples=AUTHORITATIVE_SAMPLES))
+        assert render_csv(result, timestamp=False) == render_csv(plain, timestamp=False)
 
     def test_seed_override_changes_output(self):
         base = run_cphase_sweep(noise_config(samples=150))
