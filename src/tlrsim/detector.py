@@ -139,7 +139,8 @@ def detection_efficiency(p: DetectorParams) -> DetectionResult:
     logarithmic number of dense multiplications.  Converged means the
     latched population moved less than 1e-6 over the last doubling and
     the surviving excitation (photon plus excited junction) is below
-    1e-6; otherwise the best estimate is returned with converged False.
+    1e-6; otherwise, which takes zero photon loss, the best estimate is
+    returned with converged False.
     """
     if p.coupling == 0 or p.escape_rate == 0:
         # photon never couples, or the latched level is unreachable

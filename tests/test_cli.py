@@ -171,6 +171,19 @@ class TestConfigErrors:
         proc = run_cli("params", "--frobnicate")
         assert proc.returncode == 2
 
+    def test_non_positive_jobs_exits_two_naming_the_flag(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["transfer-error", "--jobs", "0"])
+        assert exit_.value.code == 2
+        assert "argument --jobs: must be a positive integer" in capsys.readouterr().err
+
+    def test_non_number_list_item_exits_two_with_path(self):
+        override = {"experiments": {"cphase": {"speed_ratios": ["a"]}}}
+        code, stdout, stderr = run_in_process("cphase-error", override)
+        assert code == 2
+        assert stdout == ""
+        assert stderr == "config error: experiments.cphase.speed_ratios[0]: expected a number\n"
+
     @pytest.mark.parametrize(
         "command, text, key",
         [

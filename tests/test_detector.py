@@ -3,9 +3,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tlrsim.config import detector_params, load_config
 from tlrsim.detector import (
+    T_MAX_FACTOR,
     DetectionResult,
     DetectorParams,
     build_detector_liouvillian,
@@ -135,6 +137,17 @@ class TestDetectionEfficiency:
         assert result.efficiency == 0.0
         assert result.converged
 
+    def test_zero_loss_runs_to_the_time_cap_unconverged(self):
+        # far detuned and lossless, the photon stays in the block past t_max
+        p = bare_params(
+            coupling=TWO_PI * 1.0e6, detuning=TWO_PI * 1.0e9, escape_rate=TWO_PI * 2.0e7
+        )
+        result = detection_efficiency(p)
+        assert not result.converged
+        assert result.t_final >= T_MAX_FACTOR / p.escape_rate
+        assert result.t_final == pytest.approx(8.344e-6, rel=1e-4)
+        assert result.efficiency == pytest.approx(2.0957e-3, rel=1e-4)
+
     def test_efficiency_monotone_nonincreasing_in_loss(self):
         ladder = [
             detection_efficiency(
@@ -173,3 +186,30 @@ class TestResultValidation:
                 converged=True,
                 t_final=0.0,
             )
+
+
+def log_rate(low=1e5, high=1e10):
+    return st.floats(min_value=math.log(low), max_value=math.log(high)).map(math.exp)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    coupling=log_rate(),
+    detuning=st.one_of(st.just(0.0), log_rate(), log_rate().map(lambda r: -r)),
+    loss=log_rate(),
+    escape=log_rate(),
+    relax=st.one_of(st.just(0.0), log_rate()),
+    dephasing=st.one_of(st.just(0.0), log_rate()),
+)
+def test_lossy_escaping_detector_converges_or_refuses(
+    coupling, detuning, loss, escape, relax, dephasing
+):
+    # with loss and escape both positive, the excitation decays at least as
+    # fast as the slowest dissipative rate, so by t_max it is below e^-1000
+    p = DetectorParams(coupling, detuning, loss, escape, relax, dephasing)
+    try:
+        result = detection_efficiency(p)
+    except ValueError as exc:  # the rate spread or a squared checkpoint, refused by name
+        assert "detector rates span" in str(exc) or "repeated squarings" in str(exc)
+        return
+    assert result.converged
