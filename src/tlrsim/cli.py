@@ -93,6 +93,8 @@ def _emit(text: str, out: str | None) -> None:
 
 def _human_freq(hz: float) -> str:
     mag = abs(hz)
+    if mag >= 1e15:  # from 1e6 GHz on, fixed-point digits would run to hundreds
+        return f"{hz / 1e9:+.4e} GHz"
     for unit, scale in (("GHz", 1e9), ("MHz", 1e6), ("kHz", 1e3)):
         if mag >= scale:
             return f"{hz / scale:+.4f} {unit}"

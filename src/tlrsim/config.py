@@ -38,123 +38,77 @@ class ConfigError(ValueError):
         self.path = path
 
 
-# log-spaced figure grids at coarse resolution, frozen explicitly so the
-# config hash does not depend on grid-generation code
-_KAPPA_GRID_HZ = [1.0e3, 3.1622776601683795e3, 1.0e4, 3.1622776601683795e4, 1.0e5]
-_GAMMA2_GRID_HZ = [1.0e5, 3.1622776601683795e5, 1.0e6, 3.1622776601683795e6, 1.0e7]
-
-DEFAULT_CONFIG = {
-    "device": {
-        "tlr": {
-            "inductance_h": 0.5e-9,
-            "capacitance_f": 5.0e-12,
-            "mode_index": 2,
-        },
-        "cbjj": {
-            "junction_capacitance_f": 0.5e-12,
-            "decay_rate_hz": 1.0e5,
-            "dephasing_rate_hz": 1.0e6,
-        },
-        "coupler": {
-            "coupling_capacitance_f": 2.3e-14,
-            "right_coupling_capacitance_f": 2.3e-14,
-        },
-        "fjs": {
-            "junction_critical_current_a": 5.0e-5,
-            "junction_capacitance_f": 1.0e-12,
-            "shunt_capacitance_f": 1.9e-11,
-            "squid_self_inductance_h": 1.0e-11,
-            "loop_inductance_h": 1.0e-10,
-            "mutual_inductance_c_h": 8.0e-11,
-            "mutual_inductance_d_h": None,
-            "bias_current_a": 0.0,
-            "phi_sq_spread_scale": 1.0,
-        },
-        "detector": {
-            "coupling_hz": 1.0e8,
-            "detuning_hz": 0.0,
-            "photon_loss_rate_hz": 1.0e4,
-            "escape_rate_hz": 2.0e7,
-            "intra_well_decay_hz": 1.0e5,
-            "dephasing_rate_hz": 1.0e6,
-        },
-        "temperature_k": 0.04,
-    },
-    "noise": {
-        "kappa_hz": 1.0e4,
-        "samples": 1000,
-        "seed": 42,
-    },
-    "experiments": {
-        "transfer": {
-            "detuning_hz": 2.0e9,
-            "kappa_grid_hz": _KAPPA_GRID_HZ,
-            "gamma2_grid_hz": _GAMMA2_GRID_HZ,
-        },
-        "cphase": {
-            "speed_ratios": [5.0, 10.0, 20.0, 40.0, 80.0],
-            "kappa_hz": 0.0,
-            "flips": "ideal",
-        },
-        "detector": {
-            "gamma_over_kappa": [10.0, 100.0, 1000.0, 2000.0, 10000.0],
-        },
-    },
-}
-
-_ENUMS = {
-    "experiments.cphase.flips": ("ideal", "simulated"),
-}
-
-# leaves where None is a meaningful value (auto-derived)
-_NULLABLE = {"device.fjs.mutual_inductance_d_h"}
-
 # Monte Carlo runs samples in blocks of lindblad.SAMPLE_BLOCK, at about
 # 0.06 ms per controlled-phase sample with or without loss, so this cap
 # already allows runs of minutes per point; larger counts are typos or
 # cannot even be allocated
 MAX_SAMPLES = 10_000_000
 
+# log-spaced figure grids at coarse resolution, frozen explicitly so the
+# config hash does not depend on grid-generation code
+_KAPPA_GRID_HZ = [1.0e3, 3.1622776601683795e3, 1.0e4, 3.1622776601683795e4, 1.0e5]
+_GAMMA2_GRID_HZ = [1.0e5, 3.1622776601683795e5, 1.0e6, 3.1622776601683795e6, 1.0e7]
+
 # (low, high, open) ranges outside which the engine cannot run a leaf:
 # low < x <= high if open, else low <= x <= high; a list leaf applies its
-# range to each item.  Detunings are signed: unbounded where listed.
+# range to each item.  Detunings are signed: unbounded.
 _NONNEGATIVE = (0, math.inf, False)
 _POSITIVE = (0, math.inf, True)
 _UNBOUNDED = (-math.inf, math.inf, False)
-_RANGES = {
-    "device.tlr.inductance_h": _POSITIVE,
-    "device.tlr.capacitance_f": _POSITIVE,
-    "device.tlr.mode_index": (1, math.inf, False),
-    "device.cbjj.junction_capacitance_f": _POSITIVE,
-    "device.cbjj.decay_rate_hz": _NONNEGATIVE,
-    "device.cbjj.dephasing_rate_hz": _NONNEGATIVE,
-    "device.coupler.coupling_capacitance_f": _POSITIVE,
-    "device.coupler.right_coupling_capacitance_f": _POSITIVE,
-    "device.fjs.junction_critical_current_a": _POSITIVE,
-    "device.fjs.junction_capacitance_f": _POSITIVE,
-    "device.fjs.shunt_capacitance_f": _NONNEGATIVE,
-    "device.fjs.squid_self_inductance_h": _POSITIVE,
-    "device.fjs.loop_inductance_h": _NONNEGATIVE,
-    "device.fjs.mutual_inductance_c_h": _POSITIVE,
-    "device.fjs.mutual_inductance_d_h": _POSITIVE,  # when set
-    "device.fjs.bias_current_a": _UNBOUNDED,  # signed; fjs_derive bounds its size
-    "device.fjs.phi_sq_spread_scale": _POSITIVE,
-    "device.detector.coupling_hz": _NONNEGATIVE,
-    "device.detector.detuning_hz": _UNBOUNDED,
-    "device.detector.photon_loss_rate_hz": _NONNEGATIVE,
-    "device.detector.escape_rate_hz": _NONNEGATIVE,
-    "device.detector.intra_well_decay_hz": _NONNEGATIVE,
-    "device.detector.dephasing_rate_hz": _NONNEGATIVE,
-    "device.temperature_k": _NONNEGATIVE,
-    "noise.seed": (0, 2**64 - 1, False),  # the range the --seed flag accepts
-    "noise.samples": (2, MAX_SAMPLES, False),  # a standard error needs two
-    "noise.kappa_hz": _NONNEGATIVE,
-    "experiments.transfer.kappa_grid_hz": _NONNEGATIVE,
-    "experiments.transfer.gamma2_grid_hz": _NONNEGATIVE,
-    "experiments.cphase.speed_ratios": _POSITIVE,
-    "experiments.cphase.kappa_hz": _NONNEGATIVE,
-    "experiments.detector.gamma_over_kappa": _POSITIVE,
+
+# the default device and its rules, one row per leaf: (default, rule).  A
+# string leaf's rule is the tuple of its allowed values, every other
+# leaf's its range; a leaf may be null exactly when its default is None
+_LEAVES = {
+    "device.tlr.inductance_h": (0.5e-9, _POSITIVE),
+    "device.tlr.capacitance_f": (5.0e-12, _POSITIVE),
+    "device.tlr.mode_index": (2, (1, math.inf, False)),
+    "device.cbjj.junction_capacitance_f": (0.5e-12, _POSITIVE),
+    "device.cbjj.decay_rate_hz": (1.0e5, _NONNEGATIVE),
+    "device.cbjj.dephasing_rate_hz": (1.0e6, _NONNEGATIVE),
+    "device.coupler.coupling_capacitance_f": (2.3e-14, _POSITIVE),
+    "device.coupler.right_coupling_capacitance_f": (2.3e-14, _POSITIVE),
+    "device.fjs.junction_critical_current_a": (5.0e-5, _POSITIVE),
+    "device.fjs.junction_capacitance_f": (1.0e-12, _POSITIVE),
+    "device.fjs.shunt_capacitance_f": (1.9e-11, _NONNEGATIVE),
+    "device.fjs.squid_self_inductance_h": (1.0e-11, _POSITIVE),
+    "device.fjs.loop_inductance_h": (1.0e-10, _NONNEGATIVE),
+    "device.fjs.mutual_inductance_c_h": (8.0e-11, _POSITIVE),
+    "device.fjs.mutual_inductance_d_h": (None, _POSITIVE),  # None: derived; when set
+    "device.fjs.bias_current_a": (0.0, _UNBOUNDED),  # signed; fjs_derive bounds its size
+    "device.fjs.phi_sq_spread_scale": (1.0, _POSITIVE),
+    "device.detector.coupling_hz": (1.0e8, _NONNEGATIVE),
+    "device.detector.detuning_hz": (0.0, _UNBOUNDED),
+    "device.detector.photon_loss_rate_hz": (1.0e4, _NONNEGATIVE),
+    "device.detector.escape_rate_hz": (2.0e7, _NONNEGATIVE),
+    "device.detector.intra_well_decay_hz": (1.0e5, _NONNEGATIVE),
+    "device.detector.dephasing_rate_hz": (1.0e6, _NONNEGATIVE),
+    "device.temperature_k": (0.04, _NONNEGATIVE),
+    "noise.kappa_hz": (1.0e4, _NONNEGATIVE),
+    "noise.samples": (1000, (2, MAX_SAMPLES, False)),  # a standard error needs two
+    "noise.seed": (42, (0, 2**64 - 1, False)),  # the range the --seed flag accepts
+    "experiments.transfer.detuning_hz": (2.0e9, _UNBOUNDED),
+    "experiments.transfer.kappa_grid_hz": (_KAPPA_GRID_HZ, _NONNEGATIVE),
+    "experiments.transfer.gamma2_grid_hz": (_GAMMA2_GRID_HZ, _NONNEGATIVE),
+    "experiments.cphase.speed_ratios": ([5.0, 10.0, 20.0, 40.0, 80.0], _POSITIVE),
+    "experiments.cphase.kappa_hz": (0.0, _NONNEGATIVE),
+    "experiments.cphase.flips": ("ideal", ("ideal", "simulated")),
+    "experiments.detector.gamma_over_kappa": ([10.0, 100.0, 1000.0, 2000.0, 10000.0], _POSITIVE),
 }
+
+
+def _nest(leaves: dict) -> dict:
+    tree: dict = {}  # the rows' defaults, nested by their dotted paths
+    for path, (default, _) in leaves.items():
+        *sections, key = path.split(".")
+        node = tree
+        for section in sections:
+            node = node.setdefault(section, {})
+        node[key] = default
+    return tree
+
+
+DEFAULT_CONFIG = _nest(_LEAVES)
 
 
 def _finite(path: str, value: int | float) -> float:
@@ -178,13 +132,14 @@ def _check_range(path: str, value: int | float, bounds: tuple) -> None:
         raise ConfigError(path, f"must be {bound}, got {value!r}")
 
 
-def _check_leaf(path: str, default, value):
-    if path in _ENUMS:
-        if value not in _ENUMS[path]:
-            raise ConfigError(path, f"must be one of {_ENUMS[path]}, got {value!r}")
+def _check_leaf(path: str, value):
+    default, rule = _LEAVES[path]
+    if isinstance(default, str):
+        if value not in rule:
+            raise ConfigError(path, f"must be one of {rule}, got {value!r}")
         return value
     if value is None:
-        if path in _NULLABLE:
+        if default is None:
             return None
         raise ConfigError(path, "null is not allowed here")
     if isinstance(value, bool):
@@ -198,7 +153,7 @@ def _check_leaf(path: str, default, value):
             if isinstance(item, bool) or not isinstance(item, (int, float)):
                 raise ConfigError(item_path, "expected a number")
             out.append(_finite(item_path, item))
-            _check_range(item_path, item, _RANGES.get(path, _UNBOUNDED))
+            _check_range(item_path, item, rule)
         return out
     # every other leaf is a number (a nullable one defaults to None)
     if not isinstance(value, (int, float)):
@@ -208,7 +163,7 @@ def _check_leaf(path: str, default, value):
         if value != int(value):  # not number: it rounds ints past 2**53
             raise ConfigError(path, "expected an integer")
         number = int(value)
-    _check_range(path, value, _RANGES.get(path, _UNBOUNDED))
+    _check_range(path, value, rule)
     return number
 
 
@@ -225,7 +180,7 @@ def _merge(defaults: dict, overrides: dict, prefix: str = "") -> dict:
                 raise ConfigError(path, "expected an object")
             merged[key] = _merge(default, value, prefix=f"{path}.")
         else:
-            merged[key] = _check_leaf(path, default, value)
+            merged[key] = _check_leaf(path, value)
     for key in overrides:
         if key not in defaults:
             raise ConfigError(f"{prefix}{key}", "unknown key")

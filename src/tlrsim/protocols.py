@@ -264,6 +264,10 @@ class CphaseSpec:
             raise ValueError("interaction strength must be nonzero")
         if self.shift_std < 0 or self.photon_loss_rate < 0:
             raise ValueError("rates must be nonnegative")
+        # past the float range, these reach the echo as a NaN eigensolve
+        for name in ("transfer_coupling", "transfer_time", "shift_coefficient"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"controlled-phase {name.replace('_', ' ')} leaves the float range")
 
     @cached_property
     def wait_time(self) -> float:
@@ -311,19 +315,20 @@ class CphaseSpec:
             use_ideal_flips=use_ideal_flips,
         )
 
-    def shift_deviation(self, phi):
-        """Cell shift deviation for a sampled phase value or array of them.
-
-        The shift tracks phi^2 linearly; the coefficient is fixed by
-        requiring the deviation std to equal ``shift_std`` under the
-        Gaussian phase distribution.
-        """
+    @cached_property
+    def shift_coefficient(self) -> float:
+        """Shift deviation per unit of phi^2: the deviation std is ``shift_std``
+        under the Gaussian phase distribution (0 when either spread is 0)."""
         mean, std = self.phi_noise.mean, self.phi_noise.std
         spread = math.sqrt(2.0 * std**4 + 4.0 * mean**2 * std**2)
-        if spread == 0.0 or self.shift_std == 0.0:
+        return 0.0 if spread == 0.0 or self.shift_std == 0.0 else -(self.shift_std / spread)
+
+    def shift_deviation(self, phi):
+        """Cell shift deviation, linear in phi^2, for a phase value or array of them."""
+        if self.shift_coefficient == 0.0:
             return 0.0 * phi
-        mean_sq = mean * mean + std * std
-        return -(self.shift_std / spread) * (phi * phi - mean_sq)
+        mean, std = self.phi_noise.mean, self.phi_noise.std
+        return self.shift_coefficient * (phi * phi - (mean * mean + std * std))
 
 
 def _leg_unitaries(spec: CphaseSpec, shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -15,8 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from tlrsim import cli
 from tlrsim.config import (
-    _RANGES,
-    _UNBOUNDED,
+    _LEAVES,
     DEFAULT_CONFIG,
     detector_params,
     fjs_params,
@@ -70,6 +69,14 @@ class TestParams:
         assert proc.returncode == 0
         assert proc.stdout == ""
         assert "mode_frequency_hz" in dest.read_text()
+
+    def test_notes_stay_short_at_an_extreme_spread(self):
+        # a shift spread of 6.2e305 Hz once printed as a 310-character GHz note
+        override = {"device": {"fjs": {"phi_sq_spread_scale": 1e300}}}
+        code, stdout, _ = run_in_process("params", override)
+        assert code == 0
+        assert "-6.2015e+296 GHz" in stdout
+        assert all(len(line.split(None, 2)[2]) <= 20 for line in stdout.splitlines())
 
     def test_unwritable_out_exits_two_naming_flag_and_path(self, tmp_path):
         dest = tmp_path / "missing" / "report.txt"
@@ -329,7 +336,7 @@ def numeric_leaves(tree, prefix=()):
 
 def accepted_values(path, default):
     """Values the config's range for ``path`` accepts, its extremes included."""
-    low, high, open_low = _RANGES.get(".".join(path), _UNBOUNDED)
+    _, (low, high, open_low) = _LEAVES[".".join(path)]
     if isinstance(default, int):
         return st.integers(max(low, -(2**64)), min(high, int(sys.float_info.max)))
     extremes = [sign * x for sign in (1, -1) for x in EXTREMES]
@@ -361,6 +368,7 @@ CHECKPOINT_SQUARINGS = "repeated squarings: "  # then the state check's reason
 PROPAGATOR_SQUARINGS = "squarings of the propagator: "
 STIFF = "generator too stiff"
 MAX = sys.float_info.max
+QUICK_CPHASE = ["cphase-error", "--samples", "2", "--quick"]
 
 # what the engine commands may also exit 1 with, on a config the ranges accept
 ENGINE_EXIT_ONE_CONDITIONS = (
@@ -373,16 +381,17 @@ ENGINE_EXIT_ONE_CONDITIONS = (
     "leaves the float range",
     "dispersive construction invalid",  # a detuning under the dispersive floor
     STIFF,
+    "no wait gives a conditional phase of pi",  # a cphase transfer too slow for its interaction
 )
 
 
-def run_in_process(command, override):
+def run_in_process(command, override, *args):
     """Exit code, stdout and stderr of ``cli.main`` on a config file holding ``override``."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "config.json")
         with open(path, "w") as handle:
             json.dump(override, handle)
-        return run_argv([command, "--config", path])
+        return run_argv([command, "--config", path, *args])
 
 
 class TestDerivedConditions:
@@ -447,6 +456,25 @@ class TestDerivedConditions:
         assert proc.returncode == 1
         assert f"error: {message} leaves the float range" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv, override, quantity",
+        [
+            # the shift spread is 3.9e306 rad/s over a phi^2 spread of 1e-4
+            (QUICK_CPHASE, {"device": {"fjs": {"phi_sq_spread_scale": 1e300}}}, "shift coefficient"),
+            (["validate"], {"device": {"fjs": {"phi_sq_spread_scale": 1e300}}}, "shift coefficient"),
+            # a subnormal transfer coupling: pi / (2 g) overflows to inf
+            (QUICK_CPHASE, {"experiments": {"cphase": {"speed_ratios": [5e-324]}}}, "transfer time"),
+            (QUICK_CPHASE, {"experiments": {"cphase": {"speed_ratios": [MAX]}}}, "transfer coupling"),
+        ],
+    )
+    def test_derived_cphase_quantity_names_the_float_range(self, tmp_path, argv, override, quantity):
+        # these configs once reached the echo: the exact stderr holds no numpy RuntimeWarning
+        path = tmp_path / "extreme.json"
+        path.write_text(json.dumps(override))
+        proc = run_cli(*argv, "--config", str(path))
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: controlled-phase {quantity} leaves the float range\n"
 
     @pytest.mark.parametrize(
         "command, override, message",
@@ -543,15 +571,21 @@ class TestDerivedConditions:
         if code == 1:
             assert any(f"error: {c}" in stderr for c in EXIT_ONE_CONDITIONS), stderr
 
-    # examples per engine command, at about 18, 13 and 127 ms per in-process run
+    # examples per engine command, at about 18, 13, 127 and 10 ms per in-process run
     @pytest.mark.parametrize(
-        "command, examples", [("transfer-error", 150), ("detector", 150), ("validate", 80)]
+        "command, args, examples",
+        [
+            ("transfer-error", (), 150),
+            ("detector", (), 150),
+            ("validate", (), 80),
+            ("cphase-error", ("--samples", "2", "--quick"), 300),
+        ],
     )
-    def test_accepted_leaf_never_crashes_engines(self, command, examples):
+    def test_accepted_leaf_never_crashes_engines(self, command, args, examples):
         @settings(max_examples=examples, deadline=None)
         @given(single_leaf_overrides())
         def check(override):
-            code, stdout, stderr = run_in_process(command, override)
+            code, stdout, stderr = run_in_process(command, override, *args)
             assert code in (0, 1), stderr
             if code == 1 and not (command == "validate" and not stderr and ",fail," in stdout):
                 # not a device the judge fails: a named derived condition

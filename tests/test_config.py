@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tlrsim.config import (
+    _LEAVES,
     DEFAULT_CONFIG,
     MAX_SAMPLES,
     ConfigError,
@@ -42,6 +43,32 @@ class TestDefaults:
         steps = [grid[i + 1] / grid[i] for i in range(len(grid) - 1)]
         for step in steps:
             assert step == pytest.approx(math.sqrt(10.0), rel=1e-12)
+
+
+class TestLeafTable:
+    """Each row of ``_LEAVES`` is a default and the rule that accepts it."""
+
+    def test_string_rule_lists_its_default(self):
+        strings = [(default, rule) for default, rule in _LEAVES.values() if isinstance(default, str)]
+        assert strings
+        for default, rule in strings:
+            assert isinstance(rule, tuple) and all(isinstance(v, str) for v in rule)
+            assert default in rule
+
+    def test_range_accepts_its_default(self):
+        for path, (default, rule) in _LEAVES.items():
+            if isinstance(default, str):
+                continue
+            low, high, open_low = rule
+            assert isinstance(open_low, bool) and low < high, path
+            if default is None:  # derived when null: no default to accept
+                continue
+            for value in default if isinstance(default, list) else [default]:
+                assert low <= value <= high and not (open_low and value == low), path
+
+    def test_only_the_derived_mutual_inductance_defaults_to_null(self):
+        nullable = [path for path, (default, _) in _LEAVES.items() if default is None]
+        assert nullable == ["device.fjs.mutual_inductance_d_h"]
 
 
 class TestMerge:

@@ -198,7 +198,7 @@ def test_subcommand_loads_only_what_it_runs(tmp_path, command, unused):
 # no entry: perfbench/layers.py passes it)
 UNPASSED_OPTIONS: dict[str, str] = {}
 
-# the default device is written once, in config.DEFAULT_CONFIG
+# the default device is written once, in the rows of config._LEAVES
 NO_DEFAULT_FIELDS = {"TlrParams", "FjsParams", "DetectorParams", "CphaseSpec"}
 
 ALL = 1 << 30  # positional count of a call with a starred argument
@@ -324,7 +324,11 @@ def config_leaves(tree: dict, prefix: tuple = ()):
 
 
 def string_literals(source: str) -> set[str]:
-    """String constants of ``source``, except inside the definition of ``DEFAULT_CONFIG``."""
+    """String constants of ``source``, except inside a literal ``DEFAULT_CONFIG`` definition.
+
+    ``config._LEAVES`` names each default by its dotted path, one string
+    that names no key and section on its own, so the table reads no leaf.
+    """
     tree = ast.parse(source)
     skipped = {
         id(inner)
