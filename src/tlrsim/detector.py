@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lindblad import LindbladTerm, Liouvillian, propagator, unvec, vec
+from .lindblad import LindbladTerm, Liouvillian, apply_superoperator, propagator
 from .qcore import DensityMatrix, HilbertSpace, annihilation, embed, number, projector
 
 __all__ = [
@@ -81,11 +81,6 @@ class DetectionResult:
     converged: bool
     t_final: float
 
-    def __post_init__(self):
-        if not 0.0 <= self.efficiency <= 1.0 + 1e-9:
-            raise ValueError(f"efficiency {self.efficiency} outside [0, 1]")
-        object.__setattr__(self, "time_series", tuple(map(tuple, self.time_series)))
-
 
 def detector_space() -> HilbertSpace:
     return HilbertSpace([("photon", 2), ("junction", 3)])
@@ -108,17 +103,14 @@ def build_detector_liouvillian(p: DetectorParams) -> Liouvillian:
 
     h = n_photon * p.detuning + (a.conj().T @ lower + a @ lower.conj().T) * p.coupling
 
-    terms = []
-    if p.photon_loss_rate > 0:
-        terms.append(LindbladTerm(a, p.photon_loss_rate))
-    if p.escape_rate > 0:
-        terms.append(LindbladTerm(escape, p.escape_rate))
-    if p.intra_well_decay > 0:
-        terms.append(LindbladTerm(lower, p.intra_well_decay))
-    if p.dephasing_rate > 0:
-        terms.append(LindbladTerm(p_ground, p.dephasing_rate))
-        terms.append(LindbladTerm(p_excited, p.dephasing_rate))
-    return Liouvillian(space, hamiltonian=h, terms=tuple(terms))
+    terms = (
+        LindbladTerm(a, p.photon_loss_rate),
+        LindbladTerm(escape, p.escape_rate),
+        LindbladTerm(lower, p.intra_well_decay),
+        LindbladTerm(p_ground, p.dephasing_rate),
+        LindbladTerm(p_excited, p.dephasing_rate),
+    )
+    return Liouvillian(space, hamiltonian=h, terms=terms)
 
 
 def _populations(rho: np.ndarray) -> tuple[float, float, float, float]:
@@ -166,34 +158,27 @@ def detection_efficiency(p: DetectorParams) -> DetectionResult:
     t_max = T_MAX_FACTOR / min(dissipative)
 
     space = detector_space()
-    rho0 = space.basis_state([1, GROUND])
-    liou = build_detector_liouvillian(p)
-    step = propagator(liou, t0)
-    v = step @ vec(rho0.matrix)
+    rho = space.basis_state([1, GROUND])
+    step = propagator(build_detector_liouvillian(p), t0)
     t = t0
 
     series = [(0.0, 1.0, 0.0, 0.0, 1.0)]
-    rho = DensityMatrix(space, unvec(v))
-    p_g, p_e, p_f, photon = _populations(rho.matrix)
-    series.append((t, p_g, p_e, p_f, photon))
-
     converged = False
     while True:
+        try:
+            rho = DensityMatrix(space, apply_superoperator(step, rho.matrix))
+        except ValueError as exc:  # the squarings compounded roundoff past the state checks
+            k = len(series) - 1
+            raise ValueError(f"detector checkpoint {k} failed after {k} repeated squarings: {exc}")
+        p_g, p_e, p_f, photon = _populations(rho.matrix)
+        series.append((t, p_g, p_e, p_f, photon))
         if p_f - series[-2][3] < CONVERGENCE_TOL and photon + p_e < CONVERGENCE_TOL:
             converged = True
             break
         if t >= t_max:
             break
         step = step @ step
-        v = step @ v
         t *= 2.0
-        try:
-            rho = DensityMatrix(space, unvec(v))
-        except ValueError as exc:  # the squarings compounded roundoff past the state checks
-            k = len(series) - 1
-            raise ValueError(f"detector checkpoint {k} failed after {k} repeated squarings: {exc}")
-        p_g, p_e, p_f, photon = _populations(rho.matrix)
-        series.append((t, p_g, p_e, p_f, photon))
 
     return DetectionResult(
         efficiency=min(1.0, max(0.0, p_f)),

@@ -2,10 +2,11 @@
 
 Two independent integration paths cross-check each other: a vectorized
 superoperator exponential (column-stacking convention, vec(A rho B) =
-(B^T kron A) vec(rho)) and a fixed-step RK4, run once at its step rule,
-that evaluates the dissipator with matrix products, never touching the
-superoperator.  Jump rates are canonical:
-a term (op, rate) contributes rate * (O rho O+ - {O+O, rho}/2).
+(B^T kron A) vec(rho), applied by :func:`apply_superoperator`) and a
+fixed-step RK4, run once at its step rule, that evaluates the dissipator
+with matrix products, never touching the superoperator.  Jump rates are
+canonical: a term (op, rate) contributes rate * (O rho O+ - {O+O, rho}/2);
+a rate must be finite and nonnegative, and a term of rate 0 is dropped.
 :func:`expm` refuses a matrix that needs more than ``MAX_SQUARINGS``
 squarings, whose roundoff would pass the states' trace tolerance.
 
@@ -38,8 +39,7 @@ __all__ = [
     "MonteCarloError",
     "LindbladTerm",
     "Liouvillian",
-    "vec",
-    "unvec",
+    "apply_superoperator",
     "expm",
     "propagator",
     "apply_propagator",
@@ -81,20 +81,25 @@ class LindbladTerm:
     rate: float
 
     def __post_init__(self):
+        if not math.isfinite(self.rate):
+            raise ValueError(f"jump rate must be finite, got {self.rate}")
         if self.rate < 0:
             raise ValueError(f"jump rate must be nonnegative, got {self.rate}")
 
 
 @dataclass(frozen=True)
 class Liouvillian:
-    """Hamiltonian plus jump terms on one Hilbert space, as (d, d) arrays."""
+    """Hamiltonian plus jump terms on one Hilbert space, as (d, d) arrays.
+
+    A term of rate 0 is dropped, so a builder can list every channel.
+    """
 
     space: HilbertSpace
     hamiltonian: np.ndarray | None = None
     terms: tuple[LindbladTerm, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(self.terms))
+        object.__setattr__(self, "terms", tuple(t for t in self.terms if t.rate > 0))
         if self.hamiltonian is not None:
             if not _on_space(self.hamiltonian, self.space):
                 raise ValueError("hamiltonian lives on a different space")
@@ -152,16 +157,15 @@ def _on_space(op: np.ndarray, space: HilbertSpace) -> bool:
     return np.shape(op) == (space.dim, space.dim)
 
 
-def vec(matrix: np.ndarray) -> np.ndarray:
-    """Stack columns: vec(M)[i + j*d] = M[i, j]."""
-    return np.asarray(matrix).reshape(-1, order="F")
+def apply_superoperator(superop: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """A (d^2, d^2) superoperator, or each of a stack, applied to a (d, d) matrix.
 
-
-def unvec(v: np.ndarray) -> np.ndarray:
-    d = math.isqrt(v.size)
-    if d * d != v.size:
-        raise ValueError(f"length {v.size} is not a perfect square")
-    return np.asarray(v).reshape((d, d), order="F")
+    The matrix is stacked by columns, vec(M)[i + j*d] = M[i, j], and each
+    product is unstacked the same way; the result has shape (..., d, d).
+    """
+    d = np.shape(matrix)[-1]
+    out = superop @ np.asarray(matrix).reshape(-1, order="F")
+    return out.reshape(*out.shape[:-1], d, d).swapaxes(-1, -2)
 
 
 # Scaling and squaring with diagonal Pade approximants (Higham, SIAM J.
@@ -272,7 +276,7 @@ def apply_propagator(superop: np.ndarray, rho0: DensityMatrix) -> DensityMatrix:
     the pre-Hermitization asymmetry is pure vectorization roundoff and is
     bounded separately by the validation suite.
     """
-    final = unvec(superop @ vec(rho0.matrix))
+    final = apply_superoperator(superop, rho0.matrix)
     final = 0.5 * (final + final.conj().T)
     return DensityMatrix(rho0.space, final)
 
@@ -527,19 +531,17 @@ def monte_carlo_quasistatic(
     ``coefficient`` maps an array of drawn values to the coefficients of
     the segment's shift term.  Each block of :func:`monte_carlo_scalar`
     takes one stacked exponential of G0 t + x G1 t and applies it to
-    vec(rho0); each final state is Hermitized and checked against the
+    rho0; each final state is Hermitized and checked against the
     :class:`DensityMatrix` tolerances.
     ``observable`` maps the (n, d, d) stack of final states to n values.
     """
     _check_schedule([segment], rho0.space)
     g0 = segment.generator.matrix() * segment.duration
     g1 = Liouvillian(rho0.space, segment.shift).matrix() * segment.duration
-    d = rho0.space.dim
 
     def block(draws: np.ndarray) -> np.ndarray:
         scale = np.asarray(coefficient(draws), float)[:, None, None]
-        states = (expm(g0 + scale * g1) @ vec(rho0.matrix)).reshape(draws.size, d, d)
-        states = states.swapaxes(1, 2)  # unvec() of each state
+        states = apply_superoperator(expm(g0 + scale * g1), rho0.matrix)
         states = 0.5 * (states + states.conj().swapaxes(1, 2))
         defect = density_defect(states)
         if defect is not None:

@@ -138,13 +138,12 @@ def build_transfer_liouvillian(spec: TransferSpec) -> Liouvillian:
     """Exchange Hamiltonian with loss on both rails and collective dephasing."""
     space, a, b, exchange = transfer_operators()
     h = exchange * spec.exchange_rate
-    terms = []
-    if spec.photon_loss_rate > 0:
-        terms.append(LindbladTerm(a, spec.photon_loss_rate))
-        terms.append(LindbladTerm(b, spec.photon_loss_rate))
-    if spec.effective_dephasing > 0:
-        terms.append(LindbladTerm(exchange, spec.effective_dephasing))
-    return Liouvillian(space, hamiltonian=h, terms=tuple(terms))
+    terms = (
+        LindbladTerm(a, spec.photon_loss_rate),
+        LindbladTerm(b, spec.photon_loss_rate),
+        LindbladTerm(exchange, spec.effective_dephasing),
+    )
+    return Liouvillian(space, hamiltonian=h, terms=terms)
 
 
 def transfer_gate_error(spec: TransferSpec) -> float:

@@ -26,6 +26,7 @@ from .lindblad import (
     Liouvillian,
     QuasiStaticNoise,
     apply_propagator,
+    apply_superoperator,
     monte_carlo_quasistatic,
     propagate_expm,
     propagate_rk4,
@@ -33,8 +34,6 @@ from .lindblad import (
     quasistatic_sigma,
     squaring_roundoff,
     trace_distance,
-    unvec,
-    vec,
 )
 from .protocols import (
     CphaseSpec,
@@ -112,7 +111,7 @@ def _final_states(config: dict, spec: TransferSpec, rho0: DensityMatrix):
     """
     liou = build_transfer_liouvillian(spec)
     superop = propagator(liou, spec.gate_time)
-    raw = unvec(superop @ vec(rho0.matrix))
+    raw = apply_superoperator(superop, rho0.matrix)
     raw_asym = float(np.max(np.abs(raw - raw.conj().T)))
 
     try:  # the squarings may have compounded roundoff past the state checks

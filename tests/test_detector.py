@@ -5,17 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tlrsim import detector
 from tlrsim.config import detector_params, load_config
 from tlrsim.detector import (
     T_MAX_FACTOR,
-    DetectionResult,
     DetectorParams,
     build_detector_liouvillian,
     detection_efficiency,
     detector_space,
 )
 from tlrsim.device import TWO_PI
-from tlrsim.lindblad import propagate_expm, vec
+from tlrsim.lindblad import propagate_expm
 from tlrsim.qcore import DensityMatrix
 
 
@@ -40,7 +40,7 @@ class TestLiouvillianStructure:
     def test_trace_functional_annihilated(self):
         liou = build_detector_liouvillian(DEFAULT)
         sup = liou.matrix()
-        trace_row = vec(np.eye(6)).conj()
+        trace_row = np.eye(6).reshape(-1)  # the identity stacks the same by rows or columns
         residual = np.abs(trace_row @ sup).max()
         assert residual <= 1e-12 * np.abs(sup).max()
 
@@ -177,15 +177,15 @@ class TestDetectionEfficiency:
         assert 0.0 < detuned < resonant
 
 
-class TestResultValidation:
-    def test_efficiency_range_enforced(self):
-        with pytest.raises(ValueError):
-            DetectionResult(
-                efficiency=1.5,
-                time_series=((0.0, 1.0, 0.0, 0.0, 1.0),),
-                converged=True,
-                t_final=0.0,
-            )
+class TestCheckpointFailure:
+    def test_first_checkpoint_failure_named(self, monkeypatch):
+        # a step that doubles the trace breaks the very first checkpoint
+        monkeypatch.setattr(detector, "propagator", lambda liouvillian, duration: 2.0 * np.eye(36))
+        with pytest.raises(ValueError) as info:
+            detection_efficiency(DEFAULT)
+        assert str(info.value).startswith(
+            "detector checkpoint 0 failed after 0 repeated squarings: trace (2+0j) deviates"
+        )
 
 
 def log_rate(low=1e5, high=1e10):

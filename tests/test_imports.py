@@ -170,6 +170,31 @@ def test_no_public_function_only_tests_use():
     assert sorted(unused_exports(*package_sources())) == sorted(TEST_ONLY_EXPORTS)
 
 
+def column_stacking_modules(modules: dict[str, str]) -> list[str]:
+    """Names of the modules that pass ``order="F"``, the column-stacking reshape."""
+    return sorted(
+        name
+        for name, source in modules.items()
+        if any(
+            isinstance(node, ast.keyword)
+            and node.arg == "order"
+            and getattr(node.value, "value", None) == "F"
+            for node in ast.walk(ast.parse(source))
+        )
+    )
+
+
+def test_column_stacking_check_flags_a_planted_module():
+    modules = package_sources()[0]
+    modules["planted"] = "import numpy as np\n\nv = np.eye(2).reshape(-1, order='F')\n"
+    assert column_stacking_modules(modules) == ["lindblad", "planted"]
+
+
+def test_only_lindblad_stacks_columns():
+    # other modules apply a superoperator through lindblad.apply_superoperator
+    assert column_stacking_modules(package_sources()[0]) == ["lindblad"]
+
+
 def test_cli_import_loads_every_module_perfbench_times():
     # the benchmark reads each module's cumulative time from `-X importtime -c "import tlrsim.cli"`
     timed = set(layers_value("IMPORT_MODULES").values())

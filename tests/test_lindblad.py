@@ -16,6 +16,7 @@ from tlrsim.lindblad import (
     Liouvillian,
     MonteCarloError,
     QuasiStaticNoise,
+    apply_superoperator,
     expm,
     monte_carlo_quasistatic,
     monte_carlo_scalar,
@@ -26,8 +27,6 @@ from tlrsim.lindblad import (
     quasistatic_sigma,
     substream_rng,
     trace_distance,
-    unvec,
-    vec,
 )
 from tlrsim.qcore import DensityMatrix, HilbertSpace, annihilation, embed
 
@@ -57,23 +56,26 @@ def scalar_run(model, noise, **kwargs):
     return monte_carlo_scalar(recorded, noise, **kwargs), np.concatenate(seen)
 
 
+def random_matrices(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
 class TestVectorization:
-    def test_column_stacking_order(self):
-        m = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(vec(m), [1.0, 3.0, 2.0, 4.0])
-        assert np.array_equal(unvec(vec(m)), m)
-
     def test_sandwich_identity(self):
-        rng = np.random.default_rng(7)
-        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        rho = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        lhs = np.kron(b.T, a) @ vec(rho)
-        assert np.allclose(unvec(lhs), a @ rho @ b, atol=1e-12)
+        # column stacking: vec(A rho B) = (B^T kron A) vec(rho)
+        a, b, rho = random_matrices(np.random.default_rng(7), 3, 3, 3)
+        out = apply_superoperator(np.kron(b.T, a), rho)
+        assert out.shape == (3, 3)
+        assert np.allclose(out, a @ rho @ b, atol=1e-12)
 
-    def test_unvec_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            unvec(np.arange(5.0))
+    def test_stack_gives_each_single_result(self):
+        rng = np.random.default_rng(11)
+        superops = random_matrices(rng, 2, 3, 9, 9)
+        rho = random_matrices(rng, 3, 3)
+        stacked = apply_superoperator(superops, rho)
+        assert stacked.shape == (2, 3, 3, 3)
+        for i, j in np.ndindex(2, 3):
+            assert np.array_equal(stacked[i, j], apply_superoperator(superops[i, j], rho))
 
 
 class TestExpm:
@@ -292,10 +294,30 @@ class TestLiouvillianValidation:
         with pytest.raises(ValueError, match="^jump operator lives on a different space$"):
             Liouvillian(space, terms=(LindbladTerm(other, 1.0),))
 
-    def test_negative_rate_rejected(self):
+    @pytest.mark.parametrize(
+        "rate, message",
+        [
+            (float("nan"), "jump rate must be finite, got nan"),
+            (float("inf"), "jump rate must be finite, got inf"),
+            (-1.0, "jump rate must be nonnegative, got -1.0"),
+        ],
+    )
+    def test_bad_rate_rejected_by_name(self, rate, message):
         _, lower = qubit_tools()
-        with pytest.raises(ValueError):
-            LindbladTerm(lower, -0.1)
+        with pytest.raises(ValueError) as info:
+            LindbladTerm(lower, rate)
+        assert str(info.value) == message
+
+    def test_zero_rate_term_is_dropped(self):
+        space, lower = qubit_tools()
+        h = lower + lower.conj().T
+        kept = (LindbladTerm(lower, 2.0),)
+        bare = Liouvillian(space, hamiltonian=h, terms=kept)
+        padded = Liouvillian(space, hamiltonian=h, terms=(*kept, LindbladTerm(lower.T, 0.0)))
+        assert padded.terms == bare.terms
+        rho = plus_state(space).matrix
+        assert padded.matrix().tobytes() == bare.matrix().tobytes()
+        assert padded.apply(rho).tobytes() == bare.apply(rho).tobytes()
 
 
 class TestSchedule:
