@@ -10,21 +10,18 @@ fast low-sample pass. Exits 0 on success, 1 when the simulation fails
 """
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
-# one BLAS thread per process, as the tlrsim CLI sets it, before numpy loads
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-
-from tlrsim.config import ConfigError, load_config
-from tlrsim.sweeps import run_cphase_sweep, run_detector_sweep, run_transfer_sweep, write_csv
+# first: the CLI module pins one BLAS thread per process before numpy loads
+from tlrsim.cli import checked_config, exit_code, positive_int
+from tlrsim.config import ConfigError
+from tlrsim.sweeps import render_csv, run_cphase_sweep, run_detector_sweep, run_transfer_sweep
 
 
 def write(result, path: Path) -> None:
     try:
-        write_csv(result, path)
+        path.write_text(render_csv(result))
     except OSError as exc:
         raise ConfigError("--outdir", f"cannot write {path}: {exc.strerror or exc}") from None
 
@@ -33,32 +30,17 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--outdir", default="figures", help="output directory")
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes")
+    parser.add_argument("--jobs", type=positive_int, default=1, help="worker processes")
     parser.add_argument("--seed", type=int, default=None, help="sampling seed override")
     parser.add_argument(
         "--quick", action="store_true", help="150 Monte Carlo samples instead of the configured count"
     )
     args = parser.parse_args()
-    if args.jobs < 1:  # the tlrsim CLI's rule, with its exit code 2
-        parser.error("argument --jobs: must be a positive integer")
-    try:
-        run(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, RuntimeError, ArithmeticError) as exc:  # as the tlrsim CLI reports them
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return 0
+    return exit_code(lambda: run(args))
 
 
 def run(args) -> None:
-    config = load_config(args.config)
-    if args.seed is not None:
-        config["noise"]["seed"] = args.seed
-    if args.quick:
-        config["noise"]["samples"] = 150
-    config = load_config(config)  # range-checks the overridden leaves
+    config = checked_config(args.config, seed=args.seed, samples=150 if args.quick else None)
     outdir = Path(args.outdir)
     try:
         outdir.mkdir(parents=True, exist_ok=True)

@@ -39,14 +39,37 @@ from .device import (
     transfer_rate,
 )
 
-__all__ = ["main"]
+__all__ = ["main", "checked_config", "exit_code", "positive_int"]
 
 
-def _positive_int(text: str) -> int:
+def positive_int(text: str) -> int:
+    """The ``--jobs`` type: an integer of at least 1."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
     return value
+
+
+def checked_config(path: str | None, seed: int | None = None, samples: int | None = None) -> dict:
+    """The config at ``path`` with the given noise leaves written in, checked again."""
+    config = load_config(path)
+    for key, value in (("seed", seed), ("samples", samples)):
+        if value is not None:
+            config["noise"][key] = value
+    return load_config(config)  # range-checks the overridden leaves
+
+
+def exit_code(run) -> int:
+    """0 or the code ``run()`` returns; 2 for a rejected config and 1 for a failed run,
+    each printed to stderr as ``config error:`` or ``error:`` and the reason."""
+    try:
+        return run() or 0
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except (ValueError, RuntimeError, ArithmeticError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -65,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--no-timestamp", action="store_true", help="omit the timestamp metadata line"
     )
-    sweep.add_argument("--jobs", type=_positive_int, default=1, help="worker processes")
+    sweep.add_argument("--jobs", type=positive_int, default=1, help="worker processes")
     sampled = argparse.ArgumentParser(add_help=False, parents=[sweep])
     sampled.add_argument("--samples", type=int, help="Monte Carlo samples per point")
     sampled.add_argument(
@@ -149,40 +172,36 @@ def _params_report(config: dict) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        config = load_config(args.config)
-        for key in ("seed", "samples"):  # params takes neither, validate no --samples
-            if getattr(args, key, None) is not None:
-                config["noise"][key] = getattr(args, key)
-        config = load_config(config)  # range-checks the overridden leaves
+    return exit_code(lambda: _run(args))
 
-        if args.command == "params":
-            _emit(_params_report(config), args.out)
-            return 0
 
-        if args.command == "validate":
-            from .validate import has_failure, render_report, run_validation
+def _run(args: argparse.Namespace) -> int:
+    # params takes neither noise flag, validate no --samples
+    config = checked_config(
+        args.config, getattr(args, "seed", None), getattr(args, "samples", None)
+    )
 
-            results = run_validation(config)
-            _emit(render_report(results), args.out)
-            return 1 if has_failure(results) else 0
-
-        from .sweeps import render_csv, run_cphase_sweep, run_detector_sweep, run_transfer_sweep
-
-        if args.command == "transfer-error":
-            result = run_transfer_sweep(config, jobs=args.jobs)
-        elif args.command == "cphase-error":
-            result = run_cphase_sweep(config, jobs=args.jobs, quick=args.quick)
-        else:
-            result = run_detector_sweep(config, jobs=args.jobs)
-        _emit(render_csv(result, timestamp=not args.no_timestamp), args.out)
+    if args.command == "params":
+        _emit(_params_report(config), args.out)
         return 0
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, RuntimeError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+
+    if args.command == "validate":
+        from .validate import has_failure, render_report, run_validation
+
+        results = run_validation(config)
+        _emit(render_report(results), args.out)
+        return 1 if has_failure(results) else 0
+
+    from .sweeps import render_csv, run_cphase_sweep, run_detector_sweep, run_transfer_sweep
+
+    if args.command == "transfer-error":
+        result = run_transfer_sweep(config, jobs=args.jobs)
+    elif args.command == "cphase-error":
+        result = run_cphase_sweep(config, jobs=args.jobs, quick=args.quick)
+    else:
+        result = run_detector_sweep(config, jobs=args.jobs)
+    _emit(render_csv(result, timestamp=not args.no_timestamp), args.out)
+    return 0
 
 
 if __name__ == "__main__":

@@ -1,9 +1,10 @@
 """Run configuration: defaults, strict ingestion, canonical hashing.
 
 Config files are JSON objects. All frequencies and rates are linear Hz,
-passives SI, times seconds; conversion to angular units happens here,
-once, when building engine parameter records. Unknown keys are rejected
-with the full path so unit typos cannot pass silently.
+passives SI, times seconds. The bridges here build the device records in
+angular units; a caller converts each other leaf it reads, such as an
+experiment's detuning or loss rate, with ``device.to_angular``. Unknown
+keys are rejected with the full path so unit typos cannot pass silently.
 """
 
 from __future__ import annotations

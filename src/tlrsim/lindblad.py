@@ -95,16 +95,15 @@ class Liouvillian:
     """
 
     space: HilbertSpace
-    hamiltonian: np.ndarray | None = None
+    hamiltonian: np.ndarray
     terms: tuple[LindbladTerm, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(t for t in self.terms if t.rate > 0))
-        if self.hamiltonian is not None:
-            if not _on_space(self.hamiltonian, self.space):
-                raise ValueError("hamiltonian lives on a different space")
-            if not is_hermitian(self.hamiltonian):
-                raise ValueError("hamiltonian must be Hermitian")
+        if not _on_space(self.hamiltonian, self.space):
+            raise ValueError("hamiltonian lives on a different space")
+        if not is_hermitian(self.hamiltonian):
+            raise ValueError("hamiltonian must be Hermitian")
         for term in self.terms:
             if not _on_space(term.operator, self.space):
                 raise ValueError("jump operator lives on a different space")
@@ -119,10 +118,8 @@ class Liouvillian:
         d = self.space.dim
         eye = np.eye(d)
         outer = np.multiply.outer
-        sup = np.zeros((d, d, d, d), dtype=complex)
-        if self.hamiltonian is not None:
-            h = self.hamiltonian
-            sup += -1j * (outer(eye, h) - outer(h.T, eye))
+        h = self.hamiltonian
+        sup = -1j * (outer(eye, h) - outer(h.T, eye))
         for term in self.terms:
             l = term.operator
             ldl = l.conj().T @ l
@@ -133,10 +130,8 @@ class Liouvillian:
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """Right-hand side d(rho)/dt evaluated with plain matrix products."""
-        out = np.zeros_like(rho, dtype=complex)
-        if self.hamiltonian is not None:
-            h = self.hamiltonian
-            out += -1j * (h @ rho - rho @ h)
+        h = self.hamiltonian
+        out = -1j * (h @ rho - rho @ h)
         for term in self.terms:
             l = term.operator
             ldl = l.conj().T @ l
@@ -145,9 +140,7 @@ class Liouvillian:
 
     def spectral_scale(self) -> float:
         """Rough magnitude of the fastest rate, for step-size heuristics."""
-        scale = 0.0
-        if self.hamiltonian is not None:
-            scale += float(np.linalg.norm(self.hamiltonian, 2))
+        scale = float(np.linalg.norm(self.hamiltonian, 2))
         for term in self.terms:
             scale += term.rate * float(np.linalg.norm(term.operator, 2)) ** 2
         return scale
@@ -238,14 +231,11 @@ def expm(a: np.ndarray) -> np.ndarray:
     times.  The degree and s depend on that matrix alone, so its result
     does not depend on the stack it comes in; the matrices that share
     both are computed together.  A matrix that needs more than
-    ``MAX_SQUARINGS`` squarings raises ValueError before any work.  1x1
-    matrices take ``np.exp`` instead.
+    ``MAX_SQUARINGS`` squarings raises ValueError before any work.
     """
     a = np.asarray(a)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expm needs square matrices, got shape {a.shape}")
-    if a.shape[-1] == 1:
-        return np.exp(a)
     norms = np.linalg.norm(a, 1, axis=(-2, -1))
     if np.any(norms > _THETA_13 * 2.0**MAX_SQUARINGS):
         raise ValueError(
@@ -293,8 +283,6 @@ def propagate_expm(
     """Evolve by the matrix exponential of the superoperator."""
     if rho0.space != liouvillian.space:
         raise ValueError("state lives on a different space")
-    if duration == 0:
-        return rho0
     superop = propagator(liouvillian, duration)
     try:
         return apply_propagator(superop, rho0)
@@ -315,8 +303,6 @@ def propagate_rk4(
         raise ValueError("state lives on a different space")
     if duration < 0:
         raise ValueError("duration must be nonnegative")
-    if duration == 0:
-        return rho0
 
     steps = max(16, math.ceil(duration * liouvillian.spectral_scale() / _STEP_FRACTION))
     if steps > MAX_STEPS:
@@ -365,9 +351,8 @@ class Evolve:
 
     def at(self, coefficient: float) -> Liouvillian:
         """The generator at one sample coefficient."""
-        term = self.shift * coefficient
-        h = self.generator.hamiltonian
-        return replace(self.generator, hamiltonian=term if h is None else h + term)
+        h = self.generator.hamiltonian + self.shift * coefficient
+        return replace(self.generator, hamiltonian=h)
 
 
 @dataclass(frozen=True)
@@ -416,7 +401,7 @@ def propagate_schedule(
         if isinstance(segment, Apply):
             u = segment.unitary
             state = DensityMatrix(state.space, u @ state.matrix @ u.conj().T)
-        elif segment.duration > 0:  # a zero-length segment leaves the state as it is
+        else:
             if segment not in built:
                 built[segment] = propagator(segment.at(coefficient), segment.duration)
             state = apply_propagator(built[segment], state)

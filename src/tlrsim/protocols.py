@@ -59,8 +59,8 @@ def _validate_dispersive(coupling: float, detuning: float) -> None:
         raise ValueError("coupling must be positive")
     if abs(detuning) < DISPERSIVE_FLOOR * coupling:
         raise ValueError(
-            f"detuning {detuning} below {DISPERSIVE_FLOOR:g}x coupling {coupling}; "
-            "dispersive construction invalid"
+            f"detuning {detuning:.4e} rad/s below {DISPERSIVE_FLOOR:g}x coupling "
+            f"{coupling:.4e} rad/s; dispersive construction invalid"
         )
     if abs(detuning) < DISPERSIVE_SAFE * coupling:
         warnings.warn(
@@ -324,8 +324,6 @@ class CphaseSpec:
 
     def shift_deviation(self, phi):
         """Cell shift deviation, linear in phi^2, for a phase value or array of them."""
-        if self.shift_coefficient == 0.0:
-            return 0.0 * phi
         mean, std = self.phi_noise.mean, self.phi_noise.std
         return self.shift_coefficient * (phi * phi - (mean * mean + std * std))
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 from . import __version__
 from .config import (
@@ -38,7 +37,6 @@ __all__ = [
     "run_cphase_sweep",
     "run_detector_sweep",
     "render_csv",
-    "write_csv",
     "read_config_comment",
 ]
 
@@ -209,10 +207,6 @@ def render_csv(result: SweepResult, timestamp: bool = True) -> str:
     for row in result.rows:
         lines.append(",".join(_format_cell(v) for v in row))
     return "\n".join(lines) + "\n"
-
-
-def write_csv(result: SweepResult, path: str | Path) -> None:
-    Path(path).write_text(render_csv(result))
 
 
 def read_config_comment(text: str) -> dict:

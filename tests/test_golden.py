@@ -4,11 +4,12 @@ A sweep is pinned by the md5 of its data rows (every line that does not
 start with ``#``, header row included), at one and at two worker
 processes; ``params`` and ``validate`` by the md5 of their whole output.
 A change that moves a digit of any pinned output must say which row moved
-and why, and re-pin the digest.
+and why, and re-pin the digest.  The same digests hold at two BLAS threads.
 """
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -46,9 +47,19 @@ WHOLE_OUTPUTS = {
 }
 
 
-def run_cli(*args):
+# the CLI keeps a thread count the user exported (tests/test_cli.py checks it)
+TWO_BLAS_THREADS = {
+    var: "2" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+}
+
+
+def run_cli(*args, env=None):
     proc = subprocess.run(
-        [sys.executable, "-m", "tlrsim", *args], capture_output=True, text=True, timeout=300
+        [sys.executable, "-m", "tlrsim", *args],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env=None if env is None else {**os.environ, **env},
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
@@ -58,19 +69,32 @@ def md5(text):
     return hashlib.md5(text.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-@pytest.mark.parametrize("name", sorted(SWEEPS))
-def test_sweep_data_rows(tmp_path, name, jobs):
-    overrides, args, digest = SWEEPS[name]
+def sweep_rows_md5(tmp_path, name, jobs, env=None):
+    overrides, args, _ = SWEEPS[name]
     if overrides is not None:
         config = tmp_path / "config.json"
         config.write_text(json.dumps(overrides))
         args = [*args, "--config", str(config)]
-    text = run_cli(*args, "--jobs", jobs, "--no-timestamp")
-    rows = "".join(line + "\n" for line in text.splitlines() if not line.startswith("#"))
-    assert md5(rows) == digest
+    text = run_cli(*args, "--jobs", jobs, "--no-timestamp", env=env)
+    return md5("".join(line + "\n" for line in text.splitlines() if not line.startswith("#")))
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_sweep_data_rows(tmp_path, name, jobs):
+    assert sweep_rows_md5(tmp_path, name, jobs) == SWEEPS[name][2]
+
+
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_sweep_data_rows_at_two_blas_threads(tmp_path, name):
+    assert sweep_rows_md5(tmp_path, name, "1", env=TWO_BLAS_THREADS) == SWEEPS[name][2]
 
 
 @pytest.mark.parametrize("command", sorted(WHOLE_OUTPUTS))
 def test_whole_output(command):
     assert md5(run_cli(command)) == WHOLE_OUTPUTS[command]
+
+
+@pytest.mark.parametrize("command", sorted(WHOLE_OUTPUTS))
+def test_whole_output_at_two_blas_threads(command):
+    assert md5(run_cli(command, env=TWO_BLAS_THREADS)) == WHOLE_OUTPUTS[command]

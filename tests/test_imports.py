@@ -195,6 +195,27 @@ def test_only_lindblad_stacks_columns():
     assert column_stacking_modules(package_sources()[0]) == ["lindblad"]
 
 
+def blas_pinning_files(sources: dict[str, str]) -> list[str]:
+    """Names of the sources that name ``OPENBLAS_NUM_THREADS``, the BLAS thread pin."""
+    return sorted(name for name, source in sources.items() if "OPENBLAS_NUM_THREADS" in source)
+
+
+def front_end_sources() -> dict[str, str]:
+    paths = [*PACKAGE.glob("*.py"), *(ROOT / "scripts").glob("*.py")]
+    return {path.relative_to(ROOT).as_posix(): path.read_text() for path in paths}
+
+
+def test_blas_pin_check_flags_a_planted_script():
+    sources = front_end_sources()
+    sources["scripts/planted.py"] = 'import os\n\nos.environ["OPENBLAS_NUM_THREADS"] = "1"\n'
+    assert blas_pinning_files(sources) == ["scripts/planted.py", "src/tlrsim/cli.py"]
+
+
+def test_only_the_cli_pins_blas_threads():
+    # the figure script imports tlrsim.cli first and runs on its pin
+    assert blas_pinning_files(front_end_sources()) == ["src/tlrsim/cli.py"]
+
+
 def test_cli_import_loads_every_module_perfbench_times():
     # the benchmark reads each module's cumulative time from `-X importtime -c "import tlrsim.cli"`
     timed = set(layers_value("IMPORT_MODULES").values())

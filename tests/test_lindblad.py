@@ -31,6 +31,10 @@ from tlrsim.lindblad import (
 from tlrsim.qcore import DensityMatrix, HilbertSpace, annihilation, embed
 
 
+# the Hamiltonian of a qubit generator made of jump terms alone
+NO_HAMILTONIAN = np.zeros((2, 2))
+
+
 def qubit_tools():
     return HilbertSpace([("q", 2)]), annihilation(2)
 
@@ -144,12 +148,6 @@ class TestExpm:
             with pytest.raises(ValueError, match="more than 23 squarings"):
                 expm(a)
 
-    def test_one_by_one_is_the_scalar_exponential(self):
-        a = np.array([0.0, -3.5 + 40.0j, 1e-3j, -700.0 + 2.0j]).reshape(4, 1, 1)
-        assert np.array_equal(expm(a), np.exp(a))
-        for m in a:
-            assert np.allclose(expm(m), scipy.linalg.expm(m), rtol=1e-14, atol=0)
-
     def test_cli_import_loads_no_scipy(self):
         code = ("import sys, tlrsim.cli; "
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
@@ -165,7 +163,7 @@ class TestAmplitudeDamping:
 
     def setup_method(self):
         self.space, lower = qubit_tools()
-        self.liou = Liouvillian(self.space, terms=(LindbladTerm(lower, 2.0),))
+        self.liou = Liouvillian(self.space, NO_HAMILTONIAN, terms=(LindbladTerm(lower, 2.0),))
 
     def test_population_decay_expm(self):
         rho0 = self.space.basis_state([1])
@@ -192,7 +190,7 @@ class TestPureDephasing:
         p1 = np.diag([0.0, 1.0]).astype(complex)
         gamma = 3.0
         liou = Liouvillian(
-            space, terms=(LindbladTerm(p0, gamma), LindbladTerm(p1, gamma))
+            space, NO_HAMILTONIAN, terms=(LindbladTerm(p0, gamma), LindbladTerm(p1, gamma))
         )
         final = propagate_expm(liou, plus_state(space), 0.4)
         assert abs(final.matrix[0, 1]) == pytest.approx(0.5 * math.exp(-1.2), abs=1e-12)
@@ -250,6 +248,14 @@ class TestIntegratorCrossCheck:
         ratio = trace_distance(reference, coarse) / trace_distance(reference, fine)
         assert 8.0 <= ratio <= 32.0
 
+    def test_zero_duration_leaves_the_state_exactly(self):
+        # the Pade exponential of a zero generator is the identity, and RK4 steps of dt = 0
+        # add nothing
+        liou, space = transfer_like_generator()
+        rho0 = space.basis_state([1, 0])
+        for propagate in (propagate_expm, propagate_rk4):
+            assert np.array_equal(propagate(liou, rho0, 0.0).matrix, rho0.matrix)
+
     def test_semigroup_property(self):
         liou, _ = transfer_like_generator()
         p1 = propagator(liou, 4.0e-9)
@@ -262,7 +268,7 @@ class TestRk4StepControl:
     def setup_method(self):
         self.space, lower = qubit_tools()
         # strongly damped qubit: gamma t = 1000 is far past steady state
-        self.liou = Liouvillian(self.space, terms=(LindbladTerm(lower, 1.0e6),))
+        self.liou = Liouvillian(self.space, NO_HAMILTONIAN, terms=(LindbladTerm(lower, 1.0e6),))
         self.rho0 = self.space.basis_state([1])
 
     def test_unstable_step_raises_with_the_state_check(self, monkeypatch):
@@ -292,7 +298,7 @@ class TestLiouvillianValidation:
         with pytest.raises(ValueError, match="^hamiltonian lives on a different space$"):
             Liouvillian(space, hamiltonian=other + other.conj().T)
         with pytest.raises(ValueError, match="^jump operator lives on a different space$"):
-            Liouvillian(space, terms=(LindbladTerm(other, 1.0),))
+            Liouvillian(space, NO_HAMILTONIAN, terms=(LindbladTerm(other, 1.0),))
 
     @pytest.mark.parametrize(
         "rate, message",
@@ -324,7 +330,7 @@ class TestSchedule:
     def test_apply_then_evolve_matches_manual(self):
         space, lower = qubit_tools()
         x_gate = np.array([[0, 1], [1, 0]], dtype=complex)
-        liou = Liouvillian(space, terms=(LindbladTerm(lower, 2.0),))
+        liou = Liouvillian(space, NO_HAMILTONIAN, terms=(LindbladTerm(lower, 2.0),))
         rho0 = space.basis_state([0])
         # the shift term (any Hermitian one) enters at coefficient 0
         final = propagate_schedule(
@@ -335,7 +341,7 @@ class TestSchedule:
 
     def test_rk4_method_agrees(self):
         space, lower = qubit_tools()
-        liou = Liouvillian(space, terms=(LindbladTerm(lower, 2.0),))
+        liou = Liouvillian(space, NO_HAMILTONIAN, terms=(LindbladTerm(lower, 2.0),))
         rho0 = space.basis_state([1])
         a = propagate_schedule([Evolve(liou, 0.7, lower + lower.conj().T)], rho0, 0.0)
         b = propagate_rk4(liou, rho0, 0.7)
@@ -355,7 +361,7 @@ class TestSchedule:
 
     def test_evolve_rejects_wrong_shape_or_non_hermitian_shift(self):
         space, lower = qubit_tools()
-        liou = Liouvillian(space, terms=(LindbladTerm(lower, 2.0),))
+        liou = Liouvillian(space, NO_HAMILTONIAN, terms=(LindbladTerm(lower, 2.0),))
         with pytest.raises(ValueError, match="^shift term lives on a different space$"):
             Evolve(liou, 0.7, np.eye(3))
         with pytest.raises(ValueError, match="^shift term must be Hermitian$"):
@@ -470,7 +476,7 @@ class TestStateMonteCarlo:
         return Liouvillian(self.space, hamiltonian=self.offset * detuning)
 
     def evolve_for(self, duration):
-        return Evolve(Liouvillian(self.space), duration, self.offset)
+        return Evolve(Liouvillian(self.space, NO_HAMILTONIAN), duration, self.offset)
 
     def run(self, segment, noise, observable):
         """Monte Carlo with each draw itself the coefficient of the offset.
@@ -556,7 +562,7 @@ class TestStateMonteCarlo:
 
     def test_block_split_leaves_samples_unchanged(self, monkeypatch):
         decay = (LindbladTerm(self.lower, 0.3),)
-        segment = Evolve(Liouvillian(self.space, terms=decay), 2.0, self.offset)
+        segment = Evolve(Liouvillian(self.space, NO_HAMILTONIAN, terms=decay), 2.0, self.offset)
         noise = QuasiStaticNoise(mean=0.0, std=3.0, label="detuning", sample_count=8, seed=12)
         whole, whole_values = self.run(segment, noise, coherence)
         monkeypatch.setattr(lindblad, "SAMPLE_BLOCK", 3)
@@ -620,10 +626,8 @@ def kron_superoperator(liou):
     """The superoperator written with np.kron, as the reference for Liouvillian.matrix."""
     d = liou.space.dim
     eye = np.eye(d)
-    sup = np.zeros((d * d, d * d), dtype=complex)
-    if liou.hamiltonian is not None:
-        h = liou.hamiltonian
-        sup += -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    h = liou.hamiltonian
+    sup = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
     for term in liou.terms:
         l = term.operator
         ldl = l.conj().T @ l
@@ -644,7 +648,7 @@ def test_superoperator_is_the_kron_formula_bit_for_bit(dim, jumps, with_hamilton
     rng = np.random.default_rng(seed)
     space = HilbertSpace([("s", dim)])
     raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    h = 0.5 * (raw + raw.conj().T) if with_hamiltonian else None
+    h = 0.5 * (raw + raw.conj().T) if with_hamiltonian else np.zeros((dim, dim))
     terms = tuple(
         LindbladTerm(
             rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)),

@@ -110,8 +110,13 @@ class TestTransferSpec:
         assert spec.gate_time > 0
 
     def test_rejects_small_detuning(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             TransferSpec(coupling=1e9, detuning=4.9e9)
+        # both values are angular, and the message says so
+        assert str(info.value) == (
+            "detuning 4.9000e+09 rad/s below 5x coupling 1.0000e+09 rad/s; "
+            "dispersive construction invalid"
+        )
 
     def test_warns_in_marginal_band(self):
         with pytest.warns(UserWarning):
