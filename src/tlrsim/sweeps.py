@@ -78,7 +78,8 @@ def _transfer_point(args) -> tuple:
         dephasing_rate=to_angular(gamma2_hz),
     )
     error = transfer_gate_error(spec)
-    return (kappa_hz, gamma2_hz, error, -math.log10(max(error, 1e-300)))
+    # 0.0 - x, not -x: an error of 1 gives 0.0, not -0.0; 1e-300 floors an error of 0
+    return (kappa_hz, gamma2_hz, error, 0.0 - math.log10(max(error, 1e-300)))
 
 
 def run_transfer_sweep(config: dict, jobs: int = 1) -> SweepResult:

@@ -370,16 +370,21 @@ STIFF = "generator too stiff"
 MAX = sys.float_info.max
 QUICK_CPHASE = ["cphase-error", "--samples", "2", "--quick"]
 
-# what the engine commands may also exit 1 with, on a config the ranges accept
-ENGINE_EXIT_ONE_CONDITIONS = (
+# what transfer-error, a closed form, may also exit 1 with on a config
+# the ranges accept
+TRANSFER_EXIT_ONE_CONDITIONS = (
     *EXIT_ONE_CONDITIONS,
+    "leaves the float range",
+    "dispersive construction invalid",  # a detuning under the dispersive floor
+)
+# what the engine commands may also exit 1 with
+ENGINE_EXIT_ONE_CONDITIONS = (
+    *TRANSFER_EXIT_ONE_CONDITIONS,
     EXPM_SQUARINGS,
     CHECKPOINT_SQUARINGS,
     PROPAGATOR_SQUARINGS,
     DETECTOR_SPREAD,
     ZERO_ESCAPE,  # the detector sweep at zero photon loss
-    "leaves the float range",
-    "dispersive construction invalid",  # a detuning under the dispersive floor
     STIFF,
     "no wait gives a conditional phase of pi",  # a cphase transfer too slow for its interaction
 )
@@ -502,12 +507,7 @@ class TestDerivedConditions:
                 for hz in (1e20, 1e50, 1e100, 1e307)  # 1e307 ran for minutes before
                 for command in ("detector", "validate")
             ),
-            *(
-                (command, {"experiments": {"transfer": {"detuning_hz": hz}}}, EXPM_SQUARINGS)
-                for command, hz in (
-                    ("transfer-error", 1e19), ("transfer-error", 1e300), ("validate", 1e300)
-                )
-            ),
+            ("validate", {"experiments": {"transfer": {"detuning_hz": 1e300}}}, EXPM_SQUARINGS),
             ("validate", {"noise": {"kappa_hz": 1e300}}, EXPM_SQUARINGS),
             # under the doubling bound, but roundoff breaks a checkpoint state
             ("detector", {"device": {"detector": {"coupling_hz": 1e12}}}, f"{CHECKPOINT_SQUARINGS}trace"),
@@ -516,13 +516,7 @@ class TestDerivedConditions:
                 {"device": {"detector": {"coupling_hz": 8921720245250.0}}},
                 f"{CHECKPOINT_SQUARINGS}Hermiticity",
             ),
-            ("transfer-error", {"experiments": {"transfer": {"kappa_grid_hz": [1e300]}}}, EXPM_SQUARINGS),
             # under MAX_SQUARINGS, but roundoff breaks the propagated state
-            (
-                "transfer-error",
-                {"experiments": {"transfer": {"gamma2_grid_hz": [2286582656260911.0]}}},
-                "after 21 squarings of the propagator: trace",
-            ),
             (
                 "validate",
                 {"device": {"cbjj": {"dephasing_rate_hz": 1e16}}},
@@ -539,6 +533,25 @@ class TestDerivedConditions:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ") and message in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "override, low, high",
+        [
+            # the sweep's closed form takes no squarings: a gate time of 64 s
+            # or a loss of 1e300 Hz loses the photon
+            ({"experiments": {"transfer": {"detuning_hz": 1e19}}}, 1.0, 1.0),
+            ({"experiments": {"transfer": {"detuning_hz": 1e300}}}, 1.0, 1.0),
+            ({"experiments": {"transfer": {"kappa_grid_hz": [1e300]}}}, 1.0, 1.0),
+            # dephasing this strong leaves about half the photon behind
+            ({"experiments": {"transfer": {"gamma2_grid_hz": [2286582656260911.0]}}}, 0.50004, 0.50404),
+        ],
+    )
+    def test_transfer_sweep_past_squaring_roundoff_reports_the_error(self, override, low, high):
+        code, stdout, stderr = run_in_process("transfer-error", override, "--no-timestamp")
+        assert (code, stderr) == (0, "")
+        rows = sweep_rows(stdout)
+        assert rows and all(low <= float(row["error"]) <= high for row in rows)
+        assert "-0.00000000e+00" not in stdout
 
     @pytest.mark.parametrize(
         "override",
@@ -571,7 +584,7 @@ class TestDerivedConditions:
         if code == 1:
             assert any(f"error: {c}" in stderr for c in EXIT_ONE_CONDITIONS), stderr
 
-    # examples per engine command, at about 18, 13, 127 and 10 ms per in-process run
+    # examples per engine command, at about 5, 13, 127 and 10 ms per in-process run
     @pytest.mark.parametrize(
         "command, args, examples",
         [
@@ -582,6 +595,10 @@ class TestDerivedConditions:
         ],
     )
     def test_accepted_leaf_never_crashes_engines(self, command, args, examples):
+        conditions = (
+            TRANSFER_EXIT_ONE_CONDITIONS if command == "transfer-error" else ENGINE_EXIT_ONE_CONDITIONS
+        )
+
         @settings(max_examples=examples, deadline=None)
         @given(single_leaf_overrides())
         def check(override):
@@ -590,7 +607,7 @@ class TestDerivedConditions:
             if code == 1 and not (command == "validate" and not stderr and ",fail," in stdout):
                 # not a device the judge fails: a named derived condition
                 assert stderr.startswith("error: "), stderr
-                assert any(c in stderr for c in ENGINE_EXIT_ONE_CONDITIONS), stderr
+                assert any(c in stderr for c in conditions), stderr
 
         check()
 

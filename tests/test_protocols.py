@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from tlrsim import lindblad, protocols
-from tlrsim.config import fjs_params, load_config, tlr_params
+from tlrsim.config import fjs_params, load_config, tap_coupling, tlr_params
 from tlrsim.device import fjs_derive
 from tlrsim.lindblad import (
     Apply,
@@ -40,7 +40,8 @@ from tlrsim.protocols import (
     transfer_operators,
     transfer_space,
 )
-from tlrsim.qcore import NORM_TOL, DensityMatrix, HilbertSpace, embed, projector
+from tlrsim.qcore import NORM_TOL, TRACE_TOL, DensityMatrix, HilbertSpace, embed, projector
+from tlrsim.sweeps import run_transfer_sweep
 
 TWO_PI = 2.0 * math.pi
 
@@ -62,20 +63,17 @@ def operating_spec(**overrides):
     return TransferSpec(**kw)
 
 
-def analytic_transfer_error(spec):
-    # uniform loss factorizes; collective dephasing closes the +/- coherence
-    t = spec.gate_time
-    x2 = (spec.coupling / spec.detuning) ** 2
-    return 1.0 - math.exp(-spec.photon_loss_rate * t) * 0.5 * (
-        1.0 + math.exp(-4.0 * x2 * spec.dephasing_rate * t)
-    )
+def engine_transfer_error(spec):
+    """The transfer's gate error from the Lindblad engine: the formula's reference."""
+    left = transfer_space().basis_state([1, 0])
+    return 1.0 - propagate_expm(build_transfer_liouvillian(spec), left, spec.gate_time).population(1)
 
 
 def swap_fidelities(spec):
     """Fidelity of four inputs with the ideal full swap (left to -i right).
 
-    Applies the gate's propagator to every input here, since
-    transfer_gate_error reads only the photon-left population.
+    Propagates every input through the engine here, since
+    transfer_gate_error is the closed form for the photon-left input alone.
     """
     space, _, _, exchange = transfer_operators()
     t = spec.gate_time
@@ -144,7 +142,7 @@ class TestTransferGateError:
     def test_operating_point_matches_closed_form(self):
         spec = operating_spec()
         error = transfer_gate_error(spec)
-        assert error == pytest.approx(analytic_transfer_error(spec), rel=1e-9)
+        assert error == pytest.approx(engine_transfer_error(spec), rel=1e-9)
         assert error == pytest.approx(2.377374496253526e-03, rel=1e-9)
         assert 3e-4 < error < 5e-3
 
@@ -158,28 +156,38 @@ class TestTransferGateError:
         fids = swap_fidelities(operating_spec())
         assert fids["photon_left"] == pytest.approx(fids["photon_right"], abs=1e-12)
 
-    def test_one_input_one_exponential(self, monkeypatch):
-        # only the photon-left input is propagated, and no ideal unitary is built
-        calls = []
+    def test_sweep_runs_no_exponential(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the transfer sweep took an exponential")
 
-        def counting(name):
-            original = getattr(lindblad, name)
+        monkeypatch.setattr(lindblad, "expm", refuse)
+        assert len(run_transfer_sweep(load_config()).rows) == 25
 
-            def wrapper(*args):
-                calls.append(name)
-                return original(*args)
+    def test_formula_matches_engine_on_seeded_grid(self):
+        # log-uniform kappa 1 to 1e9 Hz and Gamma_2 1e3 to 1e15 Hz at the
+        # default tap coupling and detuning
+        coupling = tap_coupling(load_config(), "left")
+        rng = np.random.default_rng(20260)
+        kappas_hz = 10.0 ** rng.uniform(0.0, 9.0, 200)
+        gamma2s_hz = 10.0 ** rng.uniform(3.0, 15.0, 200)
+        for kappa_hz, gamma2_hz in zip(kappas_hz, gamma2s_hz):
+            spec = operating_spec(
+                coupling=coupling,
+                photon_loss_rate=TWO_PI * kappa_hz,
+                dephasing_rate=TWO_PI * gamma2_hz,
+            )
+            engine = engine_transfer_error(spec)
+            assert abs(transfer_gate_error(spec) - engine) <= TRACE_TOL, (kappa_hz, gamma2_hz)
 
-            return wrapper
-
-        for name in ("expm", "apply_propagator"):
-            monkeypatch.setattr(lindblad, name, counting(name))
-        spec = operating_spec()
-        error = transfer_gate_error(spec)
-        assert calls == ["expm", "apply_propagator"]
-        assert type(error) is float
-        left = transfer_space().basis_state([1, 0])
-        superop = propagator(build_transfer_liouvillian(spec), spec.gate_time)
-        assert error == 1.0 - apply_propagator(superop, left).population(1)
+    def test_overflowing_exponents_give_physical_errors(self):
+        # a gate time of 628 s: kappa T and 2 gamma T overflow to inf, and
+        # each exponential is 0.0, never NaN
+        lossy = TransferSpec(coupling=0.05, detuning=1.0, photon_loss_rate=1e308)
+        dephased = TransferSpec(coupling=0.05, detuning=1.0, dephasing_rate=1e308)
+        assert lossy.photon_loss_rate * lossy.gate_time == math.inf
+        assert 2.0 * dephased.effective_dephasing * dephased.gate_time == math.inf
+        assert transfer_gate_error(lossy) == 1.0
+        assert transfer_gate_error(dephased) == 0.5
 
     def test_monotone_in_loss_and_dephasing(self):
         kappas = [0.0, KAPPA_OP, 4 * KAPPA_OP]
@@ -719,14 +727,10 @@ def _left_photon_state(space):
     gamma2=st.floats(min_value=0.0, max_value=1e8),
 )
 def test_transfer_error_stays_physical(kappa, gamma2):
-    error = transfer_gate_error(operating_spec(photon_loss_rate=kappa, dephasing_rate=gamma2))
+    spec = operating_spec(photon_loss_rate=kappa, dephasing_rate=gamma2)
+    error = transfer_gate_error(spec)
     assert 0.0 <= error <= 1.0
-    assert error == pytest.approx(
-        analytic_transfer_error(
-            operating_spec(photon_loss_rate=kappa, dephasing_rate=gamma2)
-        ),
-        abs=1e-9,
-    )
+    assert error == pytest.approx(engine_transfer_error(spec), abs=1e-9)
 
 
 @settings(max_examples=15, deadline=None)

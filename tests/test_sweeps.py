@@ -6,6 +6,8 @@ import pytest
 
 from tlrsim.config import ConfigError, canonical_json, config_hash, load_config, tlr_params
 from tlrsim.device import coupling_strength, mode_frequency, to_angular
+from tlrsim.lindblad import propagate_expm
+from tlrsim.protocols import TransferSpec, build_transfer_liouvillian, transfer_space
 from tlrsim.sweeps import (
     AUTHORITATIVE_SAMPLES,
     read_config_comment,
@@ -22,12 +24,6 @@ def noise_config(**noise):
     return load_config({"noise": noise})
 
 
-def analytic_transfer_error(g, delta, kappa, gamma2):
-    t = math.pi * abs(delta) / (2.0 * g * g)
-    dephased = math.exp(-4.0 * (g / delta) ** 2 * gamma2 * t)
-    return 1.0 - math.exp(-kappa * t) * 0.5 * (1.0 + dephased)
-
-
 class TestTransferSweep:
     def test_grid_order_first_axis_slowest(self):
         result = run_transfer_sweep(CONFIG)
@@ -41,17 +37,32 @@ class TestTransferSweep:
         result = run_transfer_sweep(CONFIG)
         row = next(r for r in result.rows if r[0] == 1.0e4 and r[1] == 1.0e6)
         tlr = tlr_params(CONFIG)
-        g = coupling_strength(mode_frequency(tlr), 5.0e-12, 2.3e-14, 5.0e-13)
-        expected = analytic_transfer_error(
-            g, to_angular(2.0e9), to_angular(1.0e4), to_angular(1.0e6)
+        spec = TransferSpec(
+            coupling=coupling_strength(mode_frequency(tlr), 5.0e-12, 2.3e-14, 5.0e-13),
+            detuning=to_angular(2.0e9),
+            photon_loss_rate=to_angular(1.0e4),
+            dephasing_rate=to_angular(1.0e6),
         )
-        assert row[2] == pytest.approx(expected, rel=1e-9)
-        assert 3.0e-4 < row[2] < 5.0e-3
+        left = transfer_space().basis_state([1, 0])
+        engine = propagate_expm(build_transfer_liouvillian(spec), left, spec.gate_time)
+        assert row[2] == pytest.approx(1.0 - engine.population(1), rel=1e-9)
+        # the default tap coupling, 1.2369193e9 rad/s, sits 3e-6 above the
+        # protocol tests' G_OP, so this row is not their 2.377374e-3
+        assert row[2] == pytest.approx(2.3773699977402973e-03, rel=1e-9)
 
     def test_neg_log10_column(self):
         result = run_transfer_sweep(CONFIG)
         for row in result.rows:
             assert row[3] == pytest.approx(-math.log10(row[2]), rel=1e-12)
+
+    def test_neg_log10_column_at_the_error_bounds(self):
+        # an error of 1 reads 0.0, not -0.0; an error of 0 reads the 1e-300 floor
+        lost = run_transfer_sweep(load_config({"experiments": {"transfer": {"kappa_grid_hz": [1e12]}}}))
+        assert {row[2:] for row in lost.rows} == {(1.0, 0.0)}
+        assert all(math.copysign(1.0, row[3]) == 1.0 for row in lost.rows)
+        assert "-0.00000000e+00" not in render_csv(lost, timestamp=False)
+        ideal = {"experiments": {"transfer": {"kappa_grid_hz": [0.0], "gamma2_grid_hz": [0.0]}}}
+        assert run_transfer_sweep(load_config(ideal)).rows == ((0.0, 0.0, 0.0, 300.0),)
 
     def test_monotone_in_both_axes(self):
         result = run_transfer_sweep(CONFIG)
