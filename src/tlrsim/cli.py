@@ -24,6 +24,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
 
 from . import __version__
@@ -61,15 +62,26 @@ def checked_config(path: str | None, seed: int | None = None, samples: int | Non
 
 def exit_code(run) -> int:
     """0 or the code ``run()`` returns; 2 for a rejected config and 1 for a failed run,
-    each printed to stderr as ``config error:`` or ``error:`` and the reason."""
-    try:
-        return run() or 0
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, RuntimeError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    each printed to stderr as ``config error:`` or ``error:`` and the reason. An
+    advisory ``UserWarning`` prints as one ``warning:`` line with its message."""
+    with warnings.catch_warnings():
+        show = warnings.showwarning
+
+        def show_warning(message, category, *where):
+            if issubclass(category, UserWarning):
+                sys.stderr.write(f"warning: {message}\n")  # one write: workers share the stream
+            else:
+                show(message, category, *where)
+
+        warnings.showwarning = show_warning
+        try:
+            return run() or 0
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
+        except (ValueError, RuntimeError, ArithmeticError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 def _build_parser() -> argparse.ArgumentParser:

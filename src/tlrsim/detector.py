@@ -79,7 +79,11 @@ class DetectionResult:
     efficiency: float
     time_series: tuple[tuple[float, float, float, float, float], ...]
     converged: bool
-    t_final: float
+
+    @property
+    def t_final(self) -> float:
+        """Time of the last checkpoint (s)."""
+        return self.time_series[-1][0]
 
 
 def detector_space() -> HilbertSpace:
@@ -140,7 +144,6 @@ def detection_efficiency(p: DetectorParams) -> DetectionResult:
             efficiency=0.0,
             time_series=((0.0, 1.0, 0.0, 0.0, 1.0),),
             converged=True,
-            t_final=0.0,
         )
 
     rates = (p.photon_loss_rate, p.escape_rate, p.intra_well_decay, p.dephasing_rate)
@@ -184,5 +187,4 @@ def detection_efficiency(p: DetectorParams) -> DetectionResult:
         efficiency=min(1.0, max(0.0, p_f)),
         time_series=tuple(series),
         converged=converged,
-        t_final=t,
     )

@@ -1,10 +1,11 @@
 """Figure-grade sweeps and CSV emission.
 
 Every sweep is a pure function of its effective config, seed and sample
-count included: points are computed by a worker pool but emitted
-strictly in grid order, and any Monte Carlo inside a point draws from a
-substream keyed on (seed, point index, sample index), so the worker
-count can never change the bytes.
+count included. It builds every point's spec in the calling process, maps
+the protocol function over the specs, serially or in a worker pool, and
+emits the rows strictly in grid order. Any Monte Carlo inside a point
+draws from a substream keyed on (seed, point index, sample index), so the
+worker count can never change the bytes.
 
 CSV layout: ``#`` metadata lines (tool version, config hash, seed,
 optional timestamp, the full effective config for re-ingestion), then a
@@ -54,44 +55,33 @@ class SweepResult:
     quick: bool = False
 
 
-def _map_points(fn, args_list, jobs: int):
-    if jobs <= 1 or len(args_list) <= 1:
-        return [fn(args) for args in args_list]
+def _map_points(fn, *columns, jobs: int) -> list:
+    """``fn`` over the rows of ``columns``, results in row order."""
+    points = len(columns[0])
+    if jobs <= 1 or points <= 1:
+        return list(map(fn, *columns))
     from concurrent.futures import ProcessPoolExecutor  # ~15 ms of import: serial runs skip it
 
     # fork starts every worker up front: never more than there are points
-    with ProcessPoolExecutor(max_workers=min(jobs, len(args_list))) as pool:
-        return list(pool.map(fn, args_list))
+    with ProcessPoolExecutor(max_workers=min(jobs, points)) as pool:
+        return list(pool.map(fn, *columns))
 
 
 # ------------------------------------------------------------- transfer
 
 
-def _transfer_point(args) -> tuple:
-    from .protocols import TransferSpec, transfer_gate_error  # the detector sweep skips protocols
-
-    coupling, detuning, kappa_hz, gamma2_hz = args
-    spec = TransferSpec(
-        coupling=coupling,
-        detuning=detuning,
-        photon_loss_rate=to_angular(kappa_hz),
-        dephasing_rate=to_angular(gamma2_hz),
-    )
-    error = transfer_gate_error(spec)
-    # 0.0 - x, not -x: an error of 1 gives 0.0, not -0.0; 1e-300 floors an error of 0
-    return (kappa_hz, gamma2_hz, error, 0.0 - math.log10(max(error, 1e-300)))
-
-
 def run_transfer_sweep(config: dict, jobs: int = 1) -> SweepResult:
     """Transfer-gate error over the loss/dephasing grid, loss rate slowest."""
+    from .protocols import TransferSpec, transfer_gate_error  # the detector sweep skips protocols
+
+    transfer = config["experiments"]["transfer"]
     coupling = tap_coupling(config, "left")
-    detuning = to_angular(config["experiments"]["transfer"]["detuning_hz"])
-    grid = [
-        (coupling, detuning, kappa_hz, gamma2_hz)
-        for kappa_hz in config["experiments"]["transfer"]["kappa_grid_hz"]
-        for gamma2_hz in config["experiments"]["transfer"]["gamma2_grid_hz"]
-    ]
-    rows = _map_points(_transfer_point, grid, jobs)
+    detuning = to_angular(transfer["detuning_hz"])
+    grid = [(k, g) for k in transfer["kappa_grid_hz"] for g in transfer["gamma2_grid_hz"]]
+    specs = [TransferSpec(coupling, detuning, to_angular(k), to_angular(g)) for k, g in grid]
+    errors = _map_points(transfer_gate_error, specs, jobs=jobs)
+    # 0.0 - x, not -x: an error of 1 gives 0.0, not -0.0; 1e-300 floors an error of 0
+    rows = [(*point, e, 0.0 - math.log10(max(e, 1e-300))) for point, e in zip(grid, errors)]
     return SweepResult(
         experiment="transfer-error",
         columns=("kappa_hz", "gamma2_hz", "error", "neg_log10_error"),
@@ -103,22 +93,6 @@ def run_transfer_sweep(config: dict, jobs: int = 1) -> SweepResult:
 # ------------------------------------------------------------- cphase
 
 
-def _cphase_point(args) -> tuple:
-    from .protocols import CphaseSpec, cphase_spin_echo_error
-
-    derived, ratio, samples, seed, kappa, ideal_flips, index = args
-    spec = CphaseSpec.from_fjs(
-        derived,
-        speed_ratio=ratio,
-        sample_count=samples,
-        seed=seed,
-        photon_loss_rate=kappa,
-        use_ideal_flips=ideal_flips,
-    )
-    result = cphase_spin_echo_error(spec, point_index=index)
-    return (ratio, result["error"], result["std_error"], samples, seed)
-
-
 def run_cphase_sweep(config: dict, jobs: int = 1, quick: bool = False) -> SweepResult:
     """Controlled-phase error versus transfer speed ratio.
 
@@ -127,20 +101,22 @@ def run_cphase_sweep(config: dict, jobs: int = 1, quick: bool = False) -> SweepR
     per point; smaller counts are only allowed with ``quick``, and the
     output is marked.
     """
-    n = config["noise"]["samples"]
+    from .protocols import CphaseSpec, cphase_spin_echo_error
+
+    n, seed = config["noise"]["samples"], config["noise"]["seed"]
     if n < AUTHORITATIVE_SAMPLES and not quick:
         raise ConfigError(
             "noise.samples",
             f"{n} samples below the authoritative minimum of {AUTHORITATIVE_SAMPLES}; pass --quick",
         )
     derived = fjs_derive(fjs_params(config), tlr_params(config))
-    kappa = to_angular(config["experiments"]["cphase"]["kappa_hz"])
-    ideal_flips = config["experiments"]["cphase"]["flips"] == "ideal"
-    grid = [
-        (derived, ratio, n, config["noise"]["seed"], kappa, ideal_flips, index)
-        for index, ratio in enumerate(config["experiments"]["cphase"]["speed_ratios"])
-    ]
-    rows = _map_points(_cphase_point, grid, jobs)
+    cphase = config["experiments"]["cphase"]
+    kappa = to_angular(cphase["kappa_hz"])
+    ideal_flips = cphase["flips"] == "ideal"
+    ratios = cphase["speed_ratios"]
+    specs = [CphaseSpec.from_fjs(derived, r, n, seed, kappa, ideal_flips) for r in ratios]
+    results = _map_points(cphase_spin_echo_error, specs, range(len(specs)), jobs=jobs)
+    rows = [(r, res["error"], res["std_error"], n, seed) for r, res in zip(ratios, results)]
     return SweepResult(
         experiment="cphase-error",
         columns=("ratio", "error", "std_err", "n_samples", "seed"),
@@ -153,25 +129,18 @@ def run_cphase_sweep(config: dict, jobs: int = 1, quick: bool = False) -> SweepR
 # ------------------------------------------------------------- detector
 
 
-def _detector_point(args) -> tuple:
-    base, ratio = args
-    result = detection_efficiency(replace(base, escape_rate=ratio * base.photon_loss_rate))
-    return (
-        ratio,
-        result.efficiency,
-        1.0 - result.efficiency,
-        int(result.converged),
-        result.t_final,
-    )
-
-
 def run_detector_sweep(config: dict, jobs: int = 1) -> SweepResult:
     """Detector efficiency versus escape-to-loss ratio at fixed loss."""
     base = detector_params(config)
     ratios = config["experiments"]["detector"]["gamma_over_kappa"]
     if any(r * base.photon_loss_rate == 0 for r in ratios):  # no escape: every row would be 0
         raise ValueError("detector sweep escape rate gamma_over_kappa x photon loss rate is 0")
-    rows = _map_points(_detector_point, [(base, r) for r in ratios], jobs)
+    points = [replace(base, escape_rate=r * base.photon_loss_rate) for r in ratios]
+    results = _map_points(detection_efficiency, points, jobs=jobs)
+    rows = [
+        (r, res.efficiency, 1.0 - res.efficiency, int(res.converged), res.t_final)
+        for r, res in zip(ratios, results)
+    ]
     return SweepResult(
         experiment="detector",
         columns=("gamma_over_kappa", "efficiency", "one_minus_eff", "converged", "t_final_s"),

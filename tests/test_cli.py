@@ -648,6 +648,18 @@ class TestCsvCommands:
         assert proc.stdout.splitlines()[-1].endswith(",7")
 
 
+    def test_spec_warning_prints_once_at_any_jobs(self, tmp_path):
+        # specs are built in the parent, so a pooled sweep warns as a serial one does
+        path = tmp_path / "close.json"
+        path.write_text(json.dumps({"experiments": {"transfer": {"detuning_hz": 1.6e9}}}))
+        args = ("transfer-error", "--config", str(path), "--no-timestamp")
+        serial, pooled = (run_cli(*args, "--jobs", jobs) for jobs in ("1", "2"))
+        for proc in (serial, pooled):
+            assert proc.returncode == 0
+            assert proc.stderr == "warning: detuning below 10x coupling; dispersive corrections grow\n"
+        assert serial.stdout == pooled.stdout
+
+
 class TestThreadPolicy:
     def test_lossy_bytes_independent_of_jobs_and_blas_threads(self, tmp_path):
         path = tmp_path / "lossy.json"

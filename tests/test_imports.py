@@ -228,6 +228,8 @@ def test_cli_import_loads_every_module_perfbench_times():
     [
         ("params", {"tlrsim.sweeps", "tlrsim.protocols", "tlrsim.validate"}),
         ("detector", {"tlrsim.protocols", "tlrsim.validate"}),
+        ("transfer-error", {"tlrsim.validate"}),
+        ("cphase-error", {"tlrsim.validate"}),
     ],
 )
 def test_subcommand_loads_only_what_it_runs(tmp_path, command, unused):

@@ -117,8 +117,9 @@ class TestTransferSpec:
         )
 
     def test_warns_in_marginal_band(self):
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning) as record:
             TransferSpec(coupling=1e9, detuning=7e9)
+        assert record[0].filename == __file__  # the line that built the spec
 
     def test_no_warning_deep_dispersive(self):
         with warnings.catch_warnings():
@@ -348,10 +349,10 @@ class TestCphaseError:
             photon_loss_rate=0.0,
             use_ideal_flips=True,
         )
-        assert cphase_spin_echo_error(spec)["error"] < 1e-5
+        assert cphase_spin_echo_error(spec, 0)["error"] < 1e-5
 
     def test_operating_point_frozen(self):
-        rep = cphase_spin_echo_error(cz_spec(20.0))
+        rep = cphase_spin_echo_error(cz_spec(20.0), 0)
         assert rep["error"] == pytest.approx(5.0876e-03, rel=2e-3)
         assert rep["std_error"] < 5e-4
 
@@ -370,7 +371,7 @@ class TestCphaseError:
             photon_loss_rate=0.0,
             use_ideal_flips=True,
         )
-        rep = cphase_spin_echo_error(spec)
+        rep = cphase_spin_echo_error(spec, 0)
         assert rep["error"] == pytest.approx(3.1107e-03, rel=1e-3)
         assert max(abs(r) for r in rep["calibration_residual"]) < 1e-12
         assert abs(wrapped(rep["conditional_phase"] - math.pi)) < 1e-9
@@ -384,7 +385,7 @@ class TestCphaseError:
 
     def test_monotone_in_speed_ratio(self):
         errors = [
-            cphase_spin_echo_error(cz_spec(r, n=400))["error"]
+            cphase_spin_echo_error(cz_spec(r, n=400), 0)["error"]
             for r in (5, 10, 20, 40, 80)
         ]
         assert errors == sorted(errors, reverse=True)
@@ -410,7 +411,7 @@ class TestCphaseError:
         reports = []
         for block in (lindblad.SAMPLE_BLOCK, 3, 9):
             monkeypatch.setattr(lindblad, "SAMPLE_BLOCK", block)
-            reports.append(cphase_spin_echo_error(spec))
+            reports.append(cphase_spin_echo_error(spec, 0))
         values = [np.concatenate(seen) for seen, _ in runs]
         for (_, stat), vals, report in zip(runs[1:], values[1:], reports[1:]):
             assert np.array_equal(vals, values[0])
@@ -429,23 +430,23 @@ class TestCphaseError:
             return original(a)
 
         monkeypatch.setattr(np.linalg, "eigh", counting)
-        cphase_spin_echo_error(cz_spec(20.0, n=2, use_ideal_flips=ideal_flips))
+        cphase_spin_echo_error(cz_spec(20.0, n=2, use_ideal_flips=ideal_flips), 0)
         assert len(calls) == builds
         assert calls[-1] == (2, 9, 9)  # the block's two draws in one batched call
 
     def test_deterministic_given_seed(self):
-        a = cphase_spin_echo_error(cz_spec(20.0, n=200))
-        b = cphase_spin_echo_error(cz_spec(20.0, n=200))
+        a = cphase_spin_echo_error(cz_spec(20.0, n=200), 0)
+        b = cphase_spin_echo_error(cz_spec(20.0, n=200), 0)
         assert a == b
 
     def test_seed_variation_within_noise(self):
-        a = cphase_spin_echo_error(cz_spec(20.0, seed=42))
-        b = cphase_spin_echo_error(cz_spec(20.0, seed=7))
+        a = cphase_spin_echo_error(cz_spec(20.0, seed=42), 0)
+        b = cphase_spin_echo_error(cz_spec(20.0, seed=7), 0)
         spread = math.hypot(a["std_error"], b["std_error"])
         assert abs(a["error"] - b["error"]) < 4 * spread
 
     def test_basis_states_reported(self):
-        r00, r01, r10, r11 = cphase_spin_echo_error(cz_spec(20.0, n=50))["retention"]
+        r00, r01, r10, r11 = cphase_spin_echo_error(cz_spec(20.0, n=50), 0)["retention"]
         # single-photon legs are exact; two-photon legs lose amplitude
         assert r01 > 1 - 1e-9
         assert r10 > 1 - 1e-9
@@ -454,7 +455,7 @@ class TestCphaseError:
 
     def test_result_holds_measured_values_only(self):
         # no echo of the spec's inputs, and plain data a JSON sidecar can hold
-        rep = cphase_spin_echo_error(cz_spec(20.0, n=10, photon_loss_rate=TWO_PI * 1e3))
+        rep = cphase_spin_echo_error(cz_spec(20.0, n=10, photon_loss_rate=TWO_PI * 1e3), 0)
         assert list(rep) == [
             "error",
             "std_error",
@@ -471,14 +472,14 @@ class TestCphaseError:
 
     def test_loss_free_paths_agree(self):
         # a vanishing loss rate must reproduce the lossless error
-        lossless = cphase_spin_echo_error(cz_spec(20.0, n=25))
-        lossy = cphase_spin_echo_error(cz_spec(20.0, n=25, photon_loss_rate=1e-3))
+        lossless = cphase_spin_echo_error(cz_spec(20.0, n=25), 0)
+        lossy = cphase_spin_echo_error(cz_spec(20.0, n=25, photon_loss_rate=1e-3), 0)
         assert lossy["error"] == pytest.approx(lossless["error"], abs=1e-6)
 
     def test_photon_loss_increases_error(self):
-        lossless = cphase_spin_echo_error(cz_spec(20.0, n=25))
+        lossless = cphase_spin_echo_error(cz_spec(20.0, n=25), 0)
         lossy = cphase_spin_echo_error(
-            cz_spec(20.0, n=25, photon_loss_rate=TWO_PI * 1e4)
+            cz_spec(20.0, n=25, photon_loss_rate=TWO_PI * 1e4), 0
         )
         assert lossy["error"] > lossless["error"]
         # uniform loss over the protocol duration sets the scale
@@ -490,9 +491,9 @@ class TestCphaseError:
     @pytest.mark.parametrize("ideal_flips", [True, False])
     def test_loss_scales_the_lossless_fidelity_by_both_photons_surviving(self, ideal_flips):
         kappa = TWO_PI * 1e3
-        lossless = cphase_spin_echo_error(cz_spec(20.0, n=40, use_ideal_flips=ideal_flips))
+        lossless = cphase_spin_echo_error(cz_spec(20.0, n=40, use_ideal_flips=ideal_flips), 0)
         spec = cz_spec(20.0, n=40, photon_loss_rate=kappa, use_ideal_flips=ideal_flips)
-        lossy = cphase_spin_echo_error(spec)
+        lossy = cphase_spin_echo_error(spec, 0)
         legs = 4 if ideal_flips else 6  # a simulated flip lasts one leg
         survival = math.exp(-2.0 * kappa * 2.0 * (legs / 2 * spec.transfer_time + spec.wait_time))
         assert lossy["error"] == pytest.approx(
@@ -501,8 +502,8 @@ class TestCphaseError:
         assert lossy["std_error"] == pytest.approx(survival * lossless["std_error"], rel=1e-12)
 
     def test_simulated_flips_supported(self):
-        ideal = cphase_spin_echo_error(cz_spec(20.0, n=25))
-        sim = cphase_spin_echo_error(cz_spec(20.0, n=25, use_ideal_flips=False))
+        ideal = cphase_spin_echo_error(cz_spec(20.0, n=25), 0)
+        sim = cphase_spin_echo_error(cz_spec(20.0, n=25, use_ideal_flips=False), 0)
         assert 0.0 < sim["error"] < 1.0
         assert abs(sim["error"] - ideal["error"]) < 1e-2
         # the wait is solved with the simulated flips in place
@@ -591,7 +592,7 @@ class TestLossySchedule:
     def test_closed_form_matches_vacuum_lindblad(self, ideal_flips, ratio, shift_in_std):
         base = cz_spec(ratio, n=2, photon_loss_rate=TWO_PI * 1e4, use_ideal_flips=ideal_flips)
         spec = frozen_shift_spec(base, shift_in_std * base.shift_std)
-        report = cphase_spin_echo_error(spec)
+        report = cphase_spin_echo_error(spec, 0)
         final = propagate_schedule(vacuum_schedule(spec), vacuum_start(), spec.frozen_shift)
         target = reported_target(report)
         fidelity = np.vdot(target, final.matrix @ target)
@@ -618,9 +619,9 @@ class TestLossySchedule:
 
     def test_block_split_leaves_samples_unchanged(self, monkeypatch):
         spec = cz_spec(20.0, n=8, photon_loss_rate=TWO_PI * 1e4, use_ideal_flips=False)
-        whole = cphase_spin_echo_error(spec)
+        whole = cphase_spin_echo_error(spec, 0)
         monkeypatch.setattr(lindblad, "SAMPLE_BLOCK", 3)
-        assert cphase_spin_echo_error(spec) == whole
+        assert cphase_spin_echo_error(spec, 0) == whole
 
 
 class TestEchoCancellation:
@@ -679,6 +680,10 @@ class TestLogicalPhaseExtract:
         psi[list(LOGICAL_FLAT)] = 0.5 + 2 * NORM_TOL
         with pytest.raises(ValueError, match="norm"):
             logical_phase_extract(psi)
+
+    def test_nan_norm_rejected(self):
+        with pytest.raises(ValueError, match="norm nan"):
+            logical_phase_extract(np.full(9, np.nan))
 
     def test_vanishing_reference_rejected(self):
         psi = np.zeros(9, dtype=complex)
