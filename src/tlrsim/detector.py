@@ -130,9 +130,13 @@ def _populations(rho: np.ndarray) -> tuple[float, float, float, float]:
 def detection_efficiency(p: DetectorParams) -> DetectionResult:
     """Propagate |1 photon, ground> until the click probability settles.
 
-    Checkpoints sit at t0 * 2^k; the propagator for the current span is
-    squared once per checkpoint, so reaching the hard time cap costs a
-    logarithmic number of dense multiplications.  Converged means the
+    Each checkpoint maps the latest state by the step, then squares the
+    step, so reaching the hard time cap costs a logarithmic number of
+    dense multiplications.  Checkpoint k therefore holds the state at
+    (2^k - 1) t0, but its ``time_series`` row is labelled t0 2^(k-1), and
+    that label is what ``t_final`` reports and what the time cap is tested
+    against; the efficiency, the settled latched population, does not
+    depend on it.  Converged means the
     latched population moved less than 1e-6 over the last doubling and
     the surviving excitation (photon plus excited junction) is below
     1e-6; otherwise, which takes zero photon loss, the best estimate is

@@ -236,7 +236,8 @@ _SWAP_PAIR = np.kron(_SWAP_CELL, _SWAP_CELL)
 _CONDITIONAL_CONTRAST = np.array([1.0, -1.0, -1.0, 1.0])
 _WAIT_GRID = 32  # bracketing intervals per period of the wait
 _WAIT_STEPS = 40  # false-position steps; 3 to 7 in the usual regime
-_WAIT_TOL = 1e-14  # rad
+_WAIT_TOL = 1e-14  # rad: where false position stops
+_WAIT_MISS = 1e-9  # rad: the largest conditional-phase miss a returned wait may have
 
 
 @dataclass(frozen=True)
@@ -384,10 +385,12 @@ def _solve_wait(spec: CphaseSpec) -> float:
 
     The wait only multiplies |22> by exp(i interaction w), so the echo is
     periodic in w with period 2 pi / |interaction|.  Sign changes of the
-    phase miss on a grid over one period bracket the roots; the one
-    nearest the instantaneous-leg root pi / (2 |interaction|) is refined
-    down to roundoff, so the wait joins that root smoothly as the legs
-    get faster.
+    phase miss on a grid over one period bracket the roots; false position
+    refines them nearest the instantaneous-leg root pi / (2 |interaction|)
+    first, so the wait joins that root smoothly as the legs get faster.  A
+    bracket may hold no root (where a logical amplitude passes near zero,
+    the miss swings across it without wrapping), so the first wait whose
+    miss is within ``_WAIT_MISS`` is returned.
     """
     psi = equal_superposition()
 
@@ -404,27 +407,27 @@ def _solve_wait(spec: CphaseSpec) -> float:
         for a, b, fa, fb in zip(grid, grid[1:], misses, misses[1:])
         if fa * fb <= 0.0 and abs(fa - fb) < math.pi
     ]
-    if not brackets:
-        raise ValueError(
-            f"no wait gives a conditional phase of pi: transfer coupling "
-            f"{spec.transfer_coupling:.4e} is too slow for interaction "
-            f"{spec.interaction_strength:.4e}"
-        )
-    a, b, fa, fb = min(brackets, key=lambda br: abs(br[0] + br[1] - 2.0 * w_instant))
-    # false position: the miss is close to linear across one grid step
-    wait = a
-    for _ in range(_WAIT_STEPS):
-        if fa == fb:
-            break
-        wait = b - fb * (b - a) / (fb - fa)
-        f_wait = misses_at(np.array([wait]))[0]
-        if abs(f_wait) <= _WAIT_TOL:
-            break
-        if fa * f_wait <= 0.0:
-            b, fb = wait, f_wait
-        else:
-            a, fa = wait, f_wait
-    return float(wait)
+    for a, b, fa, fb in sorted(brackets, key=lambda br: abs(br[0] + br[1] - 2.0 * w_instant)):
+        # false position: the miss is close to linear across one grid step
+        wait, f_wait = a, fa
+        for _ in range(_WAIT_STEPS):
+            if fa == fb:
+                break
+            wait = b - fb * (b - a) / (fb - fa)
+            f_wait = misses_at(np.array([wait]))[0]
+            if abs(f_wait) <= _WAIT_TOL:
+                break
+            if fa * f_wait <= 0.0:
+                b, fb = wait, f_wait
+            else:
+                a, fa = wait, f_wait
+        if abs(f_wait) <= _WAIT_MISS:
+            return float(wait)
+    raise ValueError(
+        f"no wait gives a conditional phase of pi: transfer coupling "
+        f"{spec.transfer_coupling:.4e} is too slow for interaction "
+        f"{spec.interaction_strength:.4e}"
+    )
 
 
 def cphase_ideal_leg_unitary(spec: CphaseSpec, shift_dev: float) -> np.ndarray:
@@ -449,41 +452,28 @@ def _wrap_phase(x: np.ndarray) -> np.ndarray:
     return np.angle(np.exp(1j * np.asarray(x)))
 
 
-_LOCAL_PHASE_DESIGN = np.array(
-    [[1, 0, 0], [1, 0, 1], [1, 1, 0], [1, 1, 1]], dtype=float
-)
-
-
 def _calibrated_target(u_cal: np.ndarray) -> tuple[np.ndarray, dict]:
     """Calibration on the noiseless protocol fixing global and per-qubit Z phases.
 
-    The four logical output phases of ``u_cal`` are decomposed into the
-    ideal controlled-phase pattern plus a least-squares fit of global and
-    local-Z contributions; an entangling residual cannot be absorbed
-    and stays in the gate error.  The solved wait makes that residual
-    vanish, and ``conditional_phase`` reports the phase it fixes.
+    With q the logical output phases of ``u_cal`` less the ideal
+    controlled-phase pattern, the global phase is q00, the first qubit's Z
+    is q10 - q00 and the second's q01 - q00, which fixes the 11 phase.  Its
+    miss, the conditional phase's miss of pi, no local Z can absorb: it
+    stays in the gate error as the last ``calibration_residual``, and the
+    solved wait makes it vanish.  Phases enter only through exp(i .), so no
+    wrap can spoil the calibration.
     """
     out = u_cal @ equal_superposition()
-    amps = out[list(LOGICAL_FLAT)]
-    theta = np.angle(amps)
-    q = _wrap_phase(theta - np.array(IDEAL_CZ_PHASES))
-    if np.max(np.abs(q)) > 2.5:
-        warnings.warn(
-            "calibration deviations close to the wrap point; local-phase "
-            "fit may be unreliable at this operating point",
-            stacklevel=2,
-        )
-    coef, *_ = np.linalg.lstsq(_LOCAL_PHASE_DESIGN, q, rcond=None)
-    fitted = _LOCAL_PHASE_DESIGN @ coef
-    target_phases = np.array(IDEAL_CZ_PHASES) + fitted
+    q = _wrap_phase(np.angle(out[list(LOGICAL_FLAT)]) - np.array(IDEAL_CZ_PHASES))
+    local = np.array([q[0], q[1], q[2], q[1] + q[2] - q[0]])
     target = np.zeros(9, dtype=complex)
-    target[list(LOGICAL_FLAT)] = 0.5 * np.exp(1j * target_phases)
+    target[list(LOGICAL_FLAT)] = 0.5 * np.exp(1j * (np.array(IDEAL_CZ_PHASES) + local))
     info = {
         "conditional_phase": float(np.mod(_conditional_phase(out), 2.0 * math.pi)),
-        "calibration_global_phase": float(coef[0]),
-        "calibration_z_first": float(coef[1]),
-        "calibration_z_second": float(coef[2]),
-        "calibration_residual": tuple(float(r) for r in _wrap_phase(q - fitted)),
+        "calibration_global_phase": float(q[0]),
+        "calibration_z_first": float(q[2] - q[0]),
+        "calibration_z_second": float(q[1] - q[0]),
+        "calibration_residual": (0.0, 0.0, 0.0, float(_wrap_phase(q[3] - local[3]))),
     }
     return target, info
 

@@ -659,6 +659,18 @@ class TestCsvCommands:
             assert proc.stderr == "warning: detuning below 10x coupling; dispersive corrections grow\n"
         assert serial.stdout == pooled.stdout
 
+    def test_cphase_points_near_the_phase_wrap_are_silent_at_any_jobs(self, tmp_path):
+        # these ratios put calibration phases near +-pi, which an exact
+        # calibration reads off without any wrap to warn about
+        path = tmp_path / "wrap.json"
+        path.write_text(json.dumps({"experiments": {"cphase": {"speed_ratios": [1.24, 1.48]}}}))
+        args = (*QUICK_CPHASE, "--config", str(path), "--no-timestamp")
+        serial, pooled = (run_cli(*args, "--jobs", jobs) for jobs in ("1", "2"))
+        for proc in (serial, pooled):
+            assert proc.returncode == 0
+            assert proc.stderr == ""
+        assert serial.stdout == pooled.stdout
+
 
 class TestThreadPolicy:
     def test_lossy_bytes_independent_of_jobs_and_blas_threads(self, tmp_path):

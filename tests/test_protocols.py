@@ -263,23 +263,35 @@ def conditional_phase(phases):
     return phases[0] - phases[1] - phases[2] + phases[3]
 
 
-def noiseless_echo_phases(spec, wait):
-    """Logical output phases of the noiseless echo with ideal flips.
+def noiseless_echo_output(spec, wait):
+    """Output of the noiseless echo on the equal logical superposition.
 
     Rebuilt from the protocol description (leg, wait, leg, flip, twice)
-    rather than from the module's internals.
+    rather than from the module's internals; a simulated flip hops both
+    photons between their resonators for one transfer time.
     """
     eye = np.eye(3)
     hop = np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0]])
+    hop_logical = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
     flip = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
     cross = np.zeros((9, 9))
     cross[8, 8] = -spec.interaction_strength  # both photons in the cell
-    h_leg = spec.transfer_coupling * (np.kron(hop, eye) + np.kron(eye, hop)) + cross
-    leg = expm(-1j * h_leg * spec.transfer_time)
-    half = np.kron(flip, flip) @ leg @ expm(-1j * cross * wait) @ leg
+    g, t = spec.transfer_coupling, spec.transfer_time
+    leg = expm(-1j * (g * (np.kron(hop, eye) + np.kron(eye, hop)) + cross) * t)
+    if spec.use_ideal_flips:
+        flip_pair = np.kron(flip, flip)
+    else:
+        flip_pair = expm(-1j * (g * (np.kron(hop_logical, eye) + np.kron(eye, hop_logical)) + cross) * t)
+    half = flip_pair @ leg @ expm(-1j * cross * wait) @ leg
     psi = np.zeros(9, dtype=complex)
     psi[list(LOGICAL_FLAT)] = 0.5
-    return logical_phase_extract(half @ half @ psi)
+    return half @ half @ psi
+
+
+def solved_wait_miss(spec):
+    """How far the rebuilt echo at the solved wait misses a conditional phase of pi."""
+    out = noiseless_echo_output(spec, spec.wait_time)
+    return wrapped(conditional_phase(np.angle(out[list(LOGICAL_FLAT)])) - math.pi)
 
 
 class TestCphaseSpec:
@@ -292,7 +304,7 @@ class TestCphaseSpec:
         # the finite legs add cross-Kerr phase, so the wait that brings the
         # conditional phase to pi is shorter than the instantaneous-leg one
         assert 0.0 < spec.wait_time <= math.pi / (2 * abs(DERIVED.omega_int))
-        phases = noiseless_echo_phases(spec, spec.wait_time)
+        phases = logical_phase_extract(noiseless_echo_output(spec, spec.wait_time))
         assert abs(wrapped(conditional_phase(phases) - math.pi)) < 1e-9
         assert spec.transfer_time == pytest.approx(
             math.pi / (2 * spec.transfer_coupling), rel=1e-15
@@ -304,6 +316,30 @@ class TestCphaseSpec:
         # blockaded legs: no wait brings the conditional phase to pi
         with pytest.raises(ValueError, match="conditional phase of pi"):
             cz_spec(0.5).wait_time
+
+    def test_bracket_without_a_root_is_passed_over(self):
+        # the |00> amplitude passes near zero inside the grid step nearest
+        # pi / (2 |omega_int|), so the miss changes sign across that step
+        # without a root; the next root lies near 2.7 pi / (2 |omega_int|)
+        spec = cz_spec(0.921, n=2)
+        assert abs(solved_wait_miss(spec)) < 1e-9
+        assert spec.wait_time > math.pi / (2 * abs(DERIVED.omega_int))
+
+    @pytest.mark.parametrize("ideal_flips", [True, False])
+    def test_every_solved_wait_gives_a_conditional_phase_of_pi(self, ideal_flips):
+        ratios = np.random.default_rng(11).uniform(0.9, 3.0, size=200)
+        solved = 0
+        for ratio in ratios:
+            spec = cz_spec(float(ratio), n=2, use_ideal_flips=ideal_flips)
+            try:
+                wait = spec.wait_time
+            except ValueError as exc:
+                assert "no wait gives a conditional phase of pi" in str(exc)
+                continue
+            assert wait > 0.0
+            assert abs(solved_wait_miss(spec)) < 1e-9, ratio
+            solved += 1
+        assert solved >= 150  # only simulated flips below about 0.91 are refused
 
     def test_shift_deviation_statistics(self):
         # deviation is linear in phi^2; std must reproduce shift_std
