@@ -60,12 +60,12 @@ def run(args) -> None:
     cphase = run_cphase_sweep(config, jobs=args.jobs)
     write(cphase, outdir / "cphase_error.csv")
     for row in cphase.rows:
-        print(f"controlled-phase error at speed ratio {row[0]:>5.0f}: {row[1]:.4e} +- {row[2]:.1e}")
+        print(f"controlled-phase error at speed ratio {row[0]:>5}: {row[1]:.4e} +- {row[2]:.1e}")
 
     detector = run_detector_sweep(config, jobs=args.jobs)
     write(detector, outdir / "detector_efficiency.csv")
     best = detector.rows[-1]
-    print(f"detector efficiency at ratio {best[0]:.0f}: {best[1]:.6f}")
+    print(f"detector efficiency at ratio {best[0]}: {best[1]:.6f}")
 
     print(f"CSVs written to {outdir}/")
 

@@ -32,7 +32,7 @@ __all__ = [
 CONVERGENCE_TOL = 1e-6
 T0_RATE_FACTOR = 10.0
 T_MAX_FACTOR = 1.0e3
-MAX_CHECKPOINTS = 52  # doublings from t0 to t_max: a double's mantissa
+MAX_CHECKPOINTS = 52  # squarings of the step: past them, 2^k unit roundoffs reach order one
 
 GROUND, EXCITED, LATCHED = 0, 1, 2
 
@@ -130,17 +130,18 @@ def _populations(rho: np.ndarray) -> tuple[float, float, float, float]:
 def detection_efficiency(p: DetectorParams) -> DetectionResult:
     """Propagate |1 photon, ground> until the click probability settles.
 
-    Each checkpoint maps the latest state by the step, then squares the
-    step, so reaching the hard time cap costs a logarithmic number of
-    dense multiplications.  Checkpoint k therefore holds the state at
-    (2^k - 1) t0, but its ``time_series`` row is labelled t0 2^(k-1), and
+    Checkpoint k squares the step k times and maps the latest state by it,
+    so reaching the hard time cap costs a logarithmic number of dense
+    multiplications.  Row k of ``time_series`` (row 0 is the initial
+    state) holds the state at (2^k - 1) t0 but is labelled t0 2^(k-1);
     that label is what ``t_final`` reports and what the time cap is tested
-    against; the efficiency, the settled latched population, does not
-    depend on it.  Converged means the
-    latched population moved less than 1e-6 over the last doubling and
-    the surviving excitation (photon plus excited junction) is below
-    1e-6; otherwise, which takes zero photon loss, the best estimate is
-    returned with converged False.
+    against, and the efficiency, the settled latched population, does not
+    depend on it.  Converged means the latched population moved less than
+    1e-6 over the last doubling and the surviving excitation (photon plus
+    excited junction) is below 1e-6; otherwise, which takes zero photon
+    loss, the best estimate is returned with converged False.  ValueError
+    names a checkpoint state that the squarings broke, and a run that
+    neither settles nor reaches the cap within ``MAX_CHECKPOINTS`` squarings.
     """
     if p.coupling == 0 or p.escape_rate == 0:
         # photon never couples, or the latched level is unreachable
@@ -151,41 +152,29 @@ def detection_efficiency(p: DetectorParams) -> DetectionResult:
         )
 
     rates = (p.photon_loss_rate, p.escape_rate, p.intra_well_decay, p.dephasing_rate)
-    dissipative = [r for r in rates if r > 0]
-    fastest = max(p.coupling, *rates, abs(p.detuning))
-    spread = fastest / min(dissipative)
-    # each checkpoint squares the propagator and can double its roundoff: past
-    # MAX_CHECKPOINTS doublings from t0 to t_max, 2^k unit roundoffs reach order one
-    if not T0_RATE_FACTOR * T_MAX_FACTOR * spread <= 2.0**MAX_CHECKPOINTS:
-        raise ValueError(
-            f"detector rates span {spread:.3g}x: doubling checkpoints from t0 to "
-            f"t_max would take more than {MAX_CHECKPOINTS} squarings"
-        )
-    t0 = 1.0 / (T0_RATE_FACTOR * fastest)
-    t_max = T_MAX_FACTOR / min(dissipative)
+    t0 = 1.0 / (T0_RATE_FACTOR * max(p.coupling, *rates, abs(p.detuning)))
+    t_max = T_MAX_FACTOR / min(r for r in rates if r > 0)
 
     space = detector_space()
     rho = space.basis_state([1, GROUND])
     step = propagator(build_detector_liouvillian(p), t0)
-    t = t0
 
     series = [(0.0, 1.0, 0.0, 0.0, 1.0)]
-    converged = False
-    while True:
+    for k in range(MAX_CHECKPOINTS + 1):
+        if k:
+            step = step @ step
         try:
             rho = DensityMatrix(space, apply_superoperator(step, rho.matrix))
         except ValueError as exc:  # the squarings compounded roundoff past the state checks
-            k = len(series) - 1
             raise ValueError(f"detector checkpoint {k} failed after {k} repeated squarings: {exc}")
         p_g, p_e, p_f, photon = _populations(rho.matrix)
+        t = t0 * 2.0**k
         series.append((t, p_g, p_e, p_f, photon))
-        if p_f - series[-2][3] < CONVERGENCE_TOL and photon + p_e < CONVERGENCE_TOL:
-            converged = True
+        converged = p_f - series[-2][3] < CONVERGENCE_TOL and photon + p_e < CONVERGENCE_TOL
+        if converged or t >= t_max:
             break
-        if t >= t_max:
-            break
-        step = step @ step
-        t *= 2.0
+    else:
+        raise ValueError(f"detector did not settle within {MAX_CHECKPOINTS} squarings of its step")
 
     return DetectionResult(
         efficiency=min(1.0, max(0.0, p_f)),

@@ -361,7 +361,8 @@ def single_leaf_overrides(draw):
     return override
 
 
-DETECTOR_SPREAD = "detector rates span"
+DETECTOR_UNSETTLED = "detector did not settle within 52 squarings of its step"
+FAST_DETECTOR = {"coupling_hz": 3e306, "photon_loss_rate_hz": 3e306, "escape_rate_hz": 3e306}
 ZERO_ESCAPE = "escape rate gamma_over_kappa x photon loss rate is 0"
 EXPM_SQUARINGS = "needs more than 23 squarings"
 CHECKPOINT_SQUARINGS = "repeated squarings: "  # then the state check's reason
@@ -383,7 +384,7 @@ ENGINE_EXIT_ONE_CONDITIONS = (
     EXPM_SQUARINGS,
     CHECKPOINT_SQUARINGS,
     PROPAGATOR_SQUARINGS,
-    DETECTOR_SPREAD,
+    DETECTOR_UNSETTLED,
     ZERO_ESCAPE,  # the detector sweep at zero photon loss
     STIFF,
     "no wait gives a conditional phase of pi",  # a cphase transfer too slow for its interaction
@@ -503,13 +504,35 @@ class TestDerivedConditions:
         "command, override, message",
         [
             *(
-                (command, {"device": {"detector": {"coupling_hz": hz}}}, DETECTOR_SPREAD)
-                for hz in (1e20, 1e50, 1e100, 1e307)  # 1e307 ran for minutes before
+                (command, {"device": {"detector": {"coupling_hz": hz}}}, CHECKPOINT_SQUARINGS)
+                for hz in (1e20, 1e50, 1e100)
                 for command in ("detector", "validate")
+            ),
+            # 10 x 2 pi x 1e307 rad/s overflows, so t0 = 0 and the step is the
+            # identity: no checkpoint moves the state, and the count stops it
+            *(
+                (command, {"device": {"detector": {"coupling_hz": 1e307}}}, DETECTOR_UNSETTLED)
+                for command in ("detector", "validate")
+            ),
+            # equal rates, a spread of 1, but 10 x 2 pi x 3e306 rad/s overflows too
+            (
+                "validate",
+                {"device": {"detector": {**FAST_DETECTOR, "intra_well_decay_hz": 0, "dephasing_rate_hz": 0}}},
+                DETECTOR_UNSETTLED,
+            ),
+            (
+                "detector",
+                {
+                    "device": {
+                        "detector": {**FAST_DETECTOR, "intra_well_decay_hz": 3e306, "dephasing_rate_hz": 3e306}
+                    },
+                    "experiments": {"detector": {"gamma_over_kappa": [1.0]}},
+                },
+                DETECTOR_UNSETTLED,
             ),
             ("validate", {"experiments": {"transfer": {"detuning_hz": 1e300}}}, EXPM_SQUARINGS),
             ("validate", {"noise": {"kappa_hz": 1e300}}, EXPM_SQUARINGS),
-            # under the doubling bound, but roundoff breaks a checkpoint state
+            # roundoff breaks a checkpoint state
             ("detector", {"device": {"detector": {"coupling_hz": 1e12}}}, f"{CHECKPOINT_SQUARINGS}trace"),
             (
                 "detector",
@@ -525,14 +548,23 @@ class TestDerivedConditions:
         ],
     )
     def test_squaring_past_roundoff_is_refused_by_name(self, tmp_path, command, override, message):
-        # in the accepted range, but repeated squaring would compound roundoff
-        # past the state checks: refused up front, so well inside the timeout
+        # in the accepted range, but repeated squaring compounds roundoff past
+        # the state checks, or the checkpoints never settle: refused by name,
+        # well inside the timeout
         path = tmp_path / "spread.json"
         path.write_text(json.dumps(override))
         proc = run_cli(command, "--config", str(path), timeout=30)
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ") and message in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("command", ["detector", "validate"])
+    def test_detector_rates_spanning_1e12_run(self, command):
+        # the rates span 1e12x, yet each point settles within 18 checkpoints
+        override = {"device": {"detector": {"dephasing_rate_hz": 1e-4}}}
+        code, stdout, stderr = run_in_process(command, override)
+        assert (code, stderr) == (0, ""), stderr
+        assert stdout
 
     @pytest.mark.parametrize(
         "override, low, high",

@@ -100,3 +100,13 @@ def test_non_positive_jobs_exits_two_naming_the_flag(tmp_path):
     assert proc.returncode == 2
     assert "argument --jobs: must be a positive integer" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_ratios_print_as_configured(tmp_path):
+    overrides = json.loads(json.dumps(SMALL))
+    overrides["experiments"]["cphase"]["speed_ratios"] = [1.24, 1.48, 20]
+    overrides["experiments"]["detector"]["gamma_over_kappa"] = [0.5, 2.5]
+    proc = run_script(tmp_path, "--quick", overrides=overrides)
+    assert proc.returncode == 0, proc.stderr
+    printed = [line.split(":")[0].split()[-1] for line in proc.stdout.splitlines() if " ratio " in line]
+    assert [float(ratio) for ratio in printed] == [1.24, 1.48, 20.0, 2.5]  # the last detector row
