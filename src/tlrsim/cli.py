@@ -23,6 +23,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import argparse
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -177,6 +178,9 @@ def _params_report(config: dict) -> str:
         ),
         ("interaction_spread_rel", derived.delta_omega_int_rel, "dimensionless"),
     ]
+    for name, value, _ in rows:
+        if not math.isfinite(value):  # a tiny detuning: g^2 / delta overflows
+            raise ValueError(f"params row {name} leaves the float range")
     width = max(len(name) for name, _, _ in rows)
     lines = [f"{name:<{width}}  {value: .8e}  {note}" for name, value, note in rows]
     return "\n".join(lines) + "\n"

@@ -7,7 +7,7 @@ fixed-step RK4, run once at its step rule, that evaluates the dissipator
 with matrix products, never touching the superoperator.  Jump rates are
 canonical: a term (op, rate) contributes rate * (O rho O+ - {O+O, rho}/2);
 a rate must be finite and nonnegative, and a term of rate 0 is dropped.
-:func:`expm` refuses a matrix that needs more than ``MAX_SQUARINGS``
+:func:`_expm` refuses a matrix that needs more than ``MAX_SQUARINGS``
 squarings, whose roundoff would pass the states' trace tolerance.
 
 Quasi-static noise is handled by one Monte Carlo loop,
@@ -16,19 +16,20 @@ Quasi-static noise is handled by one Monte Carlo loop,
 order, worker count or block size.  It evaluates a vectorized model on
 blocks of draws, such as the controlled-phase echo on pure states, and
 keeps only the sample mean and its standard error.  For density
-matrices (:func:`monte_carlo_quasistatic`) a sample enters one evolution
-affinely, G(x) = G0 + x G1 with G1 the superoperator of one Hamiltonian
-term: each block runs one stacked Pade exponential of G0 t + x G1 t and
-validates every final state.  Schedules with unitary kicks run one
-coefficient at a time (:func:`propagate_schedule`), the reference for
-the closed-form lossy echo.
+matrices (:func:`monte_carlo_quasistatic`, given a generator, a duration
+and a shift term) a sample enters one evolution affinely, G(x) = G0 + x G1
+with G1 the superoperator of the shift: each block runs one stacked Pade
+exponential of G0 t + x G1 t and validates every final state.  A schedule
+(:func:`propagate_schedule`), the reference for the closed-form lossy
+echo, is a sequence of (Liouvillian, duration) pairs, which evolve, and
+unitary arrays, which kick.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Sequence, Union
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -40,14 +41,11 @@ __all__ = [
     "LindbladTerm",
     "Liouvillian",
     "apply_superoperator",
-    "expm",
     "propagator",
     "apply_propagator",
     "squaring_roundoff",
     "propagate_expm",
     "propagate_rk4",
-    "Evolve",
-    "Apply",
     "propagate_schedule",
     "trace_distance",
     "substream_rng",
@@ -222,7 +220,7 @@ def _scaled_pade(a: np.ndarray, m: int, s: int) -> np.ndarray:
     return r
 
 
-def expm(a: np.ndarray) -> np.ndarray:
+def _expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential of a square array, or of each matrix of a stack.
 
     ``a`` has shape (..., m, m).  Each matrix gets the lowest Pade degree
@@ -256,7 +254,7 @@ def propagator(liouvillian: Liouvillian, duration: float) -> np.ndarray:
     """Superoperator exp(L t) acting on column-stacked density matrices."""
     if duration < 0:
         raise ValueError("duration must be nonnegative")
-    return expm(liouvillian.matrix() * duration)
+    return _expm(liouvillian.matrix() * duration)
 
 
 def apply_propagator(superop: np.ndarray, rho0: DensityMatrix) -> DensityMatrix:
@@ -327,84 +325,33 @@ def _rk4_run(liouvillian: Liouvillian, rho0: np.ndarray, duration: float, steps:
     return rho
 
 
-@dataclass(frozen=True, eq=False)
-class Evolve:
-    """Schedule segment: free evolution under one generator.
-
-    ``shift`` is the Hermitian term that a sample's coefficient scales: at
-    coefficient x the segment evolves under the generator with x * shift
-    added to its Hamiltonian (see :meth:`at`).  Segments compare and hash
-    by identity, so an object that recurs in a schedule is built once.
-    """
-
-    generator: Liouvillian
-    duration: float
-    shift: np.ndarray
-
-    def __post_init__(self):
-        if self.duration < 0:
-            raise ValueError("duration must be nonnegative")
-        if not _on_space(self.shift, self.generator.space):
-            raise ValueError("shift term lives on a different space")
-        if not is_hermitian(self.shift):
-            raise ValueError("shift term must be Hermitian")
-
-    def at(self, coefficient: float) -> Liouvillian:
-        """The generator at one sample coefficient."""
-        h = self.generator.hamiltonian + self.shift * coefficient
-        return replace(self.generator, hamiltonian=h)
-
-
-@dataclass(frozen=True)
-class Apply:
-    """Schedule segment: instantaneous unitary kick."""
-
-    unitary: np.ndarray
-
-    def __post_init__(self):
-        u = self.unitary  # U U+ within NORM_TOL of the identity, elementwise
-        if not np.abs(u @ u.conj().T - np.eye(len(u))).max() <= NORM_TOL:
-            raise ValueError("Apply segment needs a unitary operator")
-
-
-Segment = Union[Evolve, Apply]
-
-
-def _check_schedule(segments: Sequence[Segment], space: HilbertSpace) -> None:
-    for segment in segments:
-        if isinstance(segment, Apply):
-            if not _on_space(segment.unitary, space):
-                raise ValueError("unitary lives on a different space")
-        elif isinstance(segment, Evolve):
-            if segment.generator.space != space:
-                raise ValueError("state lives on a different space")
-        else:
-            raise TypeError(f"unknown schedule segment {segment!r}")
-
-
 def propagate_schedule(
-    segments: Sequence[Segment],
-    rho0: DensityMatrix,
-    coefficient: float,
+    segments: Sequence[tuple[Liouvillian, float] | np.ndarray], rho0: DensityMatrix
 ) -> DensityMatrix:
-    """Run a pulse schedule segment by segment at one sample coefficient.
+    """Run a pulse schedule segment by segment.
 
-    Each :class:`Evolve` runs under its generator at ``coefficient``.  A
-    segment object that occurs more than once in the schedule has its
-    propagator built once and reused; every segment's output is still
-    validated as a state.
+    A segment is a (Liouvillian, duration) pair, which evolves, or a (d, d)
+    unitary array, which kicks.  A pair object that occurs more than once
+    in the schedule has its propagator built once and reused; every
+    segment's output is still validated as a state.
     """
-    _check_schedule(segments, rho0.space)
     built = {}
     state = rho0
     for segment in segments:
-        if isinstance(segment, Apply):
-            u = segment.unitary
-            state = DensityMatrix(state.space, u @ state.matrix @ u.conj().T)
-        else:
-            if segment not in built:
-                built[segment] = propagator(segment.at(coefficient), segment.duration)
-            state = apply_propagator(built[segment], state)
+        if isinstance(segment, tuple):
+            generator, duration = segment
+            if generator.space != rho0.space:
+                raise ValueError("state lives on a different space")
+            if id(segment) not in built:  # a Liouvillian holds arrays: no hash by value
+                built[id(segment)] = propagator(generator, duration)
+            state = apply_propagator(built[id(segment)], state)
+            continue
+        u = np.asarray(segment)
+        if not _on_space(u, rho0.space):
+            raise ValueError("unitary lives on a different space")
+        if not np.abs(u @ u.conj().T - np.eye(len(u))).max() <= NORM_TOL:
+            raise ValueError("schedule kick needs a unitary operator")
+        state = DensityMatrix(state.space, u @ state.matrix @ u.conj().T)
     return state
 
 
@@ -504,7 +451,9 @@ def monte_carlo_scalar(
 
 
 def monte_carlo_quasistatic(
-    segment: Evolve,
+    generator: Liouvillian,
+    duration: float,
+    shift: np.ndarray,
     noise: QuasiStaticNoise,
     rho0: DensityMatrix,
     observable: Callable[[np.ndarray], np.ndarray],
@@ -513,20 +462,24 @@ def monte_carlo_quasistatic(
 ) -> ObservableStat:
     """Average an observable of one evolution's final states over quasi-static draws.
 
-    ``coefficient`` maps an array of drawn values to the coefficients of
-    the segment's shift term.  Each block of :func:`monte_carlo_scalar`
+    A sample evolves for ``duration`` under ``generator`` with x * ``shift``
+    added to its Hamiltonian, where ``coefficient`` maps an array of drawn
+    values to their coefficients x.  Each block of :func:`monte_carlo_scalar`
     takes one stacked exponential of G0 t + x G1 t and applies it to
     rho0; each final state is Hermitized and checked against the
     :class:`DensityMatrix` tolerances.
     ``observable`` maps the (n, d, d) stack of final states to n values.
     """
-    _check_schedule([segment], rho0.space)
-    g0 = segment.generator.matrix() * segment.duration
-    g1 = Liouvillian(rho0.space, segment.shift).matrix() * segment.duration
+    if duration < 0:
+        raise ValueError("duration must be nonnegative")
+    if generator.space != rho0.space:
+        raise ValueError("state lives on a different space")
+    g0 = generator.matrix() * duration
+    g1 = Liouvillian(rho0.space, shift).matrix() * duration  # checks the shift's shape, Hermiticity
 
     def block(draws: np.ndarray) -> np.ndarray:
         scale = np.asarray(coefficient(draws), float)[:, None, None]
-        states = apply_superoperator(expm(g0 + scale * g1), rho0.matrix)
+        states = apply_superoperator(_expm(g0 + scale * g1), rho0.matrix)
         states = 0.5 * (states + states.conj().swapaxes(1, 2))
         defect = density_defect(states)
         if defect is not None:

@@ -22,7 +22,6 @@ from .config import detector_params, fjs_params, tap_coupling, tlr_params
 from .detector import DetectorParams, build_detector_liouvillian, detection_efficiency, detector_space
 from .device import DISPERSIVE_SAFE, fjs_derive, mode_frequency, thermal_occupancy, to_angular
 from .lindblad import (
-    Evolve,
     Liouvillian,
     QuasiStaticNoise,
     apply_propagator,
@@ -187,7 +186,9 @@ def _check_mc_agreement(
         seed=seed,
     )
     stat = monte_carlo_quasistatic(
-        Evolve(exchange_only, t, exchange),
+        exchange_only,
+        t,
+        exchange,
         noise,
         rho0,
         lambda states: states[:, 1, 1].real,

@@ -320,6 +320,7 @@ EXIT_ONE_CONDITIONS = (
     "SQUID operating point leaves the float range",  # a derived quantity under- or overflows
     "tap coupling leaves the float range",  # C (C_J + 2 C_c) underflows: a subnormal capacitance_f
     "detuning must be nonzero",  # experiments.transfer.detuning_hz of 0
+    "params row ",  # a params row past the float range: a detuning near 0
 )
 
 EXTREMES = (5e-324, 1e-300, 1e-30, 0.0, 1.0, 1e30, 1e300, sys.float_info.max)
@@ -601,6 +602,27 @@ class TestDerivedConditions:
         assert proc.returncode == 1
         assert proc.stderr.startswith(f"error: {STIFF}")
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "override, row",
+        [
+            ({"experiments": {"transfer": {"detuning_hz": 1e-300}}}, "transfer_rate_hz"),
+            ({"experiments": {"transfer": {"detuning_hz": 1e-160}}}, "effective_dephasing_hz"),
+            # -inf, then inf x 0 = nan in the dephasing and loss rows
+            (
+                {
+                    "experiments": {"transfer": {"detuning_hz": -1e-300}},
+                    "device": {"cbjj": {"dephasing_rate_hz": 0, "decay_rate_hz": 0}},
+                },
+                "transfer_rate_hz",
+            ),
+        ],
+    )
+    def test_params_row_past_the_float_range_exits_one(self, override, row):
+        code, stdout, stderr = run_in_process("params", override)
+        assert (code, stdout) == (1, "")
+        assert stderr == f"error: params row {row} leaves the float range\n"
+        assert any(c in stderr for c in ENGINE_EXIT_ONE_CONDITIONS)
 
     @settings(max_examples=300, deadline=None)
     @given(single_leaf_overrides())

@@ -4,10 +4,12 @@ and each subcommand imports only what it runs."""
 import ast
 import copy
 import importlib
+import io
 import json
 import re
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -138,15 +140,25 @@ def exported_functions(source: str) -> list[str]:
     return [n.name for n in tree.body if isinstance(n, ast.FunctionDef) and n.name in exported]
 
 
+def without_comments(source: str) -> str:
+    """``source``'s code and string literals, its comments dropped."""
+    tokens = tokenize.generate_tokens(io.StringIO(source).readline)
+    return " ".join(t.string for t in tokens if t.type != tokenize.COMMENT)
+
+
 def unused_exports(modules: dict[str, str], callers: list[str]) -> list[str]:
     """``module.function`` of each exported function that no other source names.
 
     ``modules`` maps a tlrsim module's name to its source; ``callers`` are
-    the other sources (scripts, the benchmark tracer) that may name it.
+    the other sources (scripts, the benchmark tracer) that may name it.  A
+    name counts in code or in a string literal (the tracer names its
+    targets in strings), never in a comment.
     """
     found = []
+    code = {name: without_comments(text) for name, text in modules.items()}
+    callers = [without_comments(text) for text in callers]
     for module, source in modules.items():
-        others = [text for name, text in modules.items() if name != module] + callers
+        others = [text for name, text in code.items() if name != module] + callers
         for function in exported_functions(source):
             word = re.compile(rf"\b{function}\b")
             if not any(word.search(text) for text in others):
@@ -164,6 +176,11 @@ def test_unused_export_check_flags_a_test_only_function():
     modules, callers = package_sources()
     modules["planted"] = '__all__ = ["planted_helper"]\n\n\ndef planted_helper():\n    pass\n'
     assert "planted.planted_helper" in unused_exports(modules, callers)
+    # a comment that names it is no caller; a string literal, as in the tracer's targets, is
+    commented = callers + ["x = 1  # planted_helper against RK4\n"]
+    assert "planted.planted_helper" in unused_exports(modules, commented)
+    named = callers + ['TARGETS = (("tlrsim.planted", "planted_helper"),)\n']
+    assert "planted.planted_helper" not in unused_exports(modules, named)
 
 
 def test_no_public_function_only_tests_use():

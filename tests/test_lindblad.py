@@ -9,15 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from tlrsim import lindblad
 from tlrsim.lindblad import (
-    Apply,
-    Evolve,
     IntegrationError,
     LindbladTerm,
     Liouvillian,
     MonteCarloError,
     QuasiStaticNoise,
     apply_superoperator,
-    expm,
     monte_carlo_quasistatic,
     monte_carlo_scalar,
     propagate_expm,
@@ -92,24 +89,24 @@ class TestExpm:
         a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         a *= norm / np.linalg.norm(a, 1)
         ref = scipy.linalg.expm(a)
-        assert np.linalg.norm(expm(a) - ref, 1) <= 1e-13 * np.linalg.norm(ref, 1)
+        assert np.linalg.norm(lindblad._expm(a) - ref, 1) <= 1e-13 * np.linalg.norm(ref, 1)
 
     def test_zero_gives_identity(self):
-        assert np.array_equal(expm(np.zeros((9, 9), dtype=complex)), np.eye(9))
+        assert np.array_equal(lindblad._expm(np.zeros((9, 9), dtype=complex)), np.eye(9))
 
     def test_diagonal(self):
         d = np.random.default_rng(3).normal(size=16) * 5 + 1j * np.linspace(-20, 20, 16)
-        assert np.allclose(expm(np.diag(d)), np.diag(np.exp(d)), rtol=1e-13, atol=0)
+        assert np.allclose(lindblad._expm(np.diag(d)), np.diag(np.exp(d)), rtol=1e-13, atol=0)
 
     def test_inverse(self):
         rng = np.random.default_rng(5)
         a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
         a *= 3.0 / np.linalg.norm(a, 1)
-        assert np.allclose(expm(a) @ expm(-a), np.eye(16), rtol=0, atol=1e-12)
+        assert np.allclose(lindblad._expm(a) @ lindblad._expm(-a), np.eye(16), rtol=0, atol=1e-12)
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
-            expm(np.ones((2, 3)))
+            lindblad._expm(np.ones((2, 3)))
 
     @pytest.mark.parametrize("norm", [1e-3, 0.1, 0.5, 1.5, 4.0, 100.0])
     def test_stack_matches_slices(self, norm):
@@ -119,10 +116,10 @@ class TestExpm:
         a *= norm * np.linspace(0.9, 1.0, 6).reshape(2, 3, 1, 1) / np.linalg.norm(
             a, 1, axis=(-2, -1), keepdims=True
         )
-        stacked = expm(a)
+        stacked = lindblad._expm(a)
         assert stacked.shape == a.shape
         for i, j in np.ndindex(2, 3):
-            ref = expm(a[i, j])
+            ref = lindblad._expm(a[i, j])
             assert np.linalg.norm(stacked[i, j] - ref, 1) <= 1e-13 * np.linalg.norm(ref, 1)
 
     def test_mixed_degree_stack_is_bitwise_per_slice(self):
@@ -132,21 +129,21 @@ class TestExpm:
         a = rng.normal(size=(6, 5, 5)) + 1j * rng.normal(size=(6, 5, 5))
         norms = np.array([1e-3, 0.1, 0.5, 1.5, 4.0, 100.0])
         a *= (norms / np.linalg.norm(a, 1, axis=(1, 2)))[:, None, None]
-        stacked = expm(a)
+        stacked = lindblad._expm(a)
         for i in range(6):
-            assert np.array_equal(stacked[i], expm(a[i]))
-        assert np.array_equal(expm(a[3]), expm(a[3][None])[0])
+            assert np.array_equal(stacked[i], lindblad._expm(a[i]))
+        assert np.array_equal(lindblad._expm(a[3]), lindblad._expm(a[3][None])[0])
 
     def test_refuses_more_squarings_than_the_trace_tolerance_allows(self):
         # 2^23 unit roundoffs stay within the 1e-9 trace tolerance, 2^24 do not
         rotation = np.diag([1j, -1j])  # unitary exponential: no overflow at any norm
         limit = lindblad._THETA_13 * 2.0**lindblad.MAX_SQUARINGS
-        u = expm(rotation * limit)
+        u = lindblad._expm(rotation * limit)
         assert np.allclose(u @ u.conj().T, np.eye(2), rtol=0, atol=1e-8)
         overflowed = np.array([[np.inf, 0.0], [0.0, 0.0]])
         for a in (rotation * 1.01 * limit, np.stack([rotation, rotation * 2.0 * limit]), overflowed):
             with pytest.raises(ValueError, match="more than 23 squarings"):
-                expm(a)
+                lindblad._expm(a)
 
     def test_cli_import_loads_no_scipy(self):
         code = ("import sys, tlrsim.cli; "
@@ -332,10 +329,7 @@ class TestSchedule:
         x_gate = np.array([[0, 1], [1, 0]], dtype=complex)
         liou = Liouvillian(space, NO_HAMILTONIAN, terms=(LindbladTerm(lower, 2.0),))
         rho0 = space.basis_state([0])
-        # the shift term (any Hermitian one) enters at coefficient 0
-        final = propagate_schedule(
-            [Apply(x_gate), Evolve(liou, 0.7, x_gate), Apply(x_gate)], rho0, 0.0
-        )
+        final = propagate_schedule([x_gate, (liou, 0.7), x_gate], rho0)
         # flip, decay, flip back: ground population is now exp(-1.4)
         assert final.population(0) == pytest.approx(math.exp(-1.4), abs=1e-12)
 
@@ -343,29 +337,29 @@ class TestSchedule:
         space, lower = qubit_tools()
         liou = Liouvillian(space, NO_HAMILTONIAN, terms=(LindbladTerm(lower, 2.0),))
         rho0 = space.basis_state([1])
-        a = propagate_schedule([Evolve(liou, 0.7, lower + lower.conj().T)], rho0, 0.0)
+        a = propagate_schedule([(liou, 0.7)], rho0)
         b = propagate_rk4(liou, rho0, 0.7)
         assert trace_distance(a, b) <= 1e-7
 
     def test_non_unitary_apply_rejected(self):
-        _, lower = qubit_tools()
-        with pytest.raises(ValueError, match="^Apply segment needs a unitary operator$"):
-            Apply(lower)
+        space, lower = qubit_tools()
+        rho0 = space.basis_state([0])
+        with pytest.raises(ValueError, match="^schedule kick needs a unitary operator$"):
+            propagate_schedule([lower], rho0)
         with pytest.raises(ValueError, match="unitary"):
-            Apply(np.diag([1.0, 1.0 + 1e-9]))  # off the identity by 2e-9 > NORM_TOL
+            # off the identity by 2e-9 > NORM_TOL
+            propagate_schedule([np.diag([1.0, 1.0 + 1e-9])], rho0)
 
     def test_wrong_shape_unitary_rejected(self):
         space, _ = qubit_tools()
         with pytest.raises(ValueError, match="^unitary lives on a different space$"):
-            propagate_schedule([Apply(np.eye(3))], space.basis_state([0]), 0.0)
+            propagate_schedule([np.eye(3)], space.basis_state([0]))
 
-    def test_evolve_rejects_wrong_shape_or_non_hermitian_shift(self):
-        space, lower = qubit_tools()
-        liou = Liouvillian(space, NO_HAMILTONIAN, terms=(LindbladTerm(lower, 2.0),))
-        with pytest.raises(ValueError, match="^shift term lives on a different space$"):
-            Evolve(liou, 0.7, np.eye(3))
-        with pytest.raises(ValueError, match="^shift term must be Hermitian$"):
-            Evolve(liou, 0.7, lower)
+    def test_generator_on_another_space_rejected(self):
+        space, _ = qubit_tools()
+        qutrit = Liouvillian(HilbertSpace([("t", 3)]), np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="^state lives on a different space$"):
+            propagate_schedule([(qutrit, 0.7)], space.basis_state([0]))
 
 
 class TestTraceDistance:
@@ -475,17 +469,22 @@ class TestStateMonteCarlo:
     def model(self, detuning):
         return Liouvillian(self.space, hamiltonian=self.offset * detuning)
 
-    def evolve_for(self, duration):
-        return Evolve(Liouvillian(self.space, NO_HAMILTONIAN), duration, self.offset)
-
-    def run(self, segment, noise, observable):
+    def run(self, duration, noise, observable, generator=None):
         """Monte Carlo with each draw itself the coefficient of the offset.
 
-        Returns the result and every value ``observable`` returned, in order.
+        ``generator`` defaults to free evolution.  Returns the result and
+        every value ``observable`` returned, in order.
         """
+        generator = generator or Liouvillian(self.space, NO_HAMILTONIAN)
         recorded, seen = recording(observable)
         stat = monte_carlo_quasistatic(
-            segment, noise, self.rho0, recorded, coefficient=lambda draws: draws
+            generator,
+            duration,
+            self.offset,
+            noise,
+            self.rho0,
+            recorded,
+            coefficient=lambda draws: draws,
         )
         return stat, np.concatenate(seen)
 
@@ -496,7 +495,7 @@ class TestStateMonteCarlo:
         def distance(states):
             return [trace_distance(state, direct) for state in states]
 
-        _, values = self.run(self.evolve_for(1.1), noise, distance)
+        _, values = self.run(1.1, noise, distance)
         assert np.max(values) <= 1e-12
 
     def test_mean_state_dephases_like_gaussian(self):
@@ -511,15 +510,15 @@ class TestStateMonteCarlo:
 
         # ensemble-averaged coherence shrinks toward the Gaussian
         # free-induction value, populations untouched
-        stat, _ = self.run(self.evolve_for(t), noise, real_parts)
+        stat, _ = self.run(t, noise, real_parts)
         exact = 0.5 * math.exp(-0.5 * sigma * sigma * t * t)
         assert stat.mean == pytest.approx(exact, abs=0.05)
-        pop, _ = self.run(self.evolve_for(t), noise, population)
+        pop, _ = self.run(t, noise, population)
         assert pop.mean == pytest.approx(0.5, abs=1e-12)
 
     def test_observable_stats_recorded(self):
         noise = QuasiStaticNoise(mean=0.0, std=0.4, label="detuning", sample_count=32, seed=8)
-        stat, values = self.run(self.evolve_for(1.0), noise, coherence)
+        stat, values = self.run(1.0, noise, coherence)
         assert values.shape == (32,)
         assert stat.mean == pytest.approx(float(values.mean()), rel=1e-12)
         assert stat.std_error == pytest.approx(float(values.std(ddof=1)) / math.sqrt(32))
@@ -528,22 +527,38 @@ class TestStateMonteCarlo:
         noise = QuasiStaticNoise(mean=0.4, std=0.0, label="detuning", sample_count=3, seed=1)
         direct = propagate_expm(self.model(-1.0), self.rho0, 1.0)
         observable, seen = recording(lambda s: [trace_distance(x, direct) for x in s])
+        free = Liouvillian(self.space, NO_HAMILTONIAN)
         monte_carlo_quasistatic(
-            self.evolve_for(1.0), noise, self.rho0, observable, coefficient=lambda x: -2.5 * x
+            free, 1.0, self.offset, noise, self.rho0, observable, coefficient=lambda x: -2.5 * x
         )
         assert np.max(np.concatenate(seen)) <= 1e-12
 
     def test_zero_duration_leaves_the_state_exactly(self):
         # the Pade exponential of a zero generator is the identity, bit for bit
         noise = QuasiStaticNoise(mean=0.0, std=2.0, label="detuning", sample_count=4, seed=2)
-        _, values = self.run(self.evolve_for(0.0), noise, lambda s: s[:, 0, 1].real)
+        _, values = self.run(0.0, noise, lambda s: s[:, 0, 1].real)
         assert np.array_equal(values, np.full(4, 0.5))
 
-    def test_missing_duration_reported(self):
-        # a bare generator carries no duration: it is not a segment
-        noise = QuasiStaticNoise(mean=0.0, std=0.0, label="tilt", sample_count=2, seed=1)
-        with pytest.raises(TypeError, match="unknown schedule segment"):
-            self.run(self.model(0.0), noise, coherence)
+    def test_bad_input_refused_before_any_sample(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sample ran")
+
+        monkeypatch.setattr(lindblad, "monte_carlo_scalar", refuse)
+        noise = QuasiStaticNoise(mean=0.0, std=1.0, label="tilt", sample_count=2, seed=1)
+        free = Liouvillian(self.space, NO_HAMILTONIAN)
+        qutrit = Liouvillian(HilbertSpace([("t", 3)]), np.zeros((3, 3)))
+        cases = [
+            (free, -1.0, self.offset, "^duration must be nonnegative$"),
+            (qutrit, 1.0, self.offset, "^state lives on a different space$"),
+            (free, 1.0, np.eye(3), "^hamiltonian lives on a different space$"),
+            (free, 1.0, self.lower, "^hamiltonian must be Hermitian$"),
+        ]
+        for generator, duration, shift, message in cases:
+            with pytest.raises(ValueError, match=message):
+                monte_carlo_quasistatic(
+                    generator, duration, shift, noise, self.rho0, coherence,
+                    coefficient=lambda draws: draws,
+                )
 
     def test_non_physical_sample_reported_by_index_and_value(self):
         noise = QuasiStaticNoise(mean=0.3, std=1.0, label="tilt", sample_count=40, seed=5)
@@ -552,7 +567,9 @@ class TestStateMonteCarlo:
         assert first > 0
         with pytest.raises(MonteCarloError) as err:
             monte_carlo_quasistatic(
-                self.evolve_for(1.0),
+                Liouvillian(self.space, NO_HAMILTONIAN),
+                1.0,
+                self.offset,
                 noise,
                 self.rho0,
                 coherence,
@@ -562,11 +579,11 @@ class TestStateMonteCarlo:
 
     def test_block_split_leaves_samples_unchanged(self, monkeypatch):
         decay = (LindbladTerm(self.lower, 0.3),)
-        segment = Evolve(Liouvillian(self.space, NO_HAMILTONIAN, terms=decay), 2.0, self.offset)
+        decaying = Liouvillian(self.space, NO_HAMILTONIAN, terms=decay)
         noise = QuasiStaticNoise(mean=0.0, std=3.0, label="detuning", sample_count=8, seed=12)
-        whole, whole_values = self.run(segment, noise, coherence)
+        whole, whole_values = self.run(2.0, noise, coherence, decaying)
         monkeypatch.setattr(lindblad, "SAMPLE_BLOCK", 3)
-        split, split_values = self.run(segment, noise, coherence)
+        split, split_values = self.run(2.0, noise, coherence, decaying)
         assert np.array_equal(whole_values, split_values)
         assert whole.mean == split.mean
 

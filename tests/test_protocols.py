@@ -14,8 +14,6 @@ from tlrsim import lindblad, protocols
 from tlrsim.config import fjs_params, load_config, tap_coupling, tlr_params
 from tlrsim.device import fjs_derive
 from tlrsim.lindblad import (
-    Apply,
-    Evolve,
     LindbladTerm,
     Liouvillian,
     QuasiStaticNoise,
@@ -161,7 +159,7 @@ class TestTransferGateError:
         def refuse(*args):
             raise AssertionError("the transfer sweep took an exponential")
 
-        monkeypatch.setattr(lindblad, "expm", refuse)
+        monkeypatch.setattr(lindblad, "_expm", refuse)
         assert len(run_transfer_sweep(load_config()).rows) == 25
 
     def test_formula_matches_engine_on_seeded_grid(self):
@@ -574,11 +572,11 @@ def on_rails(single):
     return np.kron(padded, np.eye(4)) + np.kron(np.eye(4), padded)
 
 
-def vacuum_schedule(spec):
+def vacuum_schedule(spec, x):
     """The lossy echo with a vacuum level per rail, rebuilt from the protocol description.
 
     Each rail loses its photon to level 3 at ``photon_loss_rate`` from
-    every level; the cell shift is every evolution's shift term.
+    every level; every evolution adds the cell shift at coefficient ``x``.
     """
     cell = np.diag([0.0, 0.0, 1.0, 0.0])
     cross = -spec.interaction_strength * np.kron(cell, cell)
@@ -592,14 +590,14 @@ def vacuum_schedule(spec):
     )
 
     def evolve(h, duration):
-        return Evolve(Liouvillian(VACUUM_SPACE, h, jumps), duration, shift)
+        return Liouvillian(VACUUM_SPACE, h + x * shift, jumps), duration
 
     g = spec.transfer_coupling
     leg = evolve(g * on_rails(hop) + cross, spec.transfer_time)
     wait = evolve(cross, spec.wait_time)
     if spec.use_ideal_flips:
         swap = np.array([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-        flip = Apply(np.kron(swap, swap))
+        flip = np.kron(swap, swap)
     else:
         h_flip = g * on_rails(hop_logical) + cross
         flip = evolve(h_flip, spec.transfer_time)
@@ -629,7 +627,7 @@ class TestLossySchedule:
         base = cz_spec(ratio, n=2, photon_loss_rate=TWO_PI * 1e4, use_ideal_flips=ideal_flips)
         spec = frozen_shift_spec(base, shift_in_std * base.shift_std)
         report = cphase_spin_echo_error(spec, 0)
-        final = propagate_schedule(vacuum_schedule(spec), vacuum_start(), spec.frozen_shift)
+        final = propagate_schedule(vacuum_schedule(spec, spec.frozen_shift), vacuum_start())
         target = reported_target(report)
         fidelity = np.vdot(target, final.matrix @ target)
         assert abs(fidelity.imag) < 1e-12
@@ -639,7 +637,7 @@ class TestLossySchedule:
     @pytest.mark.parametrize("ideal_flips, distinct", [(True, 2), (False, 3)])
     def test_each_distinct_propagator_built_once(self, monkeypatch, ideal_flips, distinct):
         spec = cz_spec(20.0, n=2, photon_loss_rate=TWO_PI * 1e4, use_ideal_flips=ideal_flips)
-        segments = vacuum_schedule(spec)
+        segments = vacuum_schedule(spec, 0.3 * spec.shift_std)
         assert len(segments) == 8
         built = []
         original = lindblad.propagator
@@ -649,8 +647,7 @@ class TestLossySchedule:
             return original(liouvillian, duration)
 
         monkeypatch.setattr(lindblad, "propagator", counting)
-        x = 0.3 * spec.shift_std
-        propagate_schedule(segments, vacuum_start(), x)
+        propagate_schedule(segments, vacuum_start())
         assert len(built) == distinct
 
     def test_block_split_leaves_samples_unchanged(self, monkeypatch):
@@ -738,13 +735,15 @@ class TestQuasiStaticEquivalence:
         space, _, _, exchange = transfer_operators()
         weight = (spec.coupling / spec.detuning) ** 2
         # a sample's exchange rate is g^2/Delta - weight * delta
-        segment = Evolve(Liouvillian(space, hamiltonian=exchange * spec.exchange_rate), t, exchange)
+        exchange_only = Liouvillian(space, hamiltonian=exchange * spec.exchange_rate)
         noise = QuasiStaticNoise(
             mean=0.0, std=sigma, label="exchange_detuning", sample_count=1000, seed=11
         )
         rho0 = _left_photon_state(space)
         stat = monte_carlo_quasistatic(
-            segment,
+            exchange_only,
+            t,
+            exchange,
             noise,
             rho0,
             lambda states: states[:, 1, 1].real,
