@@ -11,18 +11,18 @@ a rate must be finite and nonnegative, and a term of rate 0 is dropped.
 squarings, whose roundoff would pass the states' trace tolerance.
 
 Quasi-static noise is handled by one Monte Carlo loop,
-:func:`monte_carlo_scalar`, over per-sample RNG substreams keyed by
-(seed, point_index, sample_index) so results do not depend on execution
-order, worker count or block size.  It evaluates a vectorized model on
-blocks of draws, such as the controlled-phase echo on pure states, and
-keeps only the sample mean and its standard error.  For density
-matrices (:func:`monte_carlo_quasistatic`, given a generator, a duration
-and a shift term) a sample enters one evolution affinely, G(x) = G0 + x G1
-with G1 the superoperator of the shift: each block runs one stacked Pade
-exponential of G0 t + x G1 t and validates every final state.  A schedule
-(:func:`propagate_schedule`), the reference for the closed-form lossy
-echo, is a sequence of (Liouvillian, duration) pairs, which evolve, and
-unitary arrays, which kick.
+:func:`monte_carlo_scalar`, which draws a point's samples in order from
+one RNG substream keyed by (seed, point_index), so results do not depend
+on execution order, worker count or block size.  It evaluates a
+vectorized model on blocks of draws, such as the controlled-phase echo
+on pure states, and keeps only the sample mean and its standard error.
+For density matrices (:func:`monte_carlo_quasistatic`, given a generator,
+a duration and a shift term) a draw x enters one evolution affinely,
+G(x) = G0 + x G1 with G1 the superoperator of the shift: each block runs
+one stacked Pade exponential of G0 t + x G1 t and validates every final
+state.  A schedule (:func:`propagate_schedule`), the reference for the
+closed-form lossy echo, is a sequence of (Liouvillian, duration) pairs,
+which evolve, and unitary arrays, which kick.
 """
 
 from __future__ import annotations
@@ -241,12 +241,11 @@ def _expm(a: np.ndarray) -> np.ndarray:
             f"{MAX_SQUARINGS} squarings, whose roundoff would pass the {TRACE_TOL:g} trace tolerance"
         )
     degrees, s = _plan(norms.ravel())
-    plans = degrees * 4096 + s  # s <= 1024, so (degree, s) packs in one int
     stack = a.reshape(-1, *a.shape[-2:])
     out = np.empty(stack.shape, dtype=np.result_type(a.dtype, float))
-    for plan in set(plans.tolist()):
-        sel = np.flatnonzero(plans == plan)
-        out[sel] = _scaled_pade(stack[sel], int(degrees[sel[0]]), int(s[sel[0]]))
+    for m, k in set(zip(degrees.tolist(), s.tolist())):
+        sel = (degrees == m) & (s == k)
+        out[sel] = _scaled_pade(stack[sel], m, k)
     return out.reshape(a.shape)
 
 
@@ -364,24 +363,22 @@ def trace_distance(
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(ma - mb))))
 
 
-def substream_rng(seed: int, *key: int) -> np.random.Generator:
-    """Independent RNG substream addressed by an integer path.
+def substream_rng(seed: int, point_index: int) -> np.random.Generator:
+    """Independent RNG substream of one sweep point.
 
-    The same (seed, key) always yields the same stream, and distinct keys
-    yield statistically independent streams, so samples can be assigned
-    to (sweep point, sample index) pairs without caring about execution
-    order or process boundaries.
+    The same (seed, point_index) always yields the same stream, and
+    distinct pairs yield statistically independent streams, so a point's
+    draws do not depend on which process runs it, or when.
     """
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(point_index,)))
 
 
 @dataclass(frozen=True)
 class QuasiStaticNoise:
     """Gaussian quasi-static spread of one scalar parameter.
 
-    One value is drawn per Monte Carlo trajectory from the substream
-    (seed, point_index, sample_index), so sample assignments survive any
-    re-partitioning of work across processes.
+    One value is drawn per Monte Carlo trajectory, in order from the
+    point's (seed, point_index) substream.
     """
 
     mean: float
@@ -396,10 +393,6 @@ class QuasiStaticNoise:
         if self.sample_count < 2:
             raise ValueError("sample count must be at least 2: a standard error needs two")
 
-    def draw(self, point_index: int, sample_index: int) -> float:
-        rng = substream_rng(self.seed, point_index, sample_index)
-        return self.mean + self.std * rng.standard_normal()
-
 
 @dataclass(frozen=True)
 class ObservableStat:
@@ -410,8 +403,8 @@ class ObservableStat:
 
 
 # samples per Monte Carlo block: bounds the memory at any sample count
-# (larger blocks ran no faster on the 9-dim controlled-phase echo, whose
-# time goes to seeding the per-sample substreams)
+# (the warm default controlled-phase sweep took 45, 40 and 47 ms at blocks
+# of 32, 128 and 1000 on a 2-CPU host, so a small block costs little)
 SAMPLE_BLOCK = 32
 
 
@@ -424,17 +417,19 @@ def monte_carlo_scalar(
     """Average a vectorized model over quasi-static Gaussian draws.
 
     ``model`` maps an (n,) array of drawn values to n observable values.
-    Samples run in blocks of ``SAMPLE_BLOCK``, each drawn from its
-    (seed, point_index, sample_index) substream.  A block that raises is
-    re-run one sample at a time, and the first failing sample raises
-    :class:`MonteCarloError` with its index and drawn value.  No value
-    depends on where the blocks split.
+    Samples run in blocks of ``SAMPLE_BLOCK``, drawn in order from the
+    point's (seed, point_index) substream, so no value depends on where
+    the blocks split and a point's first n samples are the same at any
+    sample count of at least n.  A block that raises is re-run one sample
+    at a time, and the first failing sample raises
+    :class:`MonteCarloError` with its index and drawn value.
     """
     count = noise.sample_count
+    rng = substream_rng(noise.seed, point_index)
     values = np.empty(count)
     for start in range(0, count, SAMPLE_BLOCK):
         stop = min(start + SAMPLE_BLOCK, count)
-        draws = np.array([noise.draw(point_index, i) for i in range(start, stop)])
+        draws = noise.mean + noise.std * rng.standard_normal(stop - start)
         try:
             values[start:stop] = model(draws)
         except Exception:
@@ -457,17 +452,14 @@ def monte_carlo_quasistatic(
     noise: QuasiStaticNoise,
     rho0: DensityMatrix,
     observable: Callable[[np.ndarray], np.ndarray],
-    *,
-    coefficient: Callable[[np.ndarray], np.ndarray],
 ) -> ObservableStat:
     """Average an observable of one evolution's final states over quasi-static draws.
 
     A sample evolves for ``duration`` under ``generator`` with x * ``shift``
-    added to its Hamiltonian, where ``coefficient`` maps an array of drawn
-    values to their coefficients x.  Each block of :func:`monte_carlo_scalar`
-    takes one stacked exponential of G0 t + x G1 t and applies it to
-    rho0; each final state is Hermitized and checked against the
-    :class:`DensityMatrix` tolerances.
+    added to its Hamiltonian, x its drawn value.  Each block of
+    :func:`monte_carlo_scalar` takes one stacked exponential of
+    G0 t + x G1 t and applies it to rho0; each final state is Hermitized
+    and checked against the :class:`DensityMatrix` tolerances.
     ``observable`` maps the (n, d, d) stack of final states to n values.
     """
     if duration < 0:
@@ -478,8 +470,7 @@ def monte_carlo_quasistatic(
     g1 = Liouvillian(rho0.space, shift).matrix() * duration  # checks the shift's shape, Hermiticity
 
     def block(draws: np.ndarray) -> np.ndarray:
-        scale = np.asarray(coefficient(draws), float)[:, None, None]
-        states = apply_superoperator(_expm(g0 + scale * g1), rho0.matrix)
+        states = apply_superoperator(_expm(g0 + draws[:, None, None] * g1), rho0.matrix)
         states = 0.5 * (states + states.conj().swapaxes(1, 2))
         defect = density_defect(states)
         if defect is not None:

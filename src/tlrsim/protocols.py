@@ -488,7 +488,8 @@ def cphase_spin_echo_error(spec: CphaseSpec, point_index: int) -> dict:
     calibration of :func:`_calibrated_target`, and ``retention``: the
     population each logical basis state (00, 01, 10, 11) keeps under the
     noiseless protocol, its fidelity there since phases cancel.
-    ``point_index`` keys the draws' substreams: each sweep point has its own.
+    ``point_index`` keys the substream the draws come from, in order:
+    each sweep point has its own.
 
     Photon loss sends each rail's photon to the vacuum at
     ``photon_loss_rate`` from every level.  Both Hamiltonians keep each

@@ -4,8 +4,8 @@ Every sweep is a pure function of its effective config, seed and sample
 count included. It builds every point's spec in the calling process, maps
 the protocol function over the specs, serially or in a worker pool, and
 emits the rows strictly in grid order. Any Monte Carlo inside a point
-draws from a substream keyed on (seed, point index, sample index), so the
-worker count can never change the bytes.
+draws its samples in order from one substream keyed on (seed, point
+index), so the worker count can never change the bytes.
 
 CSV layout: ``#`` metadata lines (tool version, config hash, seed,
 optional timestamp, the full effective config for re-ingestion), then a

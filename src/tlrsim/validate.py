@@ -188,11 +188,10 @@ def _check_mc_agreement(
     stat = monte_carlo_quasistatic(
         exchange_only,
         t,
-        exchange,
+        -weight * exchange,
         noise,
         rho0,
         lambda states: states[:, 1, 1].real,
-        coefficient=lambda delta: -weight * delta,
     )
     reference = propagate_expm(build_transfer_liouvillian(lossless), rho0, t).population(1)
     difference = abs(stat.mean - reference)

@@ -20,22 +20,22 @@ LOSSY_SIMULATED_FLIPS = {"experiments": {"cphase": {"kappa_hz": 1e3, "flips": "s
 
 SWEEPS = {
     "cphase-samples-100": (
-        None, ["cphase-error", "--samples", "100"], "d8fee4d72d0b3d091613e9e12cfd7632"
+        None, ["cphase-error", "--samples", "100"], "1b0b0fc3b945fe1b3bb344b109e2ff98"
     ),
     "cphase-samples-120-seed-7": (
         None,
         ["cphase-error", "--samples", "120", "--seed", "7"],
-        "f7f641b9c6c65a786fe9424872ba74ad",
+        "ba8fc382b2351f9ec09bf5fbb12f803a",
     ),
     "cphase-lossy": (
         LOSSY,
         ["cphase-error", "--samples", "2", "--quick"],
-        "40afae9ccbc5f30ab2e9b3ee8ffabc65",
+        "743a08d41775912c34c7340fe6604c54",
     ),
     "cphase-lossy-simulated-flips": (
         LOSSY_SIMULATED_FLIPS,
         ["cphase-error", "--samples", "2", "--quick"],
-        "ca08ce49657f74a63c6eba877c1d4b66",
+        "6e1d7cf9e127525c4795ea5fe8ff77ec",
     ),
     "transfer-error": (None, ["transfer-error"], "a5dd0a39a68f5430e0e6c5b90cfa6ee5"),
     "detector": (None, ["detector"], "2d05596c2fca478b413ff50c603c19db"),
@@ -43,7 +43,7 @@ SWEEPS = {
 
 WHOLE_OUTPUTS = {
     "params": "c5152944a4363c91b1dedf1a60ab336a",
-    "validate": "b626486c1f0d5747b9fd195f0d6cd844",
+    "validate": "ee4626b4b74a6961f07c92552d32bf73",
 }
 
 

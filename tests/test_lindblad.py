@@ -8,6 +8,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from tlrsim import lindblad
+from tlrsim.config import load_config
 from tlrsim.lindblad import (
     IntegrationError,
     LindbladTerm,
@@ -26,6 +27,8 @@ from tlrsim.lindblad import (
     trace_distance,
 )
 from tlrsim.qcore import DensityMatrix, HilbertSpace, annihilation, embed
+from tlrsim.sweeps import run_cphase_sweep
+from tlrsim.validate import run_validation
 
 
 # the Hamiltonian of a qubit generator made of jump terms alone
@@ -55,6 +58,12 @@ def scalar_run(model, noise, **kwargs):
     """``monte_carlo_scalar``'s result and every value ``model`` returned, in order."""
     recorded, seen = recording(model)
     return monte_carlo_scalar(recorded, noise, **kwargs), np.concatenate(seen)
+
+
+def point_draws(noise, point_index=0):
+    """The values one point draws: its substream's normals in order, scaled."""
+    normals = substream_rng(noise.seed, point_index).standard_normal(noise.sample_count)
+    return (noise.mean + noise.std * normals).tolist()
 
 
 def random_matrices(rng, *shape):
@@ -373,16 +382,32 @@ class TestTraceDistance:
 
 class TestSubstreams:
     def test_same_key_same_stream(self):
-        a = substream_rng(42, 3, 7).standard_normal(5)
-        b = substream_rng(42, 3, 7).standard_normal(5)
+        a = substream_rng(42, 3).standard_normal(5)
+        b = substream_rng(42, 3).standard_normal(5)
         assert np.array_equal(a, b)
 
     def test_distinct_keys_distinct_streams(self):
-        a = substream_rng(42, 3, 7).standard_normal(5)
-        b = substream_rng(42, 3, 8).standard_normal(5)
-        c = substream_rng(43, 3, 7).standard_normal(5)
+        a = substream_rng(42, 3).standard_normal(5)
+        b = substream_rng(42, 4).standard_normal(5)
+        c = substream_rng(43, 3).standard_normal(5)
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    def test_each_point_seeds_one_substream(self, monkeypatch):
+        keys = []
+
+        def counting(seed, point_index):
+            keys.append((seed, point_index))
+            return substream_rng(seed, point_index)
+
+        monkeypatch.setattr(lindblad, "substream_rng", counting)
+        config = load_config()
+        run_cphase_sweep(config)
+        assert len(config["experiments"]["cphase"]["speed_ratios"]) == 5
+        assert keys == [(42, i) for i in range(5)]
+        keys.clear()
+        run_validation(config)
+        assert len(keys) == 1
 
 
 class TestScalarMonteCarlo:
@@ -395,21 +420,22 @@ class TestScalarMonteCarlo:
         _, v3 = scalar_run(np.cos, noise, point_index=3)
         assert not np.array_equal(v1, v3)
 
-    def test_sample_prefix_stable_under_count(self):
-        # growing the sample budget must not reshuffle earlier draws
+    @pytest.mark.parametrize("block", [1, 32, 70])
+    def test_sample_prefix_stable_under_count(self, monkeypatch, block):
+        # growing the sample budget must not reshuffle earlier draws, at any block
+        monkeypatch.setattr(lindblad, "SAMPLE_BLOCK", block)
         _, small = scalar_run(
-            np.cos, QuasiStaticNoise(0.0, 1.0, "detuning", sample_count=16, seed=5)
+            np.cos, QuasiStaticNoise(0.0, 1.0, "detuning", sample_count=45, seed=5), point_index=3
         )
-        _, large = scalar_run(
-            np.cos, QuasiStaticNoise(0.0, 1.0, "detuning", sample_count=40, seed=5)
-        )
-        assert np.array_equal(large[:16], small)
+        noise = QuasiStaticNoise(0.0, 1.0, "detuning", sample_count=70, seed=5)
+        _, large = scalar_run(np.cos, noise, point_index=3)
+        assert np.array_equal(large[:45], small)
+        assert np.array_equal(large, np.cos(point_draws(noise, 3)))
 
     def test_values_are_the_model_at_each_draw(self):
         noise = QuasiStaticNoise(mean=0.2, std=1.5, label="detuning", sample_count=70, seed=4)
         result, values = scalar_run(np.cos, noise, point_index=1)
-        draws = [noise.draw(1, i) for i in range(70)]
-        assert np.array_equal(values, [math.cos(x) for x in draws])
+        assert np.array_equal(values, [math.cos(x) for x in point_draws(noise, 1)])
         assert result.mean == float(values.mean())
 
     def test_gaussian_dephasing_against_analytic(self):
@@ -441,7 +467,7 @@ class TestScalarMonteCarlo:
 
     def test_failure_inside_a_block_names_that_sample(self):
         noise = QuasiStaticNoise(mean=0.0, std=1.0, label="tilt", sample_count=80, seed=3)
-        draws = [noise.draw(0, i) for i in range(80)]
+        draws = point_draws(noise)
         k = 45  # inside the second block, neither its first nor its last sample
         assert 0 < k % lindblad.SAMPLE_BLOCK < lindblad.SAMPLE_BLOCK - 1
 
@@ -484,7 +510,6 @@ class TestStateMonteCarlo:
             noise,
             self.rho0,
             recorded,
-            coefficient=lambda draws: draws,
         )
         return stat, np.concatenate(seen)
 
@@ -523,14 +548,12 @@ class TestStateMonteCarlo:
         assert stat.mean == pytest.approx(float(values.mean()), rel=1e-12)
         assert stat.std_error == pytest.approx(float(values.std(ddof=1)) / math.sqrt(32))
 
-    def test_coefficient_map_scales_the_shift(self):
+    def test_draw_scales_the_shift(self):
         noise = QuasiStaticNoise(mean=0.4, std=0.0, label="detuning", sample_count=3, seed=1)
         direct = propagate_expm(self.model(-1.0), self.rho0, 1.0)
         observable, seen = recording(lambda s: [trace_distance(x, direct) for x in s])
         free = Liouvillian(self.space, NO_HAMILTONIAN)
-        monte_carlo_quasistatic(
-            free, 1.0, self.offset, noise, self.rho0, observable, coefficient=lambda x: -2.5 * x
-        )
+        monte_carlo_quasistatic(free, 1.0, -2.5 * self.offset, noise, self.rho0, observable)
         assert np.max(np.concatenate(seen)) <= 1e-12
 
     def test_zero_duration_leaves_the_state_exactly(self):
@@ -555,15 +578,21 @@ class TestStateMonteCarlo:
         ]
         for generator, duration, shift, message in cases:
             with pytest.raises(ValueError, match=message):
-                monte_carlo_quasistatic(
-                    generator, duration, shift, noise, self.rho0, coherence,
-                    coefficient=lambda draws: draws,
-                )
+                monte_carlo_quasistatic(generator, duration, shift, noise, self.rho0, coherence)
 
-    def test_non_physical_sample_reported_by_index_and_value(self):
+    def test_non_physical_sample_reported_by_index_and_value(self, monkeypatch):
+        # the offset's superoperator has 1-norm 1, so a draw's exponent has
+        # 1-norm |x|: an exponential that halves past 1.5 breaks those states
+        exact = lindblad._expm
+
+        def lossy(a):
+            norms = np.linalg.norm(a, 1, axis=(-2, -1))
+            return exact(a) * np.where(norms > 1.5, 0.5, 1.0)[:, None, None]
+
+        monkeypatch.setattr(lindblad, "_expm", lossy)
         noise = QuasiStaticNoise(mean=0.3, std=1.0, label="tilt", sample_count=40, seed=5)
-        draws = [noise.draw(0, i) for i in range(40)]
-        first = next(i for i, x in enumerate(draws) if x < 0)
+        draws = point_draws(noise)
+        first = next(i for i, x in enumerate(draws) if abs(x) > 1.5)
         assert first > 0
         with pytest.raises(MonteCarloError) as err:
             monte_carlo_quasistatic(
@@ -573,7 +602,6 @@ class TestStateMonteCarlo:
                 noise,
                 self.rho0,
                 coherence,
-                coefficient=lambda x: np.where(x < 0, np.nan, x),
             )
         assert str(err.value).startswith(f"sample {first} (tilt={draws[first]!r}) failed: trace")
 

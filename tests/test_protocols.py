@@ -387,7 +387,7 @@ class TestCphaseError:
 
     def test_operating_point_frozen(self):
         rep = cphase_spin_echo_error(cz_spec(20.0), 0)
-        assert rep["error"] == pytest.approx(5.0876e-03, rel=2e-3)
+        assert rep["error"] == pytest.approx(4.9034e-03, rel=2e-3)
         assert rep["std_error"] < 5e-4
 
     def test_noiseless_error_decomposition(self):
@@ -743,11 +743,10 @@ class TestQuasiStaticEquivalence:
         stat = monte_carlo_quasistatic(
             exchange_only,
             t,
-            exchange,
+            -weight * exchange,
             noise,
             rho0,
             lambda states: states[:, 1, 1].real,
-            coefficient=lambda delta: -weight * delta,
         )
 
         lindblad_final = propagate_expm(build_transfer_liouvillian(spec), rho0, t)
