@@ -234,9 +234,6 @@ _SWAP_PAIR = np.kron(_SWAP_CELL, _SWAP_CELL)
 
 # theta00 - theta01 - theta10 + theta11: the phase no local Z can remove
 _CONDITIONAL_CONTRAST = np.array([1.0, -1.0, -1.0, 1.0])
-_WAIT_GRID = 32  # bracketing intervals per period of the wait
-_WAIT_STEPS = 40  # false-position steps; 3 to 7 in the usual regime
-_WAIT_TOL = 1e-14  # rad: where false position stops
 _WAIT_MISS = 1e-9  # rad: the largest conditional-phase miss a returned wait may have
 
 
@@ -383,46 +380,38 @@ def _conditional_phase(output: np.ndarray) -> float:
 def _solve_wait(spec: CphaseSpec) -> float:
     """Wait giving the noiseless protocol a conditional phase of pi.
 
-    The wait only multiplies |22> by exp(i interaction w), so the echo is
-    periodic in w with period 2 pi / |interaction|.  Sign changes of the
-    phase miss on a grid over one period bracket the roots; false position
-    refines them nearest the instantaneous-leg root pi / (2 |interaction|)
-    first, so the wait joins that root smoothly as the legs get faster.  A
-    bracket may hold no root (where a logical amplitude passes near zero,
-    the miss swings across it without wrapping), so the first wait whose
-    miss is within ``_WAIT_MISS`` is returned.
+    The wait only multiplies |22> by exp(i interaction w), so each half echo
+    is linear in that factor and each logical output amplitude a quadratic.
+    With x = |interaction| w, Im(a00 a11 conj(a01 a10)) is then a
+    trigonometric polynomial of degree 4 in x, zero exactly where the
+    conditional phase is 0 or pi: nine equispaced samples over one period
+    fix it, and its zeros are the roots of a degree-8 polynomial in
+    z = exp(i x).  Each root gets one Newton step and is kept only if its
+    conditional phase misses pi by at most ``_WAIT_MISS`` (a vanishing
+    amplitude also zeroes the polynomial); of those, the wait nearest the
+    instantaneous-leg root pi / (2 |interaction|) is returned, so the wait
+    joins that root smoothly as the legs get faster.
     """
     psi = equal_superposition()
+    scale = abs(spec.interaction_strength)
 
-    def misses_at(waits: np.ndarray) -> list[float]:
-        outs = _echo(spec, *spec._zero_shift_legs, 0.0, waits) @ psi
-        return [float(_wrap_phase(_conditional_phase(out) - math.pi)) for out in outs]
+    def outputs_at(waits: np.ndarray) -> np.ndarray:
+        return _echo(spec, *spec._zero_shift_legs, 0.0, waits) @ psi
 
-    w_instant = _instant_leg_wait(spec)
-    grid = np.linspace(0.0, 4.0 * w_instant, _WAIT_GRID + 1)
-    misses = misses_at(grid)
-    # a wrap of the phase also flips the sign, but as a jump of about 2 pi
-    brackets = [
-        (a, b, fa, fb)
-        for a, b, fa, fb in zip(grid, grid[1:], misses, misses[1:])
-        if fa * fb <= 0.0 and abs(fa - fb) < math.pi
-    ]
-    for a, b, fa, fb in sorted(brackets, key=lambda br: abs(br[0] + br[1] - 2.0 * w_instant)):
-        # false position: the miss is close to linear across one grid step
-        wait, f_wait = a, fa
-        for _ in range(_WAIT_STEPS):
-            if fa == fb:
-                break
-            wait = b - fb * (b - a) / (fb - fa)
-            f_wait = misses_at(np.array([wait]))[0]
-            if abs(f_wait) <= _WAIT_TOL:
-                break
-            if fa * f_wait <= 0.0:
-                b, fb = wait, f_wait
-            else:
-                a, fa = wait, f_wait
-        if abs(f_wait) <= _WAIT_MISS:
-            return float(wait)
+    x = np.arange(9) * (2.0 * math.pi / 9)
+    a = outputs_at(x / scale)[:, list(LOGICAL_FLAT)]
+    samples = (a[:, 0] * a[:, 3] * np.conj(a[:, 1] * a[:, 2])).imag
+    # 9 times the coefficients of exp(i k x) for k = 4 down to -4: those of z^(k + 4)
+    poly = np.exp(-1j * np.outer(np.arange(4, -5, -1), x)) @ samples
+    z = np.roots(poly)  # real dtype when every root is real
+    # polished in z, a spurious root off the unit circle stays off it
+    with np.errstate(all="ignore"):  # a double root has no slope: it stays unpolished
+        step = np.polyval(poly, z) / np.polyval(np.polyder(poly), z)
+    waits = np.mod(np.angle(np.where(np.isfinite(step), z - step, z)), 2.0 * math.pi) / scale
+    misses = [abs(_wrap_phase(_conditional_phase(out) - math.pi)) for out in outputs_at(waits)]
+    verified = [w for w, miss in zip(waits, misses) if miss <= _WAIT_MISS]
+    if verified:
+        return float(min(verified, key=lambda w: abs(w - _instant_leg_wait(spec))))
     raise ValueError(
         f"no wait gives a conditional phase of pi: transfer coupling "
         f"{spec.transfer_coupling:.4e} is too slow for interaction "

@@ -483,6 +483,18 @@ class TestDerivedConditions:
         assert proc.returncode == 1
         assert proc.stderr == f"error: controlled-phase {quantity} leaves the float range\n"
 
+    def test_frozen_legs_refuse_the_wait_in_one_line(self, tmp_path):
+        # a huge shunt capacitance slows the legs to 8.7e-14 rad/s: no photon
+        # reaches the cell, so the wait moves no phase; the wait solve's
+        # polynomial is a constant, np.roots returns its roots as real zeros,
+        # and a Newton step there divides by a zero slope
+        path = tmp_path / "frozen.json"
+        path.write_text(json.dumps({"device": {"fjs": {"shunt_capacitance_f": 1e30}}}))
+        proc = run_cli(*QUICK_CPHASE, "--config", str(path))
+        assert proc.returncode == 1
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: no wait gives a conditional phase of pi")
+
     @pytest.mark.parametrize(
         "command, override, message",
         [

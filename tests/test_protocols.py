@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
+from scipy.optimize import brentq
 
 from tlrsim import lindblad, protocols
 from tlrsim.config import fjs_params, load_config, tap_coupling, tlr_params
@@ -252,6 +253,10 @@ def cz_spec(ratio, n=1000, seed=42, **kw):
     return CphaseSpec.from_fjs(DERIVED, speed_ratio=ratio, sample_count=n, seed=seed, **kw)
 
 
+def instant_wait():
+    return math.pi / (2 * abs(DERIVED.omega_int))
+
+
 def wrapped(x):
     return float(np.angle(np.exp(1j * x)))
 
@@ -261,8 +266,8 @@ def conditional_phase(phases):
     return phases[0] - phases[1] - phases[2] + phases[3]
 
 
-def noiseless_echo_output(spec, wait):
-    """Output of the noiseless echo on the equal logical superposition.
+def noiseless_echo(spec):
+    """Output of the noiseless echo on the equal logical superposition, as a function of the wait.
 
     Rebuilt from the protocol description (leg, wait, leg, flip, twice)
     rather than from the module's internals; a simulated flip hops both
@@ -280,15 +285,19 @@ def noiseless_echo_output(spec, wait):
         flip_pair = np.kron(flip, flip)
     else:
         flip_pair = expm(-1j * (g * (np.kron(hop_logical, eye) + np.kron(eye, hop_logical)) + cross) * t)
-    half = flip_pair @ leg @ expm(-1j * cross * wait) @ leg
     psi = np.zeros(9, dtype=complex)
     psi[list(LOGICAL_FLAT)] = 0.5
-    return half @ half @ psi
+
+    def output(wait):
+        half = flip_pair @ leg @ expm(-1j * cross * wait) @ leg
+        return half @ half @ psi
+
+    return output
 
 
 def solved_wait_miss(spec):
     """How far the rebuilt echo at the solved wait misses a conditional phase of pi."""
-    out = noiseless_echo_output(spec, spec.wait_time)
+    out = noiseless_echo(spec)(spec.wait_time)
     return wrapped(conditional_phase(np.angle(out[list(LOGICAL_FLAT)])) - math.pi)
 
 
@@ -302,7 +311,7 @@ class TestCphaseSpec:
         # the finite legs add cross-Kerr phase, so the wait that brings the
         # conditional phase to pi is shorter than the instantaneous-leg one
         assert 0.0 < spec.wait_time <= math.pi / (2 * abs(DERIVED.omega_int))
-        phases = logical_phase_extract(noiseless_echo_output(spec, spec.wait_time))
+        phases = logical_phase_extract(noiseless_echo(spec)(spec.wait_time))
         assert abs(wrapped(conditional_phase(phases) - math.pi)) < 1e-9
         assert spec.transfer_time == pytest.approx(
             math.pi / (2 * spec.transfer_coupling), rel=1e-15
@@ -315,13 +324,42 @@ class TestCphaseSpec:
         with pytest.raises(ValueError, match="conditional phase of pi"):
             cz_spec(0.5).wait_time
 
-    def test_bracket_without_a_root_is_passed_over(self):
-        # the |00> amplitude passes near zero inside the grid step nearest
-        # pi / (2 |omega_int|), so the miss changes sign across that step
-        # without a root; the next root lies near 2.7 pi / (2 |omega_int|)
+    def test_lone_root_far_from_the_instant_wait_is_found(self):
+        # near pi / (2 |omega_int|) the |00> amplitude passes near zero and the
+        # miss swings across 0 without a root; the only root in the period
+        # lies near 2.73 pi / (2 |omega_int|)
         spec = cz_spec(0.921, n=2)
         assert abs(solved_wait_miss(spec)) < 1e-9
-        assert spec.wait_time > math.pi / (2 * abs(DERIVED.omega_int))
+        assert spec.wait_time / instant_wait() == pytest.approx(2.73, abs=0.01)
+
+    @pytest.mark.parametrize("ideal_flips", [True, False])
+    @pytest.mark.parametrize("ratio", [0.9105, 1.0316, 1.7263, 2.0, 20.0])
+    def test_solved_wait_is_the_root_nearest_the_instant_wait(self, ratio, ideal_flips):
+        # every wait in one period whose conditional phase is pi, found on the
+        # rebuilt echo by a dense sign scan of the miss and a bracketed solve
+        spec = cz_spec(ratio, n=2, use_ideal_flips=ideal_flips)
+        output = noiseless_echo(spec)
+
+        def miss(u):  # u: the wait in units of pi / (2 |omega_int|)
+            out = output(u * instant_wait())
+            return wrapped(conditional_phase(np.angle(out[list(LOGICAL_FLAT)])) - math.pi)
+
+        grid = np.linspace(0.0, 4.0, 1025)
+        misses = [miss(u) for u in grid]
+        roots = [
+            brentq(miss, a, b, xtol=1e-15)
+            for a, b, fa, fb in zip(grid, grid[1:], misses, misses[1:])
+            if fa * fb <= 0.0 and abs(fa - fb) < math.pi  # not a wrap of the phase
+        ]
+        roots = [u for u in roots if abs(miss(u)) <= 1e-9]
+        nearest = min(roots, key=lambda u: abs(u - 1.0))
+        assert spec.wait_time / instant_wait() == pytest.approx(nearest, rel=1e-9)
+
+    def test_tie_between_roots_at_both_ends_of_the_period_goes_nearer(self):
+        # ratio 1.74 with ideal flips has roots at 0.017 and 1.949 in units of
+        # pi / (2 |omega_int|): the second is nearer the instantaneous-leg wait
+        spec = cz_spec(1.74, n=2)
+        assert spec.wait_time / instant_wait() == pytest.approx(1.949, abs=1e-3)
 
     @pytest.mark.parametrize("ideal_flips", [True, False])
     def test_every_solved_wait_gives_a_conditional_phase_of_pi(self, ideal_flips):
